@@ -11,11 +11,12 @@ path; MAV replaces the utility predictor with a per-slot moving average.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scheduler import CandidateSet, PrivacyLedger
+from .scheduler import CandidateSet, PrivacyLedger, admit_in_order
 
 
 class EdgeCache:
@@ -67,36 +68,36 @@ class EdgeCache:
 
 
 class LruCache:
-    """Classic least-recently-used cache; always admits on miss."""
+    """Classic least-recently-used cache; always admits on miss.
+
+    Residents are kept in recency order, least recent first.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.clock = 0
-        self.last_access: dict[int, int] = {}
+        self.residents: OrderedDict[int, None] = OrderedDict()
 
     def __len__(self) -> int:
-        return len(self.last_access)
+        return len(self.residents)
 
     def lookup(self, video: int) -> bool:
-        return video in self.last_access
+        return video in self.residents
 
     def contents(self) -> set[int]:
-        return set(self.last_access)
+        return set(self.residents)
 
     def access(self, video: int) -> tuple[bool, list[int]]:
         """Serve one request; returns (hit, evicted)."""
-        self.clock += 1
-        if video in self.last_access:
-            self.last_access[video] = self.clock
+        if video in self.residents:
+            self.residents.move_to_end(video)
             return True, []
         evicted = []
-        if len(self.last_access) >= self.capacity:
-            victim = min(self.last_access, key=lambda v: self.last_access[v])
-            del self.last_access[victim]
+        if len(self.residents) >= self.capacity:
+            victim, _ = self.residents.popitem(last=False)
             evicted.append(victim)
-        self.last_access[video] = self.clock
+        self.residents[video] = None
         return False, evicted
 
 
@@ -193,32 +194,15 @@ def select_candidates_random(
 ) -> tuple[CandidateSet, PrivacyLedger]:
     """Random budget-feasible candidate picks (no utility filter), charging
     the ledger per admission until the cap or the feasible pool runs out."""
-    admitted: list[int] = []
-    for video in rng.permutation(ledger.catalog_size):
-        if len(admitted) >= ledger.prefetch_cap:
-            break
-        video = int(video)
-        if ledger.can_charge(video):
-            ledger.charge(video)
-            admitted.append(video)
-    return CandidateSet(videos=tuple(admitted), cap=ledger.prefetch_cap), ledger
+    return admit_in_order(rng.permutation(ledger.catalog_size), ledger.chargeable(), ledger)
 
 
 def select_candidates_best_utility(
     utilities: np.ndarray, ledger: PrivacyLedger
 ) -> tuple[CandidateSet, PrivacyLedger]:
     """Top-utility budget-feasible candidate picks, charging per admission."""
-    utilities = np.asarray(utilities, dtype=np.float64)
-    order = np.argsort(-utilities, kind="stable")
-    admitted: list[int] = []
-    for video in order:
-        if len(admitted) >= ledger.prefetch_cap:
-            break
-        video = int(video)
-        if ledger.can_charge(video):
-            ledger.charge(video)
-            admitted.append(video)
-    return CandidateSet(videos=tuple(admitted), cap=ledger.prefetch_cap), ledger
+    order = np.argsort(-np.asarray(utilities, dtype=np.float64), kind="stable")
+    return admit_in_order(order, ledger.chargeable(), ledger)
 
 
 @dataclass

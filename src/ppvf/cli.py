@@ -116,38 +116,45 @@ def _parse_value(key: str, raw: str):
 
 def _train_config(cfg: dict) -> TrainConfig:
     rho = float(cfg["rho"])
-    return TrainConfig(
-        rho_base=rho,
-        rho_target=rho,
-        rho_source=rho,
-        learning_rate=float(cfg["eta"]),
-        max_iters=int(cfg["max_iters"]),
-        tolerance=float(cfg["tolerance"]),
-        update_interval_hours=float(cfg["t_theta"]),
-    )
+    try:
+        return TrainConfig(
+            rho_base=rho,
+            rho_target=rho,
+            rho_source=rho,
+            learning_rate=float(cfg["eta"]),
+            max_iters=int(cfg["max_iters"]),
+            tolerance=float(cfg["tolerance"]),
+            update_interval_hours=float(cfg["t_theta"]),
+        )
+    except ValueError as exc:
+        raise UsageError(f"invalid configuration: {exc}") from None
 
 
 def _sim_config(cfg: dict, policy: str, seed: int, workers: int | None) -> SimConfig:
     bounds = None
     if cfg["lower"] and cfg["upper"]:
         bounds = (float(cfg["lower"]), float(cfg["upper"]))
-    return SimConfig(
-        policy=policy,
-        init_horizon=float(cfg["init_horizon"]),
-        test_horizon=float(cfg["horizon"]),
-        total_budget=float(cfg["xi"]),
-        unit_cost=float(cfg["epsilon"]),
-        prefetch_cap=int(cfg["f"]),
-        cache_fraction=float(cfg["c"]),
-        bounds=bounds,
-        decay=float(cfg["delta"]),
-        latent_dim=int(cfg["latent_dim"]),
-        truncation=float(cfg["phi_th"]),
-        train=_train_config(cfg),
-        slot_hours=float(cfg["quantize"]),
-        seed=seed,
-        workers=workers,
-    )
+    train = _train_config(cfg)
+    try:
+        return SimConfig(
+            policy=policy,
+            init_horizon=float(cfg["init_horizon"]),
+            test_horizon=float(cfg["horizon"]),
+            total_budget=float(cfg["xi"]),
+            unit_cost=float(cfg["epsilon"]),
+            prefetch_cap=int(cfg["f"]),
+            cache_fraction=float(cfg["c"]),
+            bounds=bounds,
+            decay=float(cfg["delta"]),
+            latent_dim=int(cfg["latent_dim"]),
+            truncation=float(cfg["phi_th"]),
+            train=train,
+            slot_hours=float(cfg["quantize"]),
+            seed=seed,
+            workers=workers,
+        )
+    except ValueError as exc:
+        raise UsageError(f"invalid configuration: {exc}") from None
 
 
 def random_ground_truth(cfg: dict, seed: int) -> ModelParams:
@@ -335,12 +342,10 @@ def cmd_simulate(args) -> int:
     started = time.perf_counter()
     runs = []
     for policy in policies:
-        for value in sweep_values or [_default_sweep_value(cfg, sweep_name)]:
+        for value in sweep_values or [float(cfg[sweep_name or "c"])]:
             run_cfg = dict(cfg)
             if sweep_name:
-                run_cfg[{"f": "f", "xi": "xi", "c": "c"}[sweep_name]] = (
-                    int(value) if sweep_name == "f" else float(value)
-                )
+                run_cfg[sweep_name] = int(value) if sweep_name == "f" else float(value)
             sim_cfg = _sim_config(run_cfg, policy, seed, _worker_count(args))
             report = run_simulation(sim_cfg, log)
             runs.append((policy, float(value), report))
@@ -352,16 +357,6 @@ def cmd_simulate(args) -> int:
     outputs = write_reports(out_dir, runs, sweep_name or "value", float(cfg["c"]))
     write_manifest(out_dir, "simulate", cfg, outputs, {"simulate": time.perf_counter() - started})
     return EXIT_OK
-
-
-def _default_sweep_value(cfg: dict, sweep_name: str) -> float:
-    if sweep_name == "f":
-        return float(cfg["f"])
-    if sweep_name == "xi":
-        return float(cfg["xi"])
-    if sweep_name == "c":
-        return float(cfg["c"])
-    return float(cfg["c"])
 
 
 def cmd_eval_cr(args) -> int:

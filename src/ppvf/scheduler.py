@@ -2,8 +2,9 @@
 
 A video becomes a prefetch candidate only if its utility-per-budget ratio
 clears a threshold that rises as the video's budget depletes, and only if
-enough budget remains for one more charge. Budget accounting is exact
-rational arithmetic, so the per-video cap is never violated by float drift.
+enough budget remains for one more charge. The ledger stores integer charge
+counts per video; the count limits are derived once from the rational budget
+and cost, so the per-video cap is never violated by float drift.
 An exact offline optimum (branch and bound over the step/budget feasible
 assignments) backs an empirical check of the online algorithm's
 competitive ratio, which is bounded by ``1 + ln(upper/lower)``.
@@ -12,7 +13,7 @@ competitive ratio, which is bounded by ``1 + ln(upper/lower)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -61,71 +62,90 @@ def threshold(consumed_fraction: float, cfg: ThresholdConfig) -> float:
     return (cfg.upper * math.e / cfg.lower) ** consumed_fraction * cfg.lower / math.e
 
 
-@dataclass
+@dataclass(eq=False)
 class PrivacyLedger:
-    """Per-video budget accounting for one edge, in exact fractions.
+    """Per-video budget accounting for one edge, as integer charge counts.
 
-    ``total_budget`` is the lifetime allowance per video, ``unit_cost[i]``
-    the charge for selecting video ``i`` once, and ``consumed[i]`` the sum of
-    committed charges, always at most the total. A zero total budget is legal
-    and makes every admission impossible.
+    ``total_budget`` is the lifetime allowance per video, ``cost`` the charge
+    for selecting any video once, and ``counts[i]`` the number of committed
+    charges of video ``i``. The exact limits on a count are derived once from
+    the rational budget and cost, so no check ever rounds. A zero total
+    budget is legal and makes every admission impossible.
     """
 
     total_budget: Fraction
-    unit_cost: list[Fraction]
+    cost: Fraction
     prefetch_cap: int
-    consumed: list[Fraction] = field(default_factory=list)
+    counts: np.ndarray
 
     def __post_init__(self):
         self.total_budget = Fraction(self.total_budget)
-        self.unit_cost = [Fraction(c) for c in self.unit_cost]
+        self.cost = Fraction(self.cost)
         if self.total_budget < 0:
             raise ValueError("total_budget must be non-negative")
-        if any(c <= 0 for c in self.unit_cost):
-            raise ValueError("unit costs must be positive")
+        if self.cost <= 0:
+            raise ValueError("unit cost must be positive")
         if self.prefetch_cap < 0:
             raise ValueError("prefetch_cap must be non-negative")
-        if not self.consumed:
-            self.consumed = [Fraction(0)] * len(self.unit_cost)
-        if len(self.consumed) != len(self.unit_cost):
-            raise ValueError("consumed/unit_cost length mismatch")
+        self.counts = np.asarray(self.counts, dtype=np.int64)
+        # charge() needs count + 1 <= budget / cost; can_charge() needs
+        # count + 1 < budget / cost, i.e. count + 1 <= ceil(budget / cost) - 1.
+        self.charge_limit = int(self.total_budget // self.cost)
+        self.strict_limit = -(-self.total_budget // self.cost) - 1
+        self.charge_fraction = self.cost / self.total_budget if self.total_budget else Fraction(0)
+        # Read-only per-video view of the one cost (stride 0, one element).
+        self.unit_cost = np.broadcast_to(np.array(self.cost, dtype=object), self.counts.shape)
 
     @classmethod
     def uniform(cls, catalog_size: int, total_budget, unit_cost, prefetch_cap: int) -> "PrivacyLedger":
-        return cls(
-            total_budget=Fraction(total_budget),
-            unit_cost=[Fraction(unit_cost)] * catalog_size,
-            prefetch_cap=prefetch_cap,
-        )
+        return cls(total_budget, unit_cost, prefetch_cap, np.zeros(catalog_size, dtype=np.int64))
 
     @property
     def catalog_size(self) -> int:
-        return len(self.unit_cost)
+        return len(self.counts)
+
+    @property
+    def consumed(self) -> np.ndarray:
+        """Exact committed spend per video, as an array of ``Fraction``."""
+        return self.counts.astype(object) * self.cost
 
     def consumed_fraction(self, video: int) -> Fraction:
-        if self.total_budget == 0:
-            return Fraction(0)
-        return self.consumed[video] / self.total_budget
+        return int(self.counts[video]) * self.charge_fraction
 
     def residual_fraction(self, video: int) -> Fraction:
         return Fraction(1) - self.consumed_fraction(video)
 
+    def per_count(self, fn) -> np.ndarray:
+        """``fn(count)`` for every video's charge count, as a float array.
+
+        ``fn`` runs once per distinct charge count present, not per video.
+        """
+        histogram = np.bincount(self.counts)
+        table = np.zeros(histogram.size)
+        for count in np.flatnonzero(histogram).tolist():
+            table[count] = fn(count)
+        return table[self.counts]
+
+    def residual_fractions(self) -> np.ndarray:
+        """``float(residual_fraction(v))`` for every video."""
+        num, den = self.charge_fraction.numerator, self.charge_fraction.denominator
+        return self.per_count(lambda count: (den - count * num) / den)
+
+    def chargeable(self) -> np.ndarray:
+        """Mask of videos for which :meth:`can_charge` holds."""
+        return self.counts < self.strict_limit
+
     def can_charge(self, video: int) -> bool:
         """Strict feasibility test of one more charge (cost < remaining budget)."""
-        return self.unit_cost[video] < self.total_budget - self.consumed[video]
+        return bool(self.counts[video] < self.strict_limit)
 
     def charge(self, video: int) -> None:
-        if self.consumed[video] + self.unit_cost[video] > self.total_budget:
+        if self.counts[video] >= self.charge_limit:
             raise ValueError("charge would exceed the per-video budget")
-        self.consumed[video] += self.unit_cost[video]
+        self.counts[video] += 1
 
     def copy(self) -> "PrivacyLedger":
-        return PrivacyLedger(
-            total_budget=self.total_budget,
-            unit_cost=list(self.unit_cost),
-            prefetch_cap=self.prefetch_cap,
-            consumed=list(self.consumed),
-        )
+        return PrivacyLedger(self.total_budget, self.cost, self.prefetch_cap, self.counts.copy())
 
 
 @dataclass(frozen=True)
@@ -151,6 +171,19 @@ class CandidateSet:
         return video in self.videos
 
 
+def admit_in_order(
+    order: np.ndarray, eligible: np.ndarray, ledger: PrivacyLedger
+) -> tuple[CandidateSet, PrivacyLedger]:
+    """Admit and charge the first ``prefetch_cap`` eligible videos of ``order``.
+
+    ``order`` visits each video at most once, so eligibility taken before
+    any charge equals eligibility checked during a sequential walk.
+    """
+    picked = order[eligible[order]][: ledger.prefetch_cap]
+    ledger.counts[picked] += 1
+    return CandidateSet(videos=tuple(picked.tolist()), cap=ledger.prefetch_cap), ledger
+
+
 def select_candidates(
     utilities: np.ndarray,
     ledger: PrivacyLedger,
@@ -167,24 +200,12 @@ def select_candidates(
     utilities = np.asarray(utilities, dtype=np.float64)
     if utilities.shape[0] != ledger.catalog_size:
         raise ValueError("utility vector length must match the ledger catalog")
-    admitted: list[int] = []
-    for video in rng.permutation(ledger.catalog_size):
-        if len(admitted) >= ledger.prefetch_cap:
-            break
-        video = int(video)
-        gamma = float(ledger.consumed_fraction(video))
-        ratio = utilities[video] / float(ledger.unit_cost[video])
-        if ratio > threshold(gamma, cfg) and ledger.can_charge(video):
-            ledger.charge(video)
-            admitted.append(video)
-    return CandidateSet(videos=tuple(admitted), cap=ledger.prefetch_cap), ledger
-
-
-def _max_admissions(ledger: PrivacyLedger) -> list[int]:
-    out = []
-    for cost in ledger.unit_cost:
-        out.append(int(ledger.total_budget // cost) if ledger.total_budget > 0 else 0)
-    return out
+    # Integer true division rounds correctly, as float(Fraction) does, so
+    # this equals float(ledger.consumed_fraction(v)) without a Fraction.
+    num, den = ledger.charge_fraction.numerator, ledger.charge_fraction.denominator
+    bars = ledger.per_count(lambda count: threshold(count * num / den, cfg))
+    eligible = (utilities / float(ledger.cost) > bars) & ledger.chargeable()
+    return admit_in_order(rng.permutation(ledger.catalog_size), eligible, ledger)
 
 
 def offline_optimum(utilities_per_step: np.ndarray, ledger_template: PrivacyLedger) -> float:
@@ -209,7 +230,6 @@ def offline_optimum(utilities_per_step: np.ndarray, ledger_template: PrivacyLedg
     if np.any(util < 0):
         raise ValueError("utilities must be non-negative")
     cap = ledger_template.prefetch_cap
-    quota = _max_admissions(ledger_template)
 
     # Upper bound on the remaining steps: the top-cap utilities of each,
     # ignoring budgets (admissible, never underestimates).
@@ -234,7 +254,7 @@ def offline_optimum(utilities_per_step: np.ndarray, ledger_template: PrivacyLedg
         subsets_cache.append(options)
 
     best = 0.0
-    remaining = list(quota)
+    remaining = [ledger_template.charge_limit] * n_videos
 
     def search(k: int, value: float):
         nonlocal best
@@ -272,7 +292,7 @@ def offline_lp_bound(utilities_per_step: np.ndarray, ledger_template: PrivacyLed
         b_vals.append(float(ledger_template.prefetch_cap))
     for i in range(n_videos):
         row = np.zeros(n)
-        row[i::n_videos] = float(ledger_template.unit_cost[i])
+        row[i::n_videos] = float(ledger_template.cost)
         a_rows.append(row)
         b_vals.append(float(ledger_template.total_budget))
     res = linprog(
@@ -347,7 +367,7 @@ def empirical_cr(instances: Sequence[CrInstance], seed: int, slack_factor: float
     worst = 0.0
     bound = 0.0
     for inst in instances:
-        if any(cost * 20 > inst.ledger.total_budget for cost in inst.ledger.unit_cost):
+        if inst.ledger.cost * 20 > inst.ledger.total_budget:
             raise ValueError("instances must satisfy unit_cost <= total_budget / 20")
         online = run_online_allocation(inst, rng)
         optimum = offline_optimum(inst.utilities, inst.ledger)

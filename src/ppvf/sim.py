@@ -21,7 +21,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -65,6 +64,8 @@ class SimConfig:
             raise ValueError("prefetch_cap must be >= 1")
         if not 0 < self.cache_fraction <= 1:
             raise ValueError("cache_fraction must lie in (0, 1]")
+        if self.latent_dim < 1:
+            raise ValueError("latent_dim must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -125,15 +126,8 @@ def cache_hit_ratio(hits: int, requests: int) -> float:
 
 def budget_cdf(ledgers) -> list[tuple[float, float]]:
     """Empirical CDF of per-video residual budget fractions, pooled over edges."""
-    residuals = []
-    for ledger in ledgers:
-        for video in range(ledger.catalog_size):
-            residuals.append(float(ledger.residual_fraction(video)))
-    if not residuals:
-        return []
-    values, counts = np.unique(np.array(residuals), return_counts=True)
-    fractions = np.cumsum(counts) / len(residuals)
-    return [(float(x), float(c)) for x, c in zip(values, fractions)]
+    residuals = [ledger.residual_fractions() for ledger in ledgers]
+    return _cdf_points(np.concatenate(residuals) if residuals else [])
 
 
 class _BoundTracker:
@@ -176,7 +170,7 @@ class _EdgeRuntime:
         self.history_t: list[float] = []
         self.history_v: list[int] = []
         self.ledger = scheduler.PrivacyLedger.uniform(
-            catalog_size, Fraction(cfg.total_budget), Fraction(cfg.unit_cost), cfg.prefetch_cap
+            catalog_size, cfg.total_budget, cfg.unit_cost, cfg.prefetch_cap
         )
         self.corr = cdp.CorrelationState(catalog_size)
         self.bounds = _BoundTracker(cfg.bounds)
@@ -294,9 +288,7 @@ class _EdgeRuntime:
                 )
                 sens = cdp.candidate_sensitivities(params, state, self.corr, candidates)
                 worst = cdp.global_sensitivity(sens)
-                eps_step = float(
-                    sum(self.ledger.unit_cost[v] for v in candidates) / self.ledger.prefetch_cap
-                )
+                eps_step = float(len(candidates) * self.ledger.cost / self.ledger.prefetch_cap)
                 decision = cdp.em_sample(
                     candidates,
                     lam[list(candidates)],
@@ -415,8 +407,7 @@ def _finalize_report(report: SimReport, edges) -> None:
         report.per_edge_fetches.append(len(rt.exposed))
         for user, profile in sorted(rt.user_profiles.items()):
             report.per_user_js[(rt.edge_id, user)] = jaccard_similarity(profile, rt.exposed)
-        for video in range(rt.ledger.catalog_size):
-            report.residual_fractions.append(float(rt.ledger.residual_fraction(video)))
+        report.residual_fractions.extend(rt.ledger.residual_fractions().tolist())
         report.hit_sequence.extend(rt.hit_sequence)
 
 
@@ -461,8 +452,7 @@ def write_reports(
     for policy, value, rep in runs:
         suffix = "" if single else f".{policy}.{_fmt(float(value))}"
         cdf_name = f"budget_cdf{suffix}.csv"
-        ledger_points = _cdf_points(rep)
-        write_csv(os.path.join(out_dir, cdf_name), ["x", "cdf"], ledger_points)
+        write_csv(os.path.join(out_dir, cdf_name), ["x", "cdf"], _cdf_points(rep.residual_fractions))
         written.append(cdf_name)
         loss_name = f"fl_loss{suffix}.csv"
         write_csv(
@@ -474,8 +464,8 @@ def write_reports(
     return written
 
 
-def _cdf_points(report: SimReport) -> list[tuple[float, float]]:
-    residuals = np.array(report.residual_fractions)
+def _cdf_points(residual_fractions) -> list[tuple[float, float]]:
+    residuals = np.asarray(residual_fractions, dtype=np.float64)
     if residuals.size == 0:
         return []
     values, counts = np.unique(residuals, return_counts=True)

@@ -147,28 +147,31 @@ def load_trace(
         raise ValueError("quantize_hours must be positive")
     edges, users, vids, tss = [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise TraceFormatError(
-                    f"expected 4 comma-separated fields, got {len(parts)}", line_no
-                )
-            try:
-                e, u, v = int(parts[0]), int(parts[1]), int(parts[2])
-                t = float(parts[3])
-            except ValueError as exc:
-                raise TraceFormatError(str(exc), line_no) from None
-            if t < 0:
-                raise TraceFormatError("negative timestamp", line_no)
-            if e < 0 or v < 0:
-                raise TraceFormatError("negative edge or video id", line_no)
-            edges.append(e)
-            users.append(u)
-            vids.append(v)
-            tss.append(t)
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split(",")
+                if len(parts) != 4:
+                    raise TraceFormatError(
+                        f"expected 4 comma-separated fields, got {len(parts)}", line_no
+                    )
+                try:
+                    e, u, v = int(parts[0]), int(parts[1]), int(parts[2])
+                    t = float(parts[3])
+                except ValueError as exc:
+                    raise TraceFormatError(str(exc), line_no) from None
+                if t < 0:
+                    raise TraceFormatError("negative timestamp", line_no)
+                if e < 0 or v < 0:
+                    raise TraceFormatError("negative edge or video id", line_no)
+                edges.append(e)
+                users.append(u)
+                vids.append(v)
+                tss.append(t)
+        except UnicodeDecodeError:
+            raise TraceFormatError("trace file is not valid UTF-8") from None
     if not edges:
         raise TraceFormatError("trace file contains no records")
 

@@ -1,16 +1,18 @@
 """Independent reference implementations used to check production paths.
 
 Everything here recomputes quantities from raw inputs (literal double sums,
-numeric quadrature, finite differences) and deliberately avoids the
-incremental machinery under test.
+numeric quadrature, finite differences, sequential budget walks over exact
+fractions) and deliberately avoids the incremental machinery under test.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
 
 from ppvf.predictor import GradientBundle, ModelParams, TrainWindow, window_log_likelihood
+from ppvf.scheduler import threshold
 
 
 def brute_intensity_all(params: ModelParams, times, vids, at: float) -> np.ndarray:
@@ -107,3 +109,62 @@ def assert_gradients_close(analytic: GradientBundle, numeric: GradientBundle, re
                 assert abs(x - y) <= rel * abs(y), (x, y)
             else:
                 assert abs(x - y) <= tiny, (x, y)
+
+
+class FractionLedger:
+    """Per-video budget ledger kept as a list of exact ``Fraction`` spends."""
+
+    def __init__(self, catalog_size: int, total_budget, unit_cost, prefetch_cap: int):
+        self.total_budget = Fraction(total_budget)
+        self.unit_cost = [Fraction(unit_cost)] * catalog_size
+        self.prefetch_cap = prefetch_cap
+        self.consumed = [Fraction(0)] * catalog_size
+
+    def consumed_fraction(self, video: int) -> Fraction:
+        if self.total_budget == 0:
+            return Fraction(0)
+        return self.consumed[video] / self.total_budget
+
+    def can_charge(self, video: int) -> bool:
+        return self.unit_cost[video] < self.total_budget - self.consumed[video]
+
+    def charge(self, video: int) -> None:
+        if self.consumed[video] + self.unit_cost[video] > self.total_budget:
+            raise ValueError("charge would exceed the per-video budget")
+        self.consumed[video] += self.unit_cost[video]
+
+
+def walk_threshold(utilities, ledger: FractionLedger, cfg, rng) -> tuple[int, ...]:
+    """Sequential threshold rule: visit a random order, test, charge, stop at cap."""
+    admitted = []
+    for video in rng.permutation(len(ledger.consumed)):
+        if len(admitted) >= ledger.prefetch_cap:
+            break
+        video = int(video)
+        gamma = float(ledger.consumed_fraction(video))
+        ratio = utilities[video] / float(ledger.unit_cost[video])
+        if ratio > threshold(gamma, cfg) and ledger.can_charge(video):
+            ledger.charge(video)
+            admitted.append(video)
+    return tuple(admitted)
+
+
+def walk_feasible(order, ledger: FractionLedger) -> tuple[int, ...]:
+    """Sequential budget-feasible picks in ``order`` up to the cap."""
+    admitted = []
+    for video in order:
+        if len(admitted) >= ledger.prefetch_cap:
+            break
+        video = int(video)
+        if ledger.can_charge(video):
+            ledger.charge(video)
+            admitted.append(video)
+    return tuple(admitted)
+
+
+def walk_random(ledger: FractionLedger, rng) -> tuple[int, ...]:
+    return walk_feasible(rng.permutation(len(ledger.consumed)), ledger)
+
+
+def walk_best_utility(utilities, ledger: FractionLedger) -> tuple[int, ...]:
+    return walk_feasible(np.argsort(-np.asarray(utilities, dtype=np.float64), kind="stable"), ledger)

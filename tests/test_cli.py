@@ -162,6 +162,31 @@ class TestUsage:
     def test_unknown_flag(self):
         assert cli.main(["simulate", "--nonsense"]) == cli.EXIT_USAGE
 
+    def test_out_of_range_cache_fraction_usage_error(self, tiny_trace, tmp_path, capsys):
+        _, tr = tiny_trace
+        cfg = write_config(tmp_path, c=2)
+        code = cli.main(["simulate", "--config", cfg, "--trace", tr, "--policy", "lru", "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:")
+
+    def test_zero_latent_dim_usage_error(self, tiny_trace, tmp_path, capsys):
+        _, tr = tiny_trace
+        cfg = write_config(tmp_path, latent_dim=0)
+        code = cli.main(["simulate", "--config", cfg, "--trace", tr, "--policy", "ppvf", "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:")
+
+    def test_non_utf8_trace_data_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"0,0,1,0.5\n0,0,\xff,1.5\n")
+        code = cli.main(["simulate", "--config", cfg, "--trace", str(bad), "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+
 
 class TestFitAndReport:
     def test_fit_writes_checkpoint_and_sidecar(self, tiny_trace, tmp_path):

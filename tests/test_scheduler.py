@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import FractionLedger, walk_best_utility, walk_random, walk_threshold
 from ppvf import scheduler
+from ppvf.cache import select_candidates_best_utility, select_candidates_random
 from ppvf.scheduler import (
     CandidateSet,
     CompetitiveRatioViolation,
@@ -155,6 +157,57 @@ class TestSelectCandidates:
             assert ledger.consumed[v] <= ledger.total_budget
             per_charge = ledger.consumed[v] / ledger.unit_cost[v]
             assert per_charge.denominator == 1  # whole number of committed charges
+
+
+@st.composite
+def ledger_pairs(draw):
+    """A count ledger and its fraction-list twin with the same prior charges."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    cost = draw(st.sampled_from([Fraction(1), Fraction(1, 3)]))
+    budget = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(5, 3), Fraction(4)]))
+    cap = draw(st.integers(min_value=0, max_value=4))
+    ledger = PrivacyLedger.uniform(n, budget, cost, cap)
+    twin = FractionLedger(n, budget, cost, cap)
+    limit = int(budget // cost)
+    for video in range(n):
+        for _ in range(draw(st.integers(min_value=0, max_value=limit))):
+            ledger.charge(video)
+            twin.charge(video)
+    return ledger, twin
+
+
+class TestSelectorsMatchSequentialWalk:
+    """Each selector equals a literal walk over exact fractions: same
+    candidates, same ledger, and the same random draws."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ledger_pairs(),
+        st.lists(st.sampled_from([0.0, 0.4, 0.5, 1.0, 2.5, 7.0]), min_size=10, max_size=10),
+        st.sampled_from(["threshold", "random", "best"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_equivalence(self, pair, values, selector, seed, steps):
+        ledger, twin = pair
+        utilities = np.array(values[: ledger.catalog_size])
+        cfg = ThresholdConfig(upper=6.0, lower=0.5)
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(steps):
+            if selector == "threshold":
+                cands, ledger = select_candidates(utilities, ledger, cfg, rng)
+                expected = walk_threshold(utilities, twin, cfg, rng_ref)
+            elif selector == "random":
+                cands, ledger = select_candidates_random(utilities, ledger, rng)
+                expected = walk_random(twin, rng_ref)
+            else:
+                cands, ledger = select_candidates_best_utility(utilities, ledger)
+                expected = walk_best_utility(utilities, twin)
+            assert cands.videos == expected
+            assert list(ledger.consumed) == twin.consumed
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+        residuals = [float(1 - twin.consumed_fraction(v)) for v in range(ledger.catalog_size)]
+        assert ledger.residual_fractions().tolist() == residuals
 
 
 class TestOfflineOptimum:
