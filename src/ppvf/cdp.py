@@ -1,17 +1,20 @@
 """Correlated differential privacy for prefetch obfuscation.
 
 Each cache miss contributes one utility sweep to a running Pearson state.
-Sensitivity of a candidate video is the correlation-weighted sum of how much
-deleting each co-candidate's history would move its utility; with the
-exponential kernel that deletion difference has the closed form
-``influence(i,j) * decayed_counts[j]``, so no rebuild is needed. Prefetch
-decisions sample candidates without replacement through an exponential
-mechanism scaled by the worst candidate sensitivity.
+Between refits every sweep is affine in the edge's latent mix,
+``utilities = base_rate + target_factors @ mix``, so the state keeps, per
+parameter epoch, the epoch's parameters and the moments of the mix; any
+pair's full-history cross sum follows from those in O(D^2), for every
+catalog size. Sensitivity of a candidate video is the correlation-weighted
+sum of how much deleting each co-candidate's history would move its
+utility; with the exponential kernel that deletion difference has the
+closed form ``influence(i,j) * decayed_counts[j]``, so no rebuild is
+needed. Prefetch decisions sample candidates without replacement through an
+exponential mechanism scaled by the worst candidate sensitivity.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,104 +22,122 @@ import numpy as np
 from .predictor import KernelState, ModelParams
 from .scheduler import CandidateSet
 
-DENSE_CATALOG_LIMIT = 4096
 _VARIANCE_EPS = 1e-12
-
-
-@dataclass
-class _PairStats:
-    """Suffix statistics for one tracked video pair (sparse mode only)."""
-
-    cross: float = 0.0
-    sum_i: float = 0.0
-    sum_j: float = 0.0
-    sq_i: float = 0.0
-    sq_j: float = 0.0
-    n: int = 0
 
 
 class CorrelationState:
     """Running sums behind the per-pair Pearson correlation of utilities.
 
-    Dense mode (catalog up to 4096) keeps the full cross-product matrix and
-    matches the batch recomputation exactly. Larger catalogs track only pairs
-    that have co-occurred in a candidate set, each from its first
-    co-occurrence onward; untracked pairs read as uncorrelated. The sparse
-    numbers are exact Pearson over the tracked suffix.
+    ``sums`` and ``sq_sums`` accumulate each video's utilities directly.
+    Cross sums stay factored: epoch ``e`` holds its ``base_rate`` and
+    ``target_factors`` by reference and ``moments[e]``, the sum of
+    ``outer(z, z)`` over its sweeps with ``z = (1, mix)``. With
+    ``phi_e(i) = (base_rate[i], target_factors[i])`` the full-history cross
+    sum of videos ``i`` and ``j`` is ``sum_e phi_e(i) @ moments[e] @ phi_e(j)``,
+    exact for every catalog size. A state fed sweeps without their mix
+    holds one identity epoch (zero base, identity factors, mix = the sweep),
+    whose ``cross`` is exactly the sum of ``outer(utilities, utilities)``;
+    it is O(catalog^2), so the simulator always passes the mix.
     """
 
-    def __init__(self, catalog_size: int, dense_limit: int = DENSE_CATALOG_LIMIT):
+    # bench/tracing.py sizes the state as sums + sq_sums + cross when this is set.
+    dense = True
+
+    def __init__(self, catalog_size: int):
         self.catalog_size = catalog_size
         self.steps = 0
         self.sums = np.zeros(catalog_size)
         self.sq_sums = np.zeros(catalog_size)
-        self.dense = catalog_size <= dense_limit
-        if self.dense:
-            self.cross = np.zeros((catalog_size, catalog_size))
-        else:
-            self.pairs: dict[tuple[int, int], _PairStats] = {}
+        self.bases: list[np.ndarray] = []
+        self.factors: list[np.ndarray] = []
+        self.moments: list[np.ndarray] = []
 
-    def update(self, utilities: np.ndarray, tracked_videos=()) -> None:
-        """Fold one utility sweep into the state.
+    def start_epoch(self, base_rate: np.ndarray, target_factors: np.ndarray) -> None:
+        """Fold later sweeps as ``base_rate + target_factors @ mix``."""
+        self.bases.append(base_rate)
+        self.factors.append(target_factors)
+        self.moments.append(np.zeros((target_factors.shape[1] + 1,) * 2))
 
-        ``tracked_videos`` names the current candidate set; in sparse mode its
-        pairs start or continue accumulation, in dense mode it is ignored.
-        """
+    @property
+    def cross(self) -> np.ndarray:
+        """The current epoch's sum of ``outer(mix, mix)``."""
+        return self.moments[-1][1:, 1:]
+
+    def update(self, utilities: np.ndarray, mix: np.ndarray | None = None) -> None:
+        """Fold one utility sweep, and the mix it was computed from, into the state."""
         lam = np.asarray(utilities, dtype=np.float64)
         if lam.shape[0] != self.catalog_size:
             raise ValueError("utility vector length must match the catalog")
         if not np.all(np.isfinite(lam)):
             raise ValueError("utilities must be finite")
+        if mix is None:
+            if not self.bases:
+                self.start_epoch(np.zeros(self.catalog_size), np.eye(self.catalog_size))
+            mix = lam
+        z = np.concatenate(([1.0], mix))
+        self.moments[-1] += np.outer(z, z)
         self.steps += 1
         self.sums += lam
         self.sq_sums += lam * lam
-        if self.dense:
-            self.cross += np.outer(lam, lam)
-        else:
-            vids = sorted(set(int(v) for v in tracked_videos))
-            for a_idx, i in enumerate(vids):
-                for j in vids[a_idx:]:
-                    st = self.pairs.setdefault((i, j), _PairStats())
-                    st.cross += lam[i] * lam[j]
-                    st.sum_i += lam[i]
-                    st.sum_j += lam[j]
-                    st.sq_i += lam[i] * lam[i]
-                    st.sq_j += lam[j] * lam[j]
-                    st.n += 1
 
 
-def update_correlation(state: CorrelationState, utilities: np.ndarray, tracked_videos=()) -> CorrelationState:
-    state.update(utilities, tracked_videos)
+def update_correlation(state: CorrelationState, utilities: np.ndarray, mix=None) -> CorrelationState:
+    state.update(utilities, mix)
     return state
 
 
-def correlation_degree(state: CorrelationState, i: int, j: int) -> float:
-    """Pearson correlation of the two videos' utility histories, in [-1, 1].
+def correlation_block(state: CorrelationState, videos) -> np.ndarray:
+    """Pearson correlations of the videos' full utility histories, in [-1, 1].
 
     Degenerate (near-constant) series read as uncorrelated; fewer than two
     incorporated steps is an error.
     """
     if state.steps < 2:
         raise ValueError("correlation undefined before two incorporated steps")
-    if state.dense:
-        n = state.steps
-        cross = state.cross[i, j]
-        s_i, s_j = state.sums[i], state.sums[j]
-        var_i = n * state.sq_sums[i] - s_i * s_i
-        var_j = n * state.sq_sums[j] - s_j * s_j
-    else:
-        key = (i, j) if i <= j else (j, i)
-        st = state.pairs.get(key)
-        if st is None or st.n < 2:
-            return 0.0
-        n = st.n
-        cross, s_i, s_j = st.cross, st.sum_i, st.sum_j
-        var_i = n * st.sq_i - s_i * s_i
-        var_j = n * st.sq_j - s_j * s_j
-    if var_i <= _VARIANCE_EPS or var_j <= _VARIANCE_EPS:
-        return 0.0
-    value = (n * cross - s_i * s_j) / (math.sqrt(var_i) * math.sqrt(var_j))
-    return min(1.0, max(-1.0, value))
+    c = np.asarray(videos, dtype=np.intp)
+    bases = np.array([b[c] for b in state.bases])[..., None]
+    feats = np.concatenate((bases, np.array([t.take(c, axis=0) for t in state.factors])), axis=2)
+    # All epochs sum as one product over the flattened (epoch, feature) axis.
+    shape = (len(c), feats.shape[0] * feats.shape[2])
+    weighted = (feats @ np.array(state.moments)).transpose(1, 0, 2).reshape(shape)
+    cross = weighted @ feats.transpose(1, 0, 2).reshape(shape).T
+    n = state.steps
+    s = state.sums[c]
+    var = n * state.sq_sums[c] - s * s
+    # An infinite spread zeroes every pair of a degenerate series.
+    sd = np.sqrt(np.where(var > _VARIANCE_EPS, var, np.inf))
+    value = (n * cross - np.outer(s, s)) / np.outer(sd, sd)
+    return np.clip(value, -1.0, 1.0, out=value)
+
+
+def correlation_degree(state: CorrelationState, i: int, j: int) -> float:
+    """Pearson correlation of two videos' utility histories; see ``correlation_block``."""
+    return float(correlation_block(state, (i, j))[0, 1])
+
+
+def candidate_sensitivities(
+    params: ModelParams,
+    kernel_state: KernelState,
+    corr: CorrelationState,
+    candidates: CandidateSet,
+) -> dict[int, float]:
+    """Correlation-weighted utility shift from deleting any co-candidate's history.
+
+    Deleting all of video ``j``'s requests removes exactly its excitation
+    term, so the per-pair deletion difference is
+    ``(target_factors[i] . source_factors[j]) * decayed_counts[j]``.
+    Correlation magnitudes weight the terms: anti-correlation still implies
+    exposure, and the scale must stay non-negative. One k x k correlation
+    block serves all k candidates.
+    """
+    if corr.steps < 2:
+        # Correlation is undefined this early; zero sensitivity makes the
+        # sampler fall back to its uniform, budget-charging limit.
+        return dict.fromkeys(candidates, 0.0)
+    c = np.asarray(candidates.videos, dtype=np.intp)
+    deletion = (params.target_factors[c] @ params.source_factors[c].T) * kernel_state.decayed_counts[c]
+    sens = (np.abs(correlation_block(corr, c)) * deletion).sum(axis=1)
+    return dict(zip(candidates, sens.tolist()))
 
 
 def video_sensitivity(
@@ -126,47 +147,17 @@ def video_sensitivity(
     candidates: CandidateSet,
     video: int,
 ) -> float:
-    """Correlation-weighted utility shift from deleting any co-candidate's history.
-
-    Deleting all of video ``j``'s requests removes exactly its excitation
-    term, so the per-pair deletion difference is
-    ``(target_factors[video] . source_factors[j]) * decayed_counts[j]``.
-    Correlation magnitudes weight the terms: anti-correlation still implies
-    exposure, and the scale must stay non-negative.
-    """
+    """One candidate's entry of ``candidate_sensitivities``."""
     if video not in candidates:
         raise ValueError("sensitivity is defined for candidate videos only")
-    if corr.steps < 2:
-        # Correlation is undefined this early; zero sensitivity makes the
-        # sampler fall back to its uniform, budget-charging limit.
-        return 0.0
-    tgt_row = params.target_factors[video]
-    total = 0.0
-    for j in candidates:
-        corr_w = abs(correlation_degree(corr, video, j))
-        deletion = float(tgt_row @ params.source_factors[j]) * float(kernel_state.decayed_counts[j])
-        total += corr_w * deletion
-    return total
+    return candidate_sensitivities(params, kernel_state, corr, candidates)[video]
 
 
-def global_sensitivity(per_video: dict[int, float] | list[float]) -> float:
+def global_sensitivity(per_video: dict[int, float]) -> float:
     """Worst candidate sensitivity; scales the exponential mechanism."""
-    values = list(per_video.values()) if isinstance(per_video, dict) else list(per_video)
-    if not values:
+    if not per_video:
         raise ValueError("candidate set must be non-empty")
-    return max(values)
-
-
-def candidate_sensitivities(
-    params: ModelParams,
-    kernel_state: KernelState,
-    corr: CorrelationState,
-    candidates: CandidateSet,
-) -> dict[int, float]:
-    """All per-candidate sensitivities; O(cap^2) given utilities and state."""
-    return {
-        v: video_sensitivity(params, kernel_state, corr, candidates, v) for v in candidates
-    }
+    return max(per_video.values())
 
 
 @dataclass(frozen=True)

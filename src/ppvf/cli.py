@@ -88,20 +88,20 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return cfg
     try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
-    with fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"config line {line_no}: expected key = value")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key not in DEFAULTS:
-                raise UsageError(f"config line {line_no}: unknown key {key!r}")
-            cfg[key] = _parse_value(key, value)
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"config line {line_no}: expected key = value")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in DEFAULTS:
+            raise UsageError(f"config line {line_no}: unknown key {key!r}")
+        cfg[key] = _parse_value(key, value)
     return cfg
 
 
@@ -114,27 +114,11 @@ def _parse_value(key: str, raw: str):
         raise UsageError(f"config key {key!r}: cannot parse {raw!r}") from None
 
 
-def _train_config(cfg: dict) -> TrainConfig:
-    rho = float(cfg["rho"])
-    try:
-        return TrainConfig(
-            rho_base=rho,
-            rho_target=rho,
-            rho_source=rho,
-            learning_rate=float(cfg["eta"]),
-            max_iters=int(cfg["max_iters"]),
-            tolerance=float(cfg["tolerance"]),
-            update_interval_hours=float(cfg["t_theta"]),
-        )
-    except ValueError as exc:
-        raise UsageError(f"invalid configuration: {exc}") from None
-
-
 def _sim_config(cfg: dict, policy: str, seed: int, workers: int | None) -> SimConfig:
     bounds = None
     if cfg["lower"] and cfg["upper"]:
         bounds = (float(cfg["lower"]), float(cfg["upper"]))
-    train = _train_config(cfg)
+    rho = float(cfg["rho"])
     try:
         return SimConfig(
             policy=policy,
@@ -148,7 +132,15 @@ def _sim_config(cfg: dict, policy: str, seed: int, workers: int | None) -> SimCo
             decay=float(cfg["delta"]),
             latent_dim=int(cfg["latent_dim"]),
             truncation=float(cfg["phi_th"]),
-            train=train,
+            train=TrainConfig(
+                rho_base=rho,
+                rho_target=rho,
+                rho_source=rho,
+                learning_rate=float(cfg["eta"]),
+                max_iters=int(cfg["max_iters"]),
+                tolerance=float(cfg["tolerance"]),
+                update_interval_hours=float(cfg["t_theta"]),
+            ),
             slot_hours=float(cfg["quantize"]),
             seed=seed,
             workers=workers,
@@ -228,16 +220,18 @@ def cmd_gen_trace(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else int(cfg["seed"])
     _print_config(cfg, {"seed": seed})
-    gt = random_ground_truth(cfg, seed)
-    spec = trace.SyntheticSpec(
-        catalog_size=int(cfg["catalog_size"]),
-        edge_count=int(cfg["edges"]),
-        horizon=float(cfg["horizon"]),
-        ground_truth=gt,
-        base_rate_scale=1.0,
-        rng_seed=seed,
-        users_per_edge=int(cfg["users_per_edge"]),
-    )
+    try:
+        spec = trace.SyntheticSpec(
+            catalog_size=int(cfg["catalog_size"]),
+            edge_count=int(cfg["edges"]),
+            horizon=float(cfg["horizon"]),
+            ground_truth=random_ground_truth(cfg, seed),
+            base_rate_scale=1.0,
+            rng_seed=seed,
+            users_per_edge=int(cfg["users_per_edge"]),
+        )
+    except ValueError as exc:
+        raise UsageError(f"invalid configuration: {exc}") from None
     log = trace.generate_synthetic(spec)
     out = args.out or "trace.csv"
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
@@ -250,14 +244,16 @@ def cmd_fit(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else int(cfg["seed"])
     _print_config(cfg, {"seed": seed, "trace": args.trace})
-    log = trace.load_trace(args.trace, quantize_hours=float(cfg["quantize"]))
+    # The simulator's settings validate every model and trace key fit reads.
+    settings = _sim_config(cfg, str(cfg["policy"]), seed, _worker_count(args))
+    log = trace.load_trace(args.trace, quantize_hours=settings.slot_hours)
     edge_logs = trace.partition_by_edge(log)
-    params = (
-        ModelParams.load(args.init_params)
-        if args.init_params
-        else ModelParams.constant(log.catalog_size, int(cfg["latent_dim"]), 1.0, float(cfg["delta"]))
-    )
-    train = _train_config(cfg)
+    params = ModelParams.constant(log.catalog_size, settings.latent_dim, 1.0, settings.decay)
+    if args.init_params:
+        try:
+            params = ModelParams.load(args.init_params)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceFormatError(f"bad checkpoint {args.init_params}: {type(exc).__name__}: {exc}") from None
     out_dir = args.out or "fit_out"
     os.makedirs(out_dir, exist_ok=True)
 
@@ -265,15 +261,15 @@ def cmd_fit(args) -> int:
 
     started = time.perf_counter()
     records = []
-    t_theta = train.update_interval_hours
+    t_theta = settings.train.update_interval_hours
     while t_theta < log.horizon:
-        window = TrainWindow.from_truncation(t_theta, float(cfg["phi_th"]), float(cfg["delta"]))
+        window = TrainWindow.from_truncation(t_theta, settings.truncation, settings.decay)
         clipped = [_clip_log(el, t_theta) for el in edge_logs]
-        result = run_fit_round(clipped, params, window, train, workers=_worker_count(args))
+        result = run_fit_round(clipped, params, window, settings.train, workers=settings.workers)
         params = result.params
         for idx, loss in enumerate(result.losses):
             records.append({"round": idx, "t_theta": t_theta, "loss": loss})
-        t_theta += train.update_interval_hours
+        t_theta += settings.train.update_interval_hours
 
     params.save(os.path.join(out_dir, "params.json"))
     with open(os.path.join(out_dir, "fit_log.json"), "w", encoding="utf-8") as fh:
@@ -335,25 +331,29 @@ def cmd_simulate(args) -> int:
     sweep_name, sweep_values = _parse_sweep(args.sweep)
     _print_config(cfg, {"seed": seed, "policy": ",".join(policies), "sweep": args.sweep or "-"})
 
+    # Every run's settings are validated before the trace is read.
+    planned = []
+    for policy in policies:
+        for value in sweep_values or [float(cfg[sweep_name or "c"])]:
+            run_cfg = dict(cfg)
+            if sweep_name:
+                run_cfg[sweep_name] = int(value) if sweep_name == "f" else float(value)
+            planned.append((policy, value, _sim_config(run_cfg, policy, seed, _worker_count(args))))
+
     log = trace.load_trace(args.trace, quantize_hours=float(cfg["quantize"]))
     out_dir = args.out or "sim_out"
     os.makedirs(out_dir, exist_ok=True)
 
     started = time.perf_counter()
     runs = []
-    for policy in policies:
-        for value in sweep_values or [float(cfg[sweep_name or "c"])]:
-            run_cfg = dict(cfg)
-            if sweep_name:
-                run_cfg[sweep_name] = int(value) if sweep_name == "f" else float(value)
-            sim_cfg = _sim_config(run_cfg, policy, seed, _worker_count(args))
-            report = run_simulation(sim_cfg, log)
-            runs.append((policy, float(value), report))
-            print(
-                f"policy={policy} {sweep_name or 'run'}={value}: "
-                f"chr={report.chr_value:.6f} mean_js={report.mean_js:.6f} "
-                f"requests={report.requests}"
-            )
+    for policy, value, sim_cfg in planned:
+        report = run_simulation(sim_cfg, log)
+        runs.append((policy, float(value), report))
+        print(
+            f"policy={policy} {sweep_name or 'run'}={value}: "
+            f"chr={report.chr_value:.6f} mean_js={report.mean_js:.6f} "
+            f"requests={report.requests}"
+        )
     outputs = write_reports(out_dir, runs, sweep_name or "value", float(cfg["c"]))
     write_manifest(out_dir, "simulate", cfg, outputs, {"simulate": time.perf_counter() - started})
     return EXIT_OK

@@ -55,10 +55,13 @@ class ModelParams:
             raise ValueError("base_rate must be 1-D; factor matrices 2-D")
         if tgt.shape != src.shape or tgt.shape[0] != base.shape[0]:
             raise ValueError("parameter shapes disagree")
-        if self.decay <= 0:
-            raise ValueError("decay must be positive")
-        if base.min(initial=np.inf) < 0 or tgt.min(initial=np.inf) < 0 or src.min(initial=np.inf) < 0:
-            raise ValueError("parameters must be non-negative")
+        if tgt.shape[1] < 1:
+            raise ValueError("latent dimension must be >= 1")
+        if not 0 < self.decay < math.inf:
+            raise ValueError("decay must be positive and finite")
+        # A NaN entry makes min NaN, so min and max decide both properties.
+        if not all(a.min(initial=0.0) >= 0 and a.max(initial=0.0) < math.inf for a in (base, tgt, src)):
+            raise ValueError("parameters must be finite and non-negative")
 
     @property
     def catalog_size(self) -> int:

@@ -66,6 +66,14 @@ class SimConfig:
             raise ValueError("cache_fraction must lie in (0, 1]")
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
+        if not 0 < self.truncation < 1:
+            raise ValueError("truncation must lie in (0, 1)")
+        if not 0 < self.decay < math.inf:
+            raise ValueError("decay must be positive and finite")
+        if not 0 < self.slot_hours < math.inf:
+            raise ValueError("slot_hours must be positive and finite")
+        if not 0 <= self.mav_weight < 1:
+            raise ValueError("mav_weight must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -161,7 +169,8 @@ class _BoundTracker:
 class _EdgeRuntime:
     """All mutable per-edge state driven by that edge's event stream."""
 
-    def __init__(self, edge_id: int, cfg: SimConfig, catalog_size: int, capacity: int):
+    def __init__(self, edge_id: int, cfg: SimConfig, params: ModelParams, capacity: int):
+        catalog_size = params.catalog_size
         self.edge_id = edge_id
         self.cfg = cfg
         self.kernel = KernelState.empty(catalog_size, cfg.latent_dim)
@@ -173,6 +182,7 @@ class _EdgeRuntime:
             catalog_size, cfg.total_budget, cfg.unit_cost, cfg.prefetch_cap
         )
         self.corr = cdp.CorrelationState(catalog_size)
+        self.corr.start_epoch(params.base_rate, params.target_factors)
         self.bounds = _BoundTracker(cfg.bounds)
         if cfg.policy == "lru":
             self.cache = cache_mod.LruCache(capacity)
@@ -260,34 +270,29 @@ class _EdgeRuntime:
         if cfg.policy in _MEP_POLICIES:
             self._record_event(params, video, ts)
 
-    def _sweep(self, params: ModelParams, ts: float) -> np.ndarray:
-        if self.mav is not None:
-            return self.mav.scores(ts)
-        state = self._left_limit_state(params, ts)
-        return intensity_sweep(params, state)
-
     def _on_miss(self, params: ModelParams, video: int, ts: float, in_test: bool) -> None:
         cfg = self.cfg
         self.miss_step += 1
-        lam = self._sweep(params, ts)
+        if self.mav is None:
+            state = self._left_limit_state(params, ts)
+            lam = intensity_sweep(params, state)
+            self.corr.update(lam, state.source_mix)
+        else:
+            # mav scores carry no excitation history: every sensitivity is 0.
+            lam = self.mav.scores(ts)
         ratios = lam / cfg.unit_cost
 
         prefetched: tuple[int, ...] = ()
         if not in_test:
-            self.bounds.observe(ratios)
             # Warmup exercises the cache and state only; no budget is spent.
-            self.corr.update(lam)
+            self.bounds.observe(ratios)
         else:
             candidates = self._select_candidates(lam, ratios)
-            self.corr.update(lam, tracked_videos=tuple(candidates))
             if len(candidates):
-                state = (
-                    self._left_limit_state(params, ts)
-                    if self.mav is None
-                    else KernelState.empty(len(lam), params.dim, ts)
-                )
-                sens = cdp.candidate_sensitivities(params, state, self.corr, candidates)
-                worst = cdp.global_sensitivity(sens)
+                worst = 0.0
+                if self.mav is None:
+                    sens = cdp.candidate_sensitivities(params, state, self.corr, candidates)
+                    worst = cdp.global_sensitivity(sens)
                 eps_step = float(len(candidates) * self.ledger.cost / self.ledger.prefetch_cap)
                 decision = cdp.em_sample(
                     candidates,
@@ -335,7 +340,7 @@ def run_simulation(cfg: SimConfig, log: EventLog) -> SimReport:
     catalog = log.catalog_size
     capacity = max(1, round(cfg.cache_fraction * catalog))
     params = ModelParams.constant(catalog, cfg.latent_dim, 1.0, cfg.decay)
-    edges = [_EdgeRuntime(e, cfg, catalog, capacity) for e in range(log.edge_count)]
+    edges = [_EdgeRuntime(e, cfg, params, capacity) for e in range(log.edge_count)]
 
     barriers = _fl_schedule(cfg, cfg.test_horizon) if cfg.policy in _MEP_POLICIES else []
     report = SimReport(policy=cfg.policy, cache_capacity=capacity)
@@ -361,6 +366,7 @@ def run_simulation(cfg: SimConfig, log: EventLog) -> SimReport:
             report.fl_losses.append((barrier, idx, loss))
         for rt in edges:
             rt.kernel.rebuild_mix(params)
+            rt.corr.start_epoch(params.base_rate, params.target_factors)
 
     _finalize_report(report, edges)
     return report

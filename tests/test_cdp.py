@@ -103,16 +103,24 @@ class TestCorrelationDegree:
         with pytest.raises(ValueError):
             correlation_degree(state, 0, 1)
 
-    def test_sparse_mode_tracks_candidate_pairs(self):
-        state = CorrelationState(10, dense_limit=4)
-        assert not state.dense
+    def test_factored_epochs_match_full_history_past_old_limit(self):
+        # 5000 videos, past the old 4096-video dense limit: every pair reads
+        # its Pearson correlation over the full history, across a refit.
         rng = np.random.default_rng(2)
-        sweeps = rng.uniform(0, 1, size=(20, 10))
-        for lam in sweeps:
-            update_correlation(state, lam, tracked_videos=(1, 5))
-        batch = np.corrcoef(sweeps[:, 1], sweeps[:, 5])[0, 1]
-        assert correlation_degree(state, 1, 5) == pytest.approx(batch, abs=1e-9)
-        assert correlation_degree(state, 0, 2) == 0.0  # never tracked
+        catalog, dim = 5000, 3
+        state = CorrelationState(catalog)
+        history = []
+        for _ in range(2):
+            base = rng.uniform(0.1, 0.5, catalog)
+            factors = rng.uniform(0.05, 0.3, (catalog, dim))
+            state.start_epoch(base, factors)
+            for _ in range(15):
+                mix = rng.uniform(0.0, 2.0, dim)
+                lam = base + factors @ mix
+                update_correlation(state, lam, mix)
+                history.append(lam[[17, 4321]])
+        batch = np.corrcoef(np.array(history).T)[0, 1]
+        assert correlation_degree(state, 17, 4321) == pytest.approx(batch, abs=1e-9)
 
 
 def warm_corr(catalog, rng, steps=12):

@@ -178,6 +178,34 @@ class TestUsage:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("usage error:")
 
+    @pytest.mark.parametrize(
+        "command, setting",
+        [
+            ("simulate", {"phi_th": 2}),
+            ("simulate", {"delta": 0}),
+            ("simulate", {"quantize": 0}),
+            ("gen-trace", {"edges": 0}),
+            ("fit", {"latent_dim": 0}),
+        ],
+        ids=["phi_th", "delta", "quantize", "edges", "latent_dim"],
+    )
+    def test_out_of_range_setting_usage_error(self, tiny_trace, tmp_path, capsys, command, setting):
+        _, tr = tiny_trace
+        cfg = write_config(tmp_path, **setting)
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "x")]
+        if command != "gen-trace":
+            argv += ["--trace", tr]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:")
+
+    def test_non_utf8_config_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"# caf\xff\nseed = 1\n")
+        assert cli.main(["eval-cr", "--config", str(path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:")
+
     def test_non_utf8_trace_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         bad = tmp_path / "bad.csv"
@@ -207,6 +235,30 @@ class TestFitAndReport:
             ["fit", "--config", cfg, "--trace", tr, "--out", second, "--init-params", os.path.join(first, "params.json")]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("corruption", ["malformed-json", "missing-key", "nan-entry"])
+    def test_corrupt_checkpoint_data_error(self, tiny_trace, tmp_path, capsys, corruption):
+        cfg, tr = tiny_trace
+        first = str(tmp_path / "fit1")
+        assert cli.main(["fit", "--config", cfg, "--trace", tr, "--out", first]) == 0
+        path = os.path.join(first, "params.json")
+        text = open(path).read()
+        doc = json.loads(text)
+        if corruption == "malformed-json":
+            text = text[: len(text) // 2]
+        elif corruption == "missing-key":
+            del doc["q"]
+            text = json.dumps(doc)
+        else:
+            doc["p"][0][0] = float("nan")
+            text = json.dumps(doc)
+        with open(path, "w") as fh:
+            fh.write(text)
+        capsys.readouterr()
+        code = cli.main(["fit", "--config", cfg, "--trace", tr, "--out", str(tmp_path / "fit2"), "--init-params", path])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
 
     def test_report_verifies_hashes(self, tiny_trace, tmp_path, capsys):
         cfg, tr = tiny_trace
