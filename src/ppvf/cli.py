@@ -114,7 +114,7 @@ def _parse_value(key: str, raw: str):
         raise UsageError(f"config key {key!r}: cannot parse {raw!r}") from None
 
 
-def _sim_config(cfg: dict, policy: str, seed: int, workers: int | None) -> SimConfig:
+def _sim_config(cfg: dict, policy: str, seed: int) -> SimConfig:
     bounds = None
     if cfg["lower"] and cfg["upper"]:
         bounds = (float(cfg["lower"]), float(cfg["upper"]))
@@ -143,7 +143,6 @@ def _sim_config(cfg: dict, policy: str, seed: int, workers: int | None) -> SimCo
             ),
             slot_hours=float(cfg["quantize"]),
             seed=seed,
-            workers=workers,
         )
     except ValueError as exc:
         raise UsageError(f"invalid configuration: {exc}") from None
@@ -245,7 +244,7 @@ def cmd_fit(args) -> int:
     seed = args.seed if args.seed is not None else int(cfg["seed"])
     _print_config(cfg, {"seed": seed, "trace": args.trace})
     # The simulator's settings validate every model and trace key fit reads.
-    settings = _sim_config(cfg, str(cfg["policy"]), seed, _worker_count(args))
+    settings = _sim_config(cfg, str(cfg["policy"]), seed)
     log = trace.load_trace(args.trace, quantize_hours=settings.slot_hours)
     edge_logs = trace.partition_by_edge(log)
     params = ModelParams.constant(log.catalog_size, settings.latent_dim, 1.0, settings.decay)
@@ -254,6 +253,13 @@ def cmd_fit(args) -> int:
             params = ModelParams.load(args.init_params)
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"bad checkpoint {args.init_params}: {type(exc).__name__}: {exc}") from None
+        # The trace's catalog is 1 + its largest video id, so only a smaller
+        # checkpoint is certain to miss videos the trace requests.
+        if params.catalog_size < log.catalog_size:
+            raise TraceFormatError(
+                f"checkpoint {args.init_params} covers {params.catalog_size} videos; "
+                f"the trace requests video {log.catalog_size - 1}"
+            )
     out_dir = args.out or "fit_out"
     os.makedirs(out_dir, exist_ok=True)
 
@@ -265,7 +271,7 @@ def cmd_fit(args) -> int:
     while t_theta < log.horizon:
         window = TrainWindow.from_truncation(t_theta, settings.truncation, settings.decay)
         clipped = [_clip_log(el, t_theta) for el in edge_logs]
-        result = run_fit_round(clipped, params, window, settings.train, workers=settings.workers)
+        result = run_fit_round(clipped, params, window, settings.train)
         params = result.params
         for idx, loss in enumerate(result.losses):
             records.append({"round": idx, "t_theta": t_theta, "loss": loss})
@@ -317,10 +323,6 @@ def _parse_sweep(raw: str | None) -> tuple[str, list[float]]:
     return name, parsed
 
 
-def _worker_count(args) -> int:
-    return args.threads if args.threads is not None else (os.cpu_count() or 1)
-
-
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else int(cfg["seed"])
@@ -338,7 +340,7 @@ def cmd_simulate(args) -> int:
             run_cfg = dict(cfg)
             if sweep_name:
                 run_cfg[sweep_name] = int(value) if sweep_name == "f" else float(value)
-            planned.append((policy, value, _sim_config(run_cfg, policy, seed, _worker_count(args))))
+            planned.append((policy, value, _sim_config(run_cfg, policy, seed)))
 
     log = trace.load_trace(args.trace, quantize_hours=float(cfg["quantize"]))
     out_dir = args.out or "sim_out"
@@ -435,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--out", help="output file or directory")
-        p.add_argument("--threads", type=int, default=None, help="worker thread cap")
+        p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; runs are sequential")
         if trace_arg:
             p.add_argument("--trace", required=True, help="input trace file")
 

@@ -11,8 +11,8 @@ its output carries scalars and gradient arrays only.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,8 +56,10 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LocalContribution:
+    """One edge's upload; ``grads`` is None where only the loss is needed."""
+
     ll: float
-    grads: GradientBundle
+    grads: GradientBundle | None = None
 
 
 def local_round(edge_log, params: ModelParams, window: TrainWindow) -> LocalContribution:
@@ -69,22 +71,53 @@ def local_round(edge_log, params: ModelParams, window: TrainWindow) -> LocalCont
     )
 
 
+@lru_cache(maxsize=None)
+def _merge_network(n: int) -> tuple[tuple[int, int], ...]:
+    """Comparators of Batcher's odd-even merge sort on ``n`` inputs."""
+    pairs = []
+    p = 1
+    while p < n:
+        k = p
+        while k >= 1:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(min(k, n - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        pairs.append((i + j, i + j + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
 def _sorted_sum(arrays: list[np.ndarray]) -> np.ndarray:
-    # Sorting each entry's addends before the pairwise sum makes the
-    # reduction exactly permutation-invariant.
+    """Sum of the arrays with each entry's addends sorted ascending first.
+
+    Sorting makes the reduction exactly permutation-invariant. A merge
+    network of in-place min/max compare-exchanges sorts every entry at once;
+    it differs from a sort only on tied zeros of opposite sign, which the
+    axis-0 sum (it starts from +0.0) cannot tell apart.
+    """
     stacked = np.stack(arrays, axis=0)
-    return np.sum(np.sort(stacked, axis=0), axis=0)
+    tmp = np.empty_like(stacked[0])
+    for a, b in _merge_network(len(arrays)):
+        lo, hi = stacked[a], stacked[b]
+        np.minimum(lo, hi, out=tmp)
+        np.maximum(lo, hi, out=hi)
+        lo[...] = tmp
+    return np.sum(stacked, axis=0)
 
 
-def _check_contributions(contributions) -> None:
+def _check_contributions(contributions, with_grads: bool) -> None:
     for idx, c in enumerate(contributions):
-        if not (math.isfinite(c.ll) and c.grads.is_finite()):
+        if not (math.isfinite(c.ll) and (not with_grads or c.grads.is_finite())):
             raise AggregationError(f"non-finite contribution from edge index {idx}")
 
 
 def global_loss(params: ModelParams, contributions, cfg: TrainConfig) -> float:
-    """Negated likelihood sum plus L2 penalties at the contribution params."""
-    _check_contributions(contributions)
+    """Negated likelihood sum plus L2 penalties at the contribution params.
+
+    Reads only each contribution's ``ll``.
+    """
+    _check_contributions(contributions, with_grads=False)
     ll_sum = math.fsum(sorted(c.ll for c in contributions))
     reg = (
         0.5 * cfg.rho_base * float(params.base_rate @ params.base_rate)
@@ -104,7 +137,7 @@ def aggregate_and_step(
     """
     if not contributions:
         raise AggregationError("no contributions to aggregate")
-    _check_contributions(contributions)
+    _check_contributions(contributions, with_grads=True)
     eta = cfg.learning_rate if learning_rate is None else learning_rate
 
     loss = global_loss(params, contributions, cfg)
@@ -141,49 +174,38 @@ class FitResult:
         return len(self.losses)
 
 
-def run_fit_round(
-    edge_logs,
-    params: ModelParams,
-    window: TrainWindow,
-    cfg: TrainConfig,
-    workers: int | None = None,
-) -> FitResult:
+def run_fit_round(edge_logs, params: ModelParams, window: TrainWindow, cfg: TrainConfig) -> FitResult:
     """Iterate local rounds and coordinator steps until convergence.
 
     The step size halves whenever a step would increase the loss, so the
     accepted-loss sequence is non-increasing. Per-edge statistics are
     precomputed once per call; only parameter-dependent terms are
-    re-evaluated inside the loop. ``workers`` caps the thread pool for the
-    per-edge evaluations; results are identical for any worker count.
+    re-evaluated inside the loop. A candidate step needs only its loss, so
+    edges compute gradients only at the points a step is taken from.
     """
     params = params.clamped(PARAM_FLOOR)
     stats = [window_stats(params, log, window) for log in edge_logs]
 
-    def evaluate(p: ModelParams) -> list[LocalContribution]:
-        def one(st):
-            return LocalContribution(
-                ll=window_log_likelihood(p, None, window, stats=st),
-                grads=window_gradients(p, None, window, stats=st),
-            )
-
-        if workers is not None and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(one, stats))
-        return [one(st) for st in stats]
+    def likelihoods(p: ModelParams) -> list[LocalContribution]:
+        return [LocalContribution(window_log_likelihood(p, None, window, stats=st)) for st in stats]
 
     losses: list[float] = []
     if cfg.max_iters == 0 or not stats:
         return FitResult(params=params, losses=losses)
 
-    contribs = evaluate(params)
+    contribs = likelihoods(params)
     loss = global_loss(params, contribs, cfg)
     losses.append(loss)
     eta = cfg.learning_rate
     for _ in range(cfg.max_iters):
+        contribs = [
+            LocalContribution(c.ll, window_gradients(params, None, window, stats=st))
+            for c, st in zip(contribs, stats)
+        ]
         accepted = False
         for _backtrack in range(60):
             candidate, _ = aggregate_and_step(params, contribs, cfg, learning_rate=eta)
-            cand_contribs = evaluate(candidate)
+            cand_contribs = likelihoods(candidate)
             cand_loss = global_loss(candidate, cand_contribs, cfg)
             if cand_loss <= loss:
                 accepted = True
@@ -194,7 +216,6 @@ def run_fit_round(
         params, contribs = candidate, cand_contribs
         losses.append(cand_loss)
         if abs(cand_loss - loss) < cfg.tolerance * max(abs(loss), 1.0):
-            loss = cand_loss
             break
         loss = cand_loss
     return FitResult(params=params, losses=losses)

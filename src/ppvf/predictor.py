@@ -306,16 +306,26 @@ class WindowStats:
         self.counts_at = counts_at
         self.integral_weights = integral_w
         self.n_events = len(in_t)
+        self._last_terms: tuple[ModelParams, tuple] | None = None
 
     def event_intensities(self, params: ModelParams) -> np.ndarray:
         """Left-limit intensity of each in-window event under ``params``."""
-        if self.n_events == 0:
-            return np.empty(0)
-        mix_at = self.counts_at @ params.source_factors  # (n_ts, D)
-        lam = params.base_rate[self.event_videos] + np.einsum(
-            "nd,nd->n", params.target_factors[self.event_videos], mix_at[self.event_group]
-        )
-        return lam
+        return self._event_terms(params)[2]
+
+    def _event_terms(self, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per in-window event: latent mix, target factor row, and intensity.
+
+        The terms of the last ``params`` object are kept (parameters are
+        immutable), so gradients taken right after the likelihood at the
+        same point reuse its intensities.
+        """
+        if self._last_terms is not None and self._last_terms[0] is params:
+            return self._last_terms[1]
+        mix_ev = (self.counts_at @ params.source_factors)[self.event_group]  # (n, D)
+        tgt_ev = params.target_factors[self.event_videos]
+        lam = params.base_rate[self.event_videos] + np.einsum("nd,nd->n", tgt_ev, mix_ev)
+        self._last_terms = (params, (mix_ev, tgt_ev, lam))
+        return mix_ev, tgt_ev, lam
 
 
 def window_stats(params: ModelParams, log, window: TrainWindow) -> WindowStats:
@@ -372,15 +382,14 @@ def window_gradients(params: ModelParams, log, window: TrainWindow, stats: Windo
     g_src = np.zeros((I, D))
 
     if stats.n_events:
-        lam = stats.event_intensities(params)
+        mix_ev, tgt_ev, lam = stats._event_terms(params)
         if np.any(lam <= 0):
             raise LikelihoodError("non-positive intensity at an event; parameters or state corrupted")
         inv = 1.0 / lam
-        mix_at = stats.counts_at @ params.source_factors  # (n_ts, D)
         np.add.at(g_base, stats.event_videos, inv)
-        np.add.at(g_tgt, stats.event_videos, mix_at[stats.event_group] * inv[:, None])
+        np.add.at(g_tgt, stats.event_videos, mix_ev * inv[:, None])
         weights = np.zeros((stats.counts_at.shape[0], D))
-        np.add.at(weights, stats.event_group, params.target_factors[stats.event_videos] * inv[:, None])
+        np.add.at(weights, stats.event_group, tgt_ev * inv[:, None])
         g_src += stats.counts_at.T @ weights
 
     source_total = params.source_factors.T @ stats.integral_weights  # (D,)

@@ -9,17 +9,17 @@ through federated fitting over the edges' private logs. The warmup period
 exercises caches and state but spends no privacy budget and counts toward
 no metric.
 
-Edges are independent state machines between fitting barriers, so their
-event streams may be processed on worker threads; all randomness flows
-from per-edge seeded streams and all reductions are order-independent,
-making reports identical for any worker count.
+Edges are independent state machines between fitting barriers; each
+segment between barriers is processed one edge at a time on the calling
+thread (the per-event loop holds the GIL, so threads give no speedup). All
+randomness flows from per-edge seeded streams and all reductions are
+order-independent, so reports depend on the seed alone.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +51,7 @@ class SimConfig:
     slot_hours: float = 1.0
     mav_weight: float = 0.9
     seed: int = 0
-    workers: int | None = None
+    workers: int | None = None  # accepted for compatibility; execution is sequential
 
     def __post_init__(self):
         if self.policy not in POLICIES:
@@ -352,7 +352,7 @@ def run_simulation(cfg: SimConfig, log: EventLog) -> SimReport:
         stop = n if math.isinf(barrier) else int(np.searchsorted(ts_all, barrier, side="left"))
         if stop > cursor:
             segment = slice(cursor, stop)
-            _process_segment(cfg, params, edges, log, segment)
+            _process_segment(params, edges, log, segment)
             cursor = stop
         if math.isinf(barrier):
             break
@@ -360,7 +360,7 @@ def run_simulation(cfg: SimConfig, log: EventLog) -> SimReport:
             rt._fold_pending(params)
         window = TrainWindow.from_truncation(barrier, cfg.truncation, cfg.decay)
         edge_logs = [_edge_history_log(rt, catalog, log.edge_count, barrier) for rt in edges]
-        result = run_fit_round(edge_logs, params, window, cfg.train, workers=cfg.workers)
+        result = run_fit_round(edge_logs, params, window, cfg.train)
         params = result.params
         for idx, loss in enumerate(result.losses):
             report.fl_losses.append((barrier, idx, loss))
@@ -372,23 +372,16 @@ def run_simulation(cfg: SimConfig, log: EventLog) -> SimReport:
     return report
 
 
-def _process_segment(cfg: SimConfig, params: ModelParams, edges, log: EventLog, segment: slice) -> None:
+def _process_segment(params: ModelParams, edges, log: EventLog, segment: slice) -> None:
     edge_ids = log.edge_ids[segment]
     users = log.user_ids[segment]
     videos = log.video_ids[segment]
     times = log.timestamps[segment]
 
-    def run_edge(rt: _EdgeRuntime) -> None:
+    for rt in edges:
         mask = edge_ids == rt.edge_id
         for u, v, t in zip(users[mask], videos[mask], times[mask]):
             rt.process(params, int(u), int(v), float(t))
-
-    if cfg.workers is not None and cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            list(pool.map(run_edge, edges))
-    else:
-        for rt in edges:
-            run_edge(rt)
 
 
 def _edge_history_log(rt: _EdgeRuntime, catalog: int, edge_count: int, horizon: float) -> EventLog:

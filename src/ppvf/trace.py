@@ -63,9 +63,9 @@ class EventLog:
                 raise ValueError("events must be sorted by timestamp")
             if self.timestamps[0] < 0 or self.timestamps[-1] >= self.horizon:
                 raise ValueError("timestamps must lie in [0, horizon)")
-            if int(self.video_ids.max()) >= self.catalog_size:
+            if self.video_ids.min() < 0 or int(self.video_ids.max()) >= self.catalog_size:
                 raise ValueError("video id outside catalog")
-            if int(self.edge_ids.max()) >= self.edge_count:
+            if self.edge_ids.min() < 0 or int(self.edge_ids.max()) >= self.edge_count:
                 raise ValueError("edge id outside edge set")
 
     def __len__(self) -> int:

@@ -2,7 +2,8 @@
 
 Everything here recomputes quantities from raw inputs (literal double sums,
 numeric quadrature, finite differences, sequential budget walks over exact
-fractions) and deliberately avoids the incremental machinery under test.
+fractions, an evaluate-everything fitting loop) and deliberately avoids the
+machinery under test.
 """
 
 import math
@@ -11,7 +12,16 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from ppvf.predictor import GradientBundle, ModelParams, TrainWindow, window_log_likelihood
+from ppvf.federation import FitResult, LocalContribution, TrainConfig, aggregate_and_step, global_loss
+from ppvf.predictor import (
+    PARAM_FLOOR,
+    GradientBundle,
+    ModelParams,
+    TrainWindow,
+    window_gradients,
+    window_log_likelihood,
+    window_stats,
+)
 from ppvf.scheduler import threshold
 
 
@@ -168,3 +178,52 @@ def walk_random(ledger: FractionLedger, rng) -> tuple[int, ...]:
 
 def walk_best_utility(utilities, ledger: FractionLedger) -> tuple[int, ...]:
     return walk_feasible(np.argsort(-np.asarray(utilities, dtype=np.float64), kind="stable"), ledger)
+
+
+def sort_then_sum(arrays) -> np.ndarray:
+    """Sum of the arrays after sorting each entry's addends with ``np.sort``."""
+    return np.sum(np.sort(np.stack(arrays), axis=0), axis=0)
+
+
+def fit_round_evaluating_everything(edge_logs, params: ModelParams, window: TrainWindow, cfg: TrainConfig) -> FitResult:
+    """Backtracking fit that computes likelihood and gradients at every point,
+    rejected candidates and the final point included."""
+    params = params.clamped(PARAM_FLOOR)
+    stats = [window_stats(params, log, window) for log in edge_logs]
+
+    def evaluate(p: ModelParams) -> list[LocalContribution]:
+        return [
+            LocalContribution(
+                ll=window_log_likelihood(p, None, window, stats=st),
+                grads=window_gradients(p, None, window, stats=st),
+            )
+            for st in stats
+        ]
+
+    losses: list[float] = []
+    if cfg.max_iters == 0 or not stats:
+        return FitResult(params=params, losses=losses)
+
+    contribs = evaluate(params)
+    loss = global_loss(params, contribs, cfg)
+    losses.append(loss)
+    eta = cfg.learning_rate
+    for _ in range(cfg.max_iters):
+        accepted = False
+        for _backtrack in range(60):
+            candidate, _ = aggregate_and_step(params, contribs, cfg, learning_rate=eta)
+            cand_contribs = evaluate(candidate)
+            cand_loss = global_loss(candidate, cand_contribs, cfg)
+            if cand_loss <= loss:
+                accepted = True
+                break
+            eta *= 0.5
+        if not accepted:
+            break
+        params, contribs = candidate, cand_contribs
+        losses.append(cand_loss)
+        if abs(cand_loss - loss) < cfg.tolerance * max(abs(loss), 1.0):
+            loss = cand_loss
+            break
+        loss = cand_loss
+    return FitResult(params=params, losses=losses)

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from ppvf import cli, trace
+from ppvf.predictor import ModelParams
 
 
 def sha(path):
@@ -259,6 +260,21 @@ class TestFitAndReport:
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:")
+
+    def test_checkpoint_smaller_than_trace_catalog_data_error(self, tiny_trace, tmp_path, capsys):
+        cfg, tr = tiny_trace
+        catalog = trace.load_trace(tr).catalog_size
+        small = str(tmp_path / "small.json")
+        ModelParams.constant(catalog // 2, 2).save(small)
+        capsys.readouterr()
+        code = cli.main(["fit", "--config", cfg, "--trace", tr, "--out", str(tmp_path / "fit"), "--init-params", small])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        # A larger checkpoint covers every video the trace requests.
+        large = str(tmp_path / "large.json")
+        ModelParams.constant(catalog + 5, 2).save(large)
+        assert cli.main(["fit", "--config", cfg, "--trace", tr, "--out", str(tmp_path / "fit2"), "--init-params", large]) == 0
 
     def test_report_verifies_hashes(self, tiny_trace, tmp_path, capsys):
         cfg, tr = tiny_trace

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from oracles import fit_round_evaluating_everything, sort_then_sum
 
 from ppvf import federation, predictor, trace
 from ppvf.federation import (
@@ -159,6 +163,25 @@ class TestAggregateAndStep:
         assert new.target_factors[0, 0] == predictor.PARAM_FLOOR
 
 
+# Ties, signed zeros, and magnitudes from 1e-9 to 1e9 side by side.
+_ADDENDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1.0, -1.0, 1e9, -1e9]),
+    st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sorted_sum_is_bitwise_the_sort_reference(data):
+    count = data.draw(st.integers(min_value=1, max_value=30))
+    shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=5))
+    arrays = [data.draw(hnp.arrays(np.float64, shape, elements=_ADDENDS)) for _ in range(count)]
+    want = sort_then_sum(arrays)
+    got = federation._sorted_sum(arrays)
+    assert got.shape == want.shape
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 class TestRunFitRound:
     def _setup(self, seed=8):
         rng = np.random.default_rng(seed)
@@ -198,15 +221,55 @@ class TestRunFitRound:
         assert np.allclose(result.params.base_rate, stepped.base_rate, atol=1e-15)
         assert np.allclose(result.params.target_factors, stepped.target_factors, atol=1e-15)
 
-    def test_worker_count_does_not_change_result(self):
-        parts, window = self._setup()
-        params = ModelParams.constant(4, 2, 1.0, 0.01)
-        cfg = TrainConfig(learning_rate=0.01, max_iters=6)
-        seq = run_fit_round(parts, params, window, cfg, workers=None)
-        par = run_fit_round(parts, params, window, cfg, workers=4)
-        assert seq.losses == par.losses
-        assert np.array_equal(seq.params.base_rate, par.params.base_rate)
-        assert np.array_equal(seq.params.source_factors, par.params.source_factors)
+    def _three_edges(self):
+        rng = np.random.default_rng(21)
+        gt = ModelParams(
+            base_rate=rng.uniform(0.1, 0.4, 6),
+            target_factors=rng.uniform(0.005, 0.03, (6, 2)),
+            source_factors=rng.uniform(0.005, 0.03, (6, 2)),
+            decay=0.01,
+        )
+        log = trace.generate_synthetic(trace.SyntheticSpec(6, 3, 120.0, gt, rng_seed=21))
+        return trace.partition_by_edge(log), TrainWindow(end=120.0, length=60.0)
+
+    # Backtracking steps; a run cut by max_iters; a run cut by the tolerance.
+    _CONFIGS = [
+        TrainConfig(learning_rate=0.5, max_iters=8, rho_base=0.01),
+        TrainConfig(learning_rate=1e-3, max_iters=3),
+        TrainConfig(learning_rate=0.01, max_iters=20, tolerance=1e-2),
+    ]
+
+    @pytest.mark.parametrize("cfg", _CONFIGS)
+    def test_matches_evaluate_everything_loop_bitwise(self, cfg):
+        parts, window = self._three_edges()
+        params = ModelParams.constant(6, 2, 1.0, 0.01)
+        got = run_fit_round(parts, params, window, cfg)
+        want = fit_round_evaluating_everything(parts, params, window, cfg)
+        assert got.losses == want.losses
+        for name in ("base_rate", "target_factors", "source_factors"):
+            assert getattr(got.params, name).tobytes() == getattr(want.params, name).tobytes()
+
+    @pytest.mark.parametrize("cfg", _CONFIGS)
+    def test_gradients_only_where_a_step_starts(self, cfg, monkeypatch):
+        parts, window = self._three_edges()
+        grad_points, step_origins = [], []
+        real_gradients, real_step = federation.window_gradients, federation.aggregate_and_step
+
+        def counting_gradients(p, *args, **kwargs):
+            grad_points.append(p)
+            return real_gradients(p, *args, **kwargs)
+
+        def counting_step(p, *args, **kwargs):
+            step_origins.append(p)
+            return real_step(p, *args, **kwargs)
+
+        monkeypatch.setattr(federation, "window_gradients", counting_gradients)
+        monkeypatch.setattr(federation, "aggregate_and_step", counting_step)
+        result = run_fit_round(parts, ModelParams.constant(6, 2, 1.0, 0.01), window, cfg)
+        origins = [p for i, p in enumerate(step_origins) if i == 0 or p is not step_origins[i - 1]]
+        assert [id(p) for p in grad_points] == [id(p) for p in origins for _ in parts]
+        if cfg.learning_rate == 0.5:
+            assert len(step_origins) > len(result.losses) - 1  # some candidates were rejected
 
     def test_all_params_above_floor_after_fit(self):
         parts, window = self._setup()

@@ -32,6 +32,14 @@ def test_load_catalog_from_max_video_id(tmp_path):
     assert log.edge_count == 3
 
 
+@pytest.mark.parametrize("field", ["video", "edge"])
+def test_event_log_rejects_negative_ids(field):
+    # numpy indexing would wrap -1 silently to the last video or edge.
+    video, edge = (-1, 0) if field == "video" else (0, -1)
+    with pytest.raises(ValueError, match=f"{field} id outside"):
+        trace.EventLog.from_events([trace.RequestEvent(edge, 0, video, 1.0)], catalog_size=3, edge_count=2, horizon=5.0)
+
+
 def test_load_hundred_line_fixture_sorted_against_reference(tmp_path):
     rng = np.random.default_rng(42)
     rows = []
