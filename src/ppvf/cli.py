@@ -6,7 +6,9 @@ fitting with checkpoints), ``simulate`` (policy runs and metric CSVs),
 output directory). Configuration is a flat ``key = value`` file overridden
 by flags; every command is deterministic under a fixed seed and prints its
 effective configuration. Exit codes: 0 success, 1 usage, 2 data error,
-3 property violation.
+3 property violation. A data error is an input that cannot be read or used:
+a missing or malformed file, a trace longer than the configured horizon, or
+a fit whose likelihood or aggregated gradients are not finite.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ import time
 import numpy as np
 
 from . import __version__, scheduler, trace
-from .federation import TrainConfig
-from .predictor import ModelParams, TrainWindow
-from .sim import POLICIES, SimConfig, run_simulation, write_reports
+from .federation import AggregationError, TrainConfig
+from .predictor import LikelihoodError, ModelParams
+from .sim import POLICIES, SimConfig, fit_barriers, run_simulation, write_reports
 from .trace import StabilityError, TraceFormatError
 
 EXIT_OK = 0
@@ -246,7 +248,6 @@ def cmd_fit(args) -> int:
     # The simulator's settings validate every model and trace key fit reads.
     settings = _sim_config(cfg, str(cfg["policy"]), seed)
     log = trace.load_trace(args.trace, quantize_hours=settings.slot_hours)
-    edge_logs = trace.partition_by_edge(log)
     params = ModelParams.constant(log.catalog_size, settings.latent_dim, 1.0, settings.decay)
     if args.init_params:
         try:
@@ -263,19 +264,11 @@ def cmd_fit(args) -> int:
     out_dir = args.out or "fit_out"
     os.makedirs(out_dir, exist_ok=True)
 
-    from .federation import run_fit_round
-
     started = time.perf_counter()
     records = []
-    t_theta = settings.train.update_interval_hours
-    while t_theta < log.horizon:
-        window = TrainWindow.from_truncation(t_theta, settings.truncation, settings.decay)
-        clipped = [_clip_log(el, t_theta) for el in edge_logs]
-        result = run_fit_round(clipped, params, window, settings.train)
+    for t_theta, result in fit_barriers(trace.partition_by_edge(log), params, settings, log.horizon):
         params = result.params
-        for idx, loss in enumerate(result.losses):
-            records.append({"round": idx, "t_theta": t_theta, "loss": loss})
-        t_theta += settings.train.update_interval_hours
+        records.extend({"round": idx, "t_theta": t_theta, "loss": loss} for idx, loss in enumerate(result.losses))
 
     params.save(os.path.join(out_dir, "params.json"))
     with open(os.path.join(out_dir, "fit_log.json"), "w", encoding="utf-8") as fh:
@@ -290,19 +283,6 @@ def cmd_fit(args) -> int:
     )
     print(f"fit complete: {len(records)} recorded iterations; params in {out_dir}/params.json")
     return EXIT_OK
-
-
-def _clip_log(log: trace.EventLog, before: float) -> trace.EventLog:
-    stop = int(np.searchsorted(log.timestamps, before, side="left"))
-    return trace.EventLog(
-        edge_ids=log.edge_ids[:stop],
-        user_ids=log.user_ids[:stop],
-        video_ids=log.video_ids[:stop],
-        timestamps=log.timestamps[:stop],
-        catalog_size=log.catalog_size,
-        edge_count=log.edge_count,
-        horizon=max(before, 1e-9),
-    )
 
 
 def _parse_sweep(raw: str | None) -> tuple[str, list[float]]:
@@ -320,6 +300,8 @@ def _parse_sweep(raw: str | None) -> tuple[str, list[float]]:
         raise UsageError(f"cannot parse sweep values {values!r}") from None
     if not parsed:
         raise UsageError("sweep value list is empty")
+    if name == "f" and not all(v.is_integer() for v in parsed):
+        raise UsageError(f"sweep values for f must be whole numbers, got {values!r}")
     return name, parsed
 
 
@@ -327,6 +309,8 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else int(cfg["seed"])
     policies = [p.strip() for p in (args.policy or str(cfg["policy"])).split(",") if p.strip()]
+    if not policies:
+        raise UsageError("no policy given")
     for p in policies:
         if p not in POLICIES:
             raise UsageError(f"invalid policy {p!r}; valid policies: {', '.join(POLICIES)}")
@@ -343,6 +327,8 @@ def cmd_simulate(args) -> int:
             planned.append((policy, value, _sim_config(run_cfg, policy, seed)))
 
     log = trace.load_trace(args.trace, quantize_hours=float(cfg["quantize"]))
+    if log.horizon > float(cfg["horizon"]):
+        raise TraceFormatError(f"trace spans {log.horizon} h, past the configured horizon {cfg['horizon']} h")
     out_dir = args.out or "sim_out"
     os.makedirs(out_dir, exist_ok=True)
 
@@ -400,8 +386,10 @@ def cmd_report(args) -> int:
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise TraceFormatError(f"cannot read manifest: {exc}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("outputs", {}), dict):
+        raise TraceFormatError(f"{manifest_path} is not a manifest object")
     print(f"command: {manifest.get('command')}  version: {manifest.get('version')}")
     bad = []
     for name, digest in sorted(manifest.get("outputs", {}).items()):
@@ -477,7 +465,14 @@ def main(argv=None) -> int:
     except scheduler.CompetitiveRatioViolation as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    except (TraceFormatError, StabilityError, scheduler.InstanceTooLarge, FileNotFoundError) as exc:
+    except (
+        TraceFormatError,
+        StabilityError,
+        scheduler.InstanceTooLarge,
+        AggregationError,
+        LikelihoodError,
+        OSError,
+    ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

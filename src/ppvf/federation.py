@@ -11,7 +11,7 @@ its output carries scalars and gradient arrays only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -31,6 +31,14 @@ class AggregationError(ValueError):
     """Raised when a contribution is unusable; names the offending edge."""
 
 
+def require_finite(config) -> None:
+    """Reject a dataclass instance whose float fields hold NaN or an infinity."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     rho_base: float = 0.0
@@ -42,6 +50,7 @@ class TrainConfig:
     update_interval_hours: float = 48.0
 
     def __post_init__(self):
+        require_finite(self)
         if min(self.rho_base, self.rho_target, self.rho_source) < 0:
             raise ValueError("regularization weights must be non-negative")
         if self.learning_rate <= 0:

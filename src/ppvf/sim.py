@@ -9,9 +9,12 @@ through federated fitting over the edges' private logs. The warmup period
 exercises caches and state but spends no privacy budget and counts toward
 no metric.
 
-Edges are independent state machines between fitting barriers; each
-segment between barriers is processed one edge at a time on the calling
-thread (the per-event loop holds the GIL, so threads give no speedup). All
+The trace is the only record of requests. It is split by edge once, and
+each edge replays its own log up to the next fitting barrier, one edge at a
+time on the calling thread (the per-event loop holds the GIL, so threads
+give no speedup). Each barrier's fit (:func:`fit_barriers`, which ``ppvf
+fit`` runs too) reads the requests stamped before it from the edge logs, so
+the fitted sequence depends on the trace and the settings alone. All
 randomness flows from per-edge seeded streams and all reductions are
 order-independent, so reports depend on the seed alone.
 """
@@ -26,9 +29,9 @@ import numpy as np
 
 from . import cache as cache_mod
 from . import cdp, scheduler
-from .federation import TrainConfig, run_fit_round
+from .federation import TrainConfig, require_finite, run_fit_round
 from .predictor import KernelState, ModelParams, TrainWindow, advance_state, intensity_sweep
-from .trace import EventLog
+from .trace import EventLog, partition_by_edge
 
 POLICIES = ("ppvf", "sage", "bestfit", "mav", "lru", "lfu")
 _MEP_POLICIES = {"ppvf", "sage", "bestfit"}
@@ -56,6 +59,7 @@ class SimConfig:
     def __post_init__(self):
         if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
+        require_finite(self)
         if not 0 <= self.init_horizon < self.test_horizon:
             raise ValueError("need 0 <= init_horizon < test_horizon")
         if self.total_budget < 0 or self.unit_cost <= 0:
@@ -64,14 +68,16 @@ class SimConfig:
             raise ValueError("prefetch_cap must be >= 1")
         if not 0 < self.cache_fraction <= 1:
             raise ValueError("cache_fraction must lie in (0, 1]")
+        if self.bounds is not None and not 0 < self.bounds[0] <= self.bounds[1] < math.inf:
+            raise ValueError("bounds need 0 < lower <= upper, both finite")
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
         if not 0 < self.truncation < 1:
             raise ValueError("truncation must lie in (0, 1)")
-        if not 0 < self.decay < math.inf:
-            raise ValueError("decay must be positive and finite")
-        if not 0 < self.slot_hours < math.inf:
-            raise ValueError("slot_hours must be positive and finite")
+        if self.decay <= 0:
+            raise ValueError("decay must be positive")
+        if self.slot_hours <= 0:
+            raise ValueError("slot_hours must be positive")
         if not 0 <= self.mav_weight < 1:
             raise ValueError("mav_weight must lie in [0, 1)")
 
@@ -167,17 +173,22 @@ class _BoundTracker:
 
 
 class _EdgeRuntime:
-    """All mutable per-edge state driven by that edge's event stream."""
+    """All mutable per-edge state, driven by a replay of that edge's log.
 
-    def __init__(self, edge_id: int, cfg: SimConfig, params: ModelParams, capacity: int):
+    ``cursor`` indexes the next request to replay. Fitted policies fold
+    requests into the kernel one timestamp at a time: ``[folded, cursor)``
+    are replayed requests that share one stamp and are not folded yet, so a
+    sweep at that stamp sees only the strictly earlier past (left limit).
+    """
+
+    def __init__(self, edge_id: int, log: EventLog, cfg: SimConfig, params: ModelParams, capacity: int):
         catalog_size = params.catalog_size
         self.edge_id = edge_id
+        self.log = log
         self.cfg = cfg
+        self.cursor = 0
+        self.folded = 0
         self.kernel = KernelState.empty(catalog_size, cfg.latent_dim)
-        self.pending_ts: float | None = None
-        self.pending_videos: list[int] = []
-        self.history_t: list[float] = []
-        self.history_v: list[int] = []
         self.ledger = scheduler.PrivacyLedger.uniform(
             catalog_size, cfg.total_budget, cfg.unit_cost, cfg.prefetch_cap
         )
@@ -202,54 +213,45 @@ class _EdgeRuntime:
             np.random.SeedSequence(cfg.seed, spawn_key=(edge_id, 1))
         )
         self.hits = 0
-        self.requests = 0
         self.miss_step = 0
         self.exposed: set[int] = set()
-        self.user_profiles: dict[int, set[int]] = {}
         self.hit_sequence: list[bool] = []
 
     # -- kernel bookkeeping ------------------------------------------------
 
-    def _fold_pending(self, params: ModelParams) -> None:
-        if self.pending_ts is None:
+    def fold(self, params: ModelParams, before: float = math.inf) -> None:
+        """Fold the replayed requests ``[folded, cursor)`` if stamped before ``before``.
+
+        They share one stamp, so they fold together or not at all.
+        """
+        if self.folded == self.cursor or self.log.timestamps[self.folded] >= before:
             return
-        advance_state(
-            params,
-            self.kernel,
-            self.pending_ts,
-            [self.pending_ts] * len(self.pending_videos),
-            self.pending_videos,
-            in_place=True,
-        )
-        self.pending_ts = None
-        self.pending_videos = []
+        times = self.log.timestamps[self.folded : self.cursor]
+        videos = self.log.video_ids[self.folded : self.cursor]
+        advance_state(params, self.kernel, float(times[0]), times, videos, in_place=True)
+        self.folded = self.cursor
 
     def _left_limit_state(self, params: ModelParams, at_time: float) -> KernelState:
         """Kernel state at ``at_time`` excluding any event at exactly that instant."""
-        if self.pending_ts is not None and at_time > self.pending_ts:
-            self._fold_pending(params)
         fade = math.exp(-params.decay * (at_time - self.kernel.last_update))
         return KernelState(
             self.kernel.decayed_counts * fade, self.kernel.source_mix * fade, at_time
         )
 
-    def _record_event(self, params: ModelParams, video: int, ts: float) -> None:
-        if self.pending_ts is not None and ts > self.pending_ts:
-            self._fold_pending(params)
-        self.pending_ts = ts
-        self.pending_videos.append(video)
-        self.history_t.append(ts)
-        self.history_v.append(video)
-
     # -- event processing ----------------------------------------------------
 
-    def process(self, params: ModelParams, user: int, video: int, ts: float) -> None:
+    def replay(self, params: ModelParams, until: float) -> None:
+        """Process this edge's requests stamped before ``until``."""
+        times = self.log.timestamps
+        stop = int(np.searchsorted(times, until, side="left"))
+        videos = self.log.video_ids[self.cursor : stop].tolist()
+        for video, ts in zip(videos, times[self.cursor : stop].tolist()):
+            self.process(params, video, ts)
+            self.cursor += 1
+
+    def process(self, params: ModelParams, video: int, ts: float) -> None:
         cfg = self.cfg
         in_test = ts >= cfg.init_horizon
-        if in_test:
-            self.requests += 1
-            self.user_profiles.setdefault(user, set()).add(video)
-
         if cfg.policy in ("lru", "lfu"):
             step = cache_mod.baseline_step(cfg.policy, self.cache, video)
             if in_test:
@@ -258,6 +260,8 @@ class _EdgeRuntime:
                 self.exposed.update(step.fetched)
             return
 
+        if cfg.policy in _MEP_POLICIES:
+            self.fold(params, before=ts)
         hit = self.cache.lookup(video)
         if in_test:
             self.hits += int(hit)
@@ -267,8 +271,6 @@ class _EdgeRuntime:
 
         if self.mav is not None:
             self.mav.record(video, ts)
-        if cfg.policy in _MEP_POLICIES:
-            self._record_event(params, video, ts)
 
     def _on_miss(self, params: ModelParams, video: int, ts: float, in_test: bool) -> None:
         cfg = self.cfg
@@ -324,87 +326,62 @@ class _EdgeRuntime:
         return cands
 
 
-def _fl_schedule(cfg: SimConfig, horizon: float) -> list[float]:
+def fit_barriers(edge_logs, params: ModelParams, cfg: SimConfig, horizon: float):
+    """Yield ``(barrier, FitResult)`` for each federated refit before ``horizon``.
+
+    Barriers fall every ``cfg.train.update_interval_hours``. The fit at a
+    barrier reads each edge's requests stamped before it and starts from the
+    previous fit's parameters, so no replay state enters the sequence.
+    """
     interval = cfg.train.update_interval_hours
-    times = []
-    t = interval
-    while t < horizon:
-        times.append(t)
-        t += interval
-    return times
+    barrier = interval
+    while barrier < horizon:
+        window = TrainWindow.from_truncation(barrier, cfg.truncation, cfg.decay)
+        result = run_fit_round([el.before(barrier) for el in edge_logs], params, window, cfg.train)
+        yield barrier, result
+        params = result.params
+        barrier += interval
 
 
 def run_simulation(cfg: SimConfig, log: EventLog) -> SimReport:
     if log.horizon > cfg.test_horizon:
         raise ValueError("log horizon extends past the configured test horizon")
-    catalog = log.catalog_size
-    capacity = max(1, round(cfg.cache_fraction * catalog))
-    params = ModelParams.constant(catalog, cfg.latent_dim, 1.0, cfg.decay)
-    edges = [_EdgeRuntime(e, cfg, params, capacity) for e in range(log.edge_count)]
-
-    barriers = _fl_schedule(cfg, cfg.test_horizon) if cfg.policy in _MEP_POLICIES else []
+    capacity = max(1, round(cfg.cache_fraction * log.catalog_size))
+    params = ModelParams.constant(log.catalog_size, cfg.latent_dim, 1.0, cfg.decay)
+    edge_logs = partition_by_edge(log)
+    edges = [_EdgeRuntime(e, el, cfg, params, capacity) for e, el in enumerate(edge_logs)]
     report = SimReport(policy=cfg.policy, cache_capacity=capacity)
 
-    ts_all = log.timestamps
-    cursor = 0
-    n = len(ts_all)
-    for barrier in barriers + [math.inf]:
-        stop = n if math.isinf(barrier) else int(np.searchsorted(ts_all, barrier, side="left"))
-        if stop > cursor:
-            segment = slice(cursor, stop)
-            _process_segment(params, edges, log, segment)
-            cursor = stop
-        if math.isinf(barrier):
-            break
+    fits = fit_barriers(edge_logs, params, cfg, cfg.test_horizon) if cfg.policy in _MEP_POLICIES else ()
+    for barrier, result in fits:
         for rt in edges:
-            rt._fold_pending(params)
-        window = TrainWindow.from_truncation(barrier, cfg.truncation, cfg.decay)
-        edge_logs = [_edge_history_log(rt, catalog, log.edge_count, barrier) for rt in edges]
-        result = run_fit_round(edge_logs, params, window, cfg.train)
+            rt.replay(params, barrier)
+            rt.fold(params)
         params = result.params
-        for idx, loss in enumerate(result.losses):
-            report.fl_losses.append((barrier, idx, loss))
+        report.fl_losses.extend((barrier, idx, loss) for idx, loss in enumerate(result.losses))
         for rt in edges:
             rt.kernel.rebuild_mix(params)
             rt.corr.start_epoch(params.base_rate, params.target_factors)
+    for rt in edges:
+        rt.replay(params, math.inf)
 
     _finalize_report(report, edges)
     return report
 
 
-def _process_segment(params: ModelParams, edges, log: EventLog, segment: slice) -> None:
-    edge_ids = log.edge_ids[segment]
-    users = log.user_ids[segment]
-    videos = log.video_ids[segment]
-    times = log.timestamps[segment]
-
-    for rt in edges:
-        mask = edge_ids == rt.edge_id
-        for u, v, t in zip(users[mask], videos[mask], times[mask]):
-            rt.process(params, int(u), int(v), float(t))
-
-
-def _edge_history_log(rt: _EdgeRuntime, catalog: int, edge_count: int, horizon: float) -> EventLog:
-    n = len(rt.history_t)
-    return EventLog(
-        edge_ids=np.full(n, rt.edge_id, dtype=np.int64),
-        user_ids=np.zeros(n, dtype=np.int64),
-        video_ids=np.array(rt.history_v, dtype=np.int64),
-        timestamps=np.array(rt.history_t, dtype=np.float64),
-        catalog_size=catalog,
-        edge_count=edge_count,
-        horizon=horizon,
-    )
-
-
 def _finalize_report(report: SimReport, edges) -> None:
     for rt in edges:
+        test = rt.log.timestamps >= rt.cfg.init_horizon
+        requests = int(np.count_nonzero(test))
         report.hits += rt.hits
-        report.requests += rt.requests
+        report.requests += requests
         report.per_edge_hits.append(rt.hits)
-        report.per_edge_requests.append(rt.requests)
+        report.per_edge_requests.append(requests)
         report.per_edge_fetches.append(len(rt.exposed))
-        for user, profile in sorted(rt.user_profiles.items()):
+        profiles: dict[int, set[int]] = {}
+        for user, video in zip(rt.log.user_ids[test].tolist(), rt.log.video_ids[test].tolist()):
+            profiles.setdefault(user, set()).add(video)
+        for user, profile in sorted(profiles.items()):
             report.per_user_js[(rt.edge_id, user)] = jaccard_similarity(profile, rt.exposed)
         report.residual_fractions.extend(rt.ledger.residual_fractions().tolist())
         report.hit_sequence.extend(rt.hit_sequence)

@@ -8,6 +8,7 @@ can recover known ground-truth parameters without an external dataset.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -79,6 +80,19 @@ class EventLog:
     def events(self) -> list[RequestEvent]:
         return list(self)
 
+    def before(self, t: float) -> "EventLog":
+        """The requests stamped strictly before ``t``, as a log with horizon ``t``."""
+        stop = int(np.searchsorted(self.timestamps, t, side="left"))
+        return EventLog(
+            edge_ids=self.edge_ids[:stop],
+            user_ids=self.user_ids[:stop],
+            video_ids=self.video_ids[:stop],
+            timestamps=self.timestamps[:stop],
+            catalog_size=self.catalog_size,
+            edge_count=self.edge_count,
+            horizon=t,
+        )
+
     @classmethod
     def from_events(
         cls,
@@ -120,8 +134,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.catalog_size < 1 or self.edge_count < 1:
             raise ValueError("catalog_size and edge_count must be >= 1")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         if self.base_rate_scale < 0:
             raise ValueError("base_rate_scale must be non-negative")
         if self.users_per_edge < 1:
@@ -162,8 +176,8 @@ def load_trace(
                     t = float(parts[3])
                 except ValueError as exc:
                     raise TraceFormatError(str(exc), line_no) from None
-                if t < 0:
-                    raise TraceFormatError("negative timestamp", line_no)
+                if not 0 <= t < math.inf:
+                    raise TraceFormatError("timestamp must be finite and non-negative", line_no)
                 if e < 0 or v < 0:
                     raise TraceFormatError("negative edge or video id", line_no)
                 edges.append(e)

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from ppvf import cli, trace
+from ppvf import cli, sim, trace
 from ppvf.predictor import ModelParams
 
 
@@ -187,8 +187,17 @@ class TestUsage:
             ("simulate", {"quantize": 0}),
             ("gen-trace", {"edges": 0}),
             ("fit", {"latent_dim": 0}),
+            ("simulate", {"horizon": "inf"}),
+            ("gen-trace", {"horizon": "inf"}),
+            ("simulate", {"xi": "nan"}),
+            ("simulate", {"epsilon": "inf"}),
+            ("simulate", {"lower": 5, "upper": 1}),
+            ("simulate", {"eta": "inf"}),
         ],
-        ids=["phi_th", "delta", "quantize", "edges", "latent_dim"],
+        ids=[
+            "phi_th", "delta", "quantize", "edges", "latent_dim",
+            "horizon-inf", "gen-trace-horizon-inf", "xi-nan", "epsilon-inf", "lower-above-upper", "eta-inf",
+        ],
     )
     def test_out_of_range_setting_usage_error(self, tiny_trace, tmp_path, capsys, command, setting):
         _, tr = tiny_trace
@@ -206,6 +215,39 @@ class TestUsage:
         assert cli.main(["eval-cr", "--config", str(path)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("usage error:")
+
+    def test_empty_policy_list_usage_error(self, tiny_trace, tmp_path, capsys):
+        cfg, tr = tiny_trace
+        capsys.readouterr()
+        code = cli.main(["simulate", "--config", cfg, "--trace", tr, "--policy", ",", "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:")
+        assert not os.path.exists(tmp_path / "x")
+
+    def test_fractional_prefetch_sweep_usage_error(self, tiny_trace, tmp_path, capsys):
+        cfg, tr = tiny_trace
+        capsys.readouterr()
+        code = cli.main(["simulate", "--config", cfg, "--trace", tr, "--sweep", "f=2.5", "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:")
+
+    def test_trace_past_horizon_data_error(self, tiny_trace, tmp_path, capsys):
+        _, tr = tiny_trace
+        cfg = write_config(tmp_path, horizon=60.0)
+        capsys.readouterr()
+        code = cli.main(["simulate", "--config", cfg, "--trace", tr, "--policy", "lru", "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+
+    def test_trace_directory_data_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        code = cli.main(["simulate", "--config", cfg, "--trace", str(tmp_path), "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
 
     def test_non_utf8_trace_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -275,6 +317,44 @@ class TestFitAndReport:
         large = str(tmp_path / "large.json")
         ModelParams.constant(catalog + 5, 2).save(large)
         assert cli.main(["fit", "--config", cfg, "--trace", tr, "--out", str(tmp_path / "fit2"), "--init-params", large]) == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverging_fit_data_error(self, tiny_trace, tmp_path, capsys):
+        cfg, tr = tiny_trace
+        catalog = trace.load_trace(tr).catalog_size
+        huge = str(tmp_path / "huge.json")
+        ModelParams.constant(catalog, 2, 1e300).save(huge)
+        capsys.readouterr()
+        code = cli.main(["fit", "--config", cfg, "--trace", tr, "--out", str(tmp_path / "fit"), "--init-params", huge])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+
+    def test_fit_log_equals_simulated_fit_sequence(self, tiny_trace, tmp_path):
+        # ppvf fit and every fitted policy's simulation run the same barrier
+        # fits over the same trace, so their loss records agree exactly.
+        cfg, tr = tiny_trace
+        out = str(tmp_path / "fit_out")
+        assert cli.main(["fit", "--config", cfg, "--trace", tr, "--out", out]) == 0
+        records = json.load(open(os.path.join(out, "fit_log.json")))
+        fitted = [(r["t_theta"], r["round"], r["loss"]) for r in records]
+        assert {t for t, _, _ in fitted} == {48.0, 96.0}
+        settings = cli.load_config(cfg)
+        log = trace.load_trace(tr, quantize_hours=float(settings["quantize"]))
+        for policy in ("ppvf", "sage", "bestfit"):
+            report = sim.run_simulation(cli._sim_config(settings, policy, 0), log)
+            assert report.fl_losses == fitted, policy
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"outputs": {', b'{"command": "caf\xff"}', b"[1, 2]"],
+        ids=["malformed", "non-utf8", "non-object"],
+    )
+    def test_report_bad_manifest_data_error(self, tmp_path, capsys, content):
+        (tmp_path / "manifest.json").write_bytes(content)
+        assert cli.main(["report", "--out", str(tmp_path)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
 
     def test_report_verifies_hashes(self, tiny_trace, tmp_path, capsys):
         cfg, tr = tiny_trace

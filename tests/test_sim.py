@@ -157,7 +157,13 @@ class TestRunSimulation:
     def test_zero_budget_equals_eviction_only_reference(self):
         # With the prefetch path disabled the run must reproduce, event for
         # event, a plain utility-scored cache fed only by viewed videos.
+        # Flooring the stamps to the hour makes requests simultaneous; a
+        # sweep must not see the requests that share its stamp.
         log = synthetic_log(catalog=15, edges=2, horizon=90.0, seed=7)
+        same_hour = trace.EventLog(
+            log.edge_ids, log.user_ids, log.video_ids, np.floor(log.timestamps),
+            log.catalog_size, log.edge_count, log.horizon,
+        )
         cfg = self._cfg(
             "ppvf",
             total_budget=0.0,
@@ -165,28 +171,29 @@ class TestRunSimulation:
             test_horizon=91.0,
             train=TrainConfig(update_interval_hours=1000.0),  # no fitting rounds
         )
-        report = run_simulation(cfg, log)
+        for log in (log, same_hour):
+            report = run_simulation(cfg, log)
 
-        params = ModelParams.constant(log.catalog_size, cfg.latent_dim, 1.0, cfg.decay)
-        capacity = max(1, round(cfg.cache_fraction * log.catalog_size))
-        reference_hits = []
-        for e in range(log.edge_count):
-            mask = log.edge_ids == e
-            times, vids = log.timestamps[mask], log.video_ids[mask]
-            from ppvf.cache import EdgeCache
+            params = ModelParams.constant(log.catalog_size, cfg.latent_dim, 1.0, cfg.decay)
+            capacity = max(1, round(cfg.cache_fraction * log.catalog_size))
+            reference_hits = []
+            for e in range(log.edge_count):
+                mask = log.edge_ids == e
+                times, vids = log.timestamps[mask], log.video_ids[mask]
+                from ppvf.cache import EdgeCache
 
-            cache = EdgeCache(capacity)
-            for idx, (t, v) in enumerate(zip(times, vids)):
-                hit = cache.lookup(int(v))
-                if t >= cfg.init_horizon:
-                    reference_hits.append(hit)
-                if not hit:
-                    past = times < t  # brute-force left-limit sweep
-                    state = predictor.rebuild_state(params, times[past], vids[past], t)
-                    lam = predictor.intensity_sweep(params, state)
-                    cache.refresh_scores(lam)
-                    cache.admit([(int(v), lam[int(v)])])
-        assert report.hit_sequence == reference_hits
+                cache = EdgeCache(capacity)
+                for idx, (t, v) in enumerate(zip(times, vids)):
+                    hit = cache.lookup(int(v))
+                    if t >= cfg.init_horizon:
+                        reference_hits.append(hit)
+                    if not hit:
+                        past = times < t  # brute-force left-limit sweep
+                        state = predictor.rebuild_state(params, times[past], vids[past], t)
+                        lam = predictor.intensity_sweep(params, state)
+                        cache.refresh_scores(lam)
+                        cache.admit([(int(v), lam[int(v)])])
+            assert report.hit_sequence == reference_hits
 
     def test_deterministic_across_worker_counts(self):
         log = synthetic_log(catalog=25, edges=3, horizon=120.0, seed=5)

@@ -222,3 +222,12 @@ class TestPartition:
         for e, part in enumerate(parts):
             assert all(ev.edge_id == e for ev in part)
             assert np.all(np.diff(part.timestamps) >= 0)
+
+    def test_before_keeps_strictly_earlier_requests(self):
+        events = [trace.RequestEvent(0, 0, v, t) for v, t in enumerate((0.0, 1.0, 2.0, 2.0, 3.0))]
+        log = trace.EventLog.from_events(events, catalog_size=5, edge_count=1, horizon=4.0)
+        prefix = log.before(2.0)
+        assert prefix.video_ids.tolist() == [0, 1]
+        assert prefix.horizon == 2.0
+        assert len(log.before(0.0)) == 0
+        assert len(log.before(10.0)) == len(log)
