@@ -117,9 +117,10 @@ def _parse_value(key: str, raw: str):
 
 
 def _sim_config(cfg: dict, policy: str, seed: int) -> SimConfig:
-    bounds = None
-    if cfg["lower"] and cfg["upper"]:
-        bounds = (float(cfg["lower"]), float(cfg["upper"]))
+    lower, upper = float(cfg["lower"]), float(cfg["upper"])
+    if (lower == 0) != (upper == 0):
+        raise UsageError("set both lower and upper, or leave both at 0 to estimate them during warmup")
+    bounds = (lower, upper) if lower else None
     rho = float(cfg["rho"])
     try:
         return SimConfig(
@@ -354,26 +355,32 @@ def cmd_eval_cr(args) -> int:
     lower, upper = float(cfg["lower"]) or 1.0, float(cfg["upper"]) or 10.0
     if upper < lower:
         raise UsageError("upper bound must be at least the lower bound")
-    if upper == lower:
-        # Strict ratio bounds leave no admissible utilities when the interval
-        # is empty; nudge the lower bound so the degenerate check stays runnable.
-        tc = scheduler.ThresholdConfig(lower=lower * (1 - 1e-9), upper=upper)
-    else:
-        tc = scheduler.ThresholdConfig(lower=lower, upper=upper)
+    # Instances charge unit costs, and the bound assumes unit_cost <= budget / 20.
+    if int(cfg["cr_budget_units"]) < 20:
+        raise UsageError(f"cr_budget_units must be at least 20, got {cfg['cr_budget_units']}")
     n_videos, steps = int(cfg["cr_videos"]), int(cfg["cr_steps"])
     if n_videos * steps > 24:
         raise scheduler.InstanceTooLarge(
             f"cr_videos * cr_steps = {n_videos * steps} exceeds the exact-oracle guard of 24"
         )
-    instances = scheduler.random_cr_instances(
-        count=int(cfg["cr_instances"]),
-        n_videos=n_videos,
-        steps=steps,
-        prefetch_cap=int(cfg["cr_cap"]),
-        cfg=tc,
-        budget_units=int(cfg["cr_budget_units"]),
-        seed=seed,
-    )
+    try:
+        if upper == lower:
+            # Strict ratio bounds leave no admissible utilities when the interval
+            # is empty; nudge the lower bound so the degenerate check stays runnable.
+            tc = scheduler.ThresholdConfig(lower=lower * (1 - 1e-9), upper=upper)
+        else:
+            tc = scheduler.ThresholdConfig(lower=lower, upper=upper)
+        instances = scheduler.random_cr_instances(
+            count=int(cfg["cr_instances"]),
+            n_videos=n_videos,
+            steps=steps,
+            prefetch_cap=int(cfg["cr_cap"]),
+            cfg=tc,
+            budget_units=int(cfg["cr_budget_units"]),
+            seed=seed,
+        )
+    except ValueError as exc:
+        raise UsageError(f"invalid configuration: {exc}") from None
     worst = scheduler.empirical_cr(instances, seed=seed + 1)
     print(f"bound 1+ln(U/L) = {tc.cr_bound:.6f}")
     print(f"worst OPT/ALG over {len(instances)} instances = {worst:.6f}")

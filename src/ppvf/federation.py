@@ -3,9 +3,11 @@
 Edges compute window log-likelihoods and gradients on their private logs;
 the coordinator only ever sees those summaries, sums them with a
 permutation-invariant reduction, applies L2 regularization, and takes
-projected gradient steps. Raw events never cross the edge boundary: the
-only operation here that touches an event log is :func:`local_round`, and
-its output carries scalars and gradient arrays only.
+projected gradient steps. Raw events never cross the edge boundary: each
+edge's log enters :func:`run_fit_round` once, as the window statistics it
+keeps, and the coordinator receives one likelihood per edge at every point
+it scores and one gradient bundle per edge at every point a step starts
+from.
 """
 
 from __future__ import annotations
@@ -63,23 +65,6 @@ class TrainConfig:
             raise ValueError("update_interval_hours must be positive")
 
 
-@dataclass(frozen=True)
-class LocalContribution:
-    """One edge's upload; ``grads`` is None where only the loss is needed."""
-
-    ll: float
-    grads: GradientBundle | None = None
-
-
-def local_round(edge_log, params: ModelParams, window: TrainWindow) -> LocalContribution:
-    """One edge's likelihood and gradients on its own log."""
-    stats = window_stats(params, edge_log, window)
-    return LocalContribution(
-        ll=window_log_likelihood(params, edge_log, window, stats=stats),
-        grads=window_gradients(params, edge_log, window, stats=stats),
-    )
-
-
 @lru_cache(maxsize=None)
 def _merge_network(n: int) -> tuple[tuple[int, int], ...]:
     """Comparators of Batcher's odd-even merge sort on ``n`` inputs."""
@@ -115,19 +100,12 @@ def _sorted_sum(arrays: list[np.ndarray]) -> np.ndarray:
     return np.sum(stacked, axis=0)
 
 
-def _check_contributions(contributions, with_grads: bool) -> None:
-    for idx, c in enumerate(contributions):
-        if not (math.isfinite(c.ll) and (not with_grads or c.grads.is_finite())):
-            raise AggregationError(f"non-finite contribution from edge index {idx}")
-
-
-def global_loss(params: ModelParams, contributions, cfg: TrainConfig) -> float:
-    """Negated likelihood sum plus L2 penalties at the contribution params.
-
-    Reads only each contribution's ``ll``.
-    """
-    _check_contributions(contributions, with_grads=False)
-    ll_sum = math.fsum(sorted(c.ll for c in contributions))
+def global_loss(params: ModelParams, lls: list[float], cfg: TrainConfig) -> float:
+    """Negated sum of the edges' window log-likelihoods plus L2 penalties."""
+    for idx, ll in enumerate(lls):
+        if not math.isfinite(ll):
+            raise AggregationError(f"non-finite likelihood from edge index {idx}")
+    ll_sum = math.fsum(sorted(lls))
     reg = (
         0.5 * cfg.rho_base * float(params.base_rate @ params.base_rate)
         + 0.5 * cfg.rho_target * float(np.sum(params.target_factors**2))
@@ -136,41 +114,42 @@ def global_loss(params: ModelParams, contributions, cfg: TrainConfig) -> float:
     return -ll_sum + reg
 
 
+def sum_gradients(grads: list[GradientBundle]) -> GradientBundle:
+    """The edges' likelihood gradients, summed block by block in an
+    order-independent way."""
+    if not grads:
+        raise AggregationError("no gradients to sum")
+    for idx, g in enumerate(grads):
+        if not g.is_finite():
+            raise AggregationError(f"non-finite gradients from edge index {idx}")
+    return GradientBundle(
+        base_rate=_sorted_sum([g.base_rate for g in grads]),
+        target_factors=_sorted_sum([g.target_factors for g in grads]),
+        source_factors=_sorted_sum([g.source_factors for g in grads]),
+    )
+
+
 def aggregate_and_step(
-    params: ModelParams, contributions, cfg: TrainConfig, learning_rate: float | None = None
-) -> tuple[ModelParams, float]:
-    """One coordinator update: sum gradients, regularize, descend, clamp.
-
-    Returns the stepped parameters and the loss evaluated at the *input*
-    parameters (the contributions were computed there).
-    """
-    if not contributions:
-        raise AggregationError("no contributions to aggregate")
-    _check_contributions(contributions, with_grads=True)
+    params: ModelParams, summed: GradientBundle, cfg: TrainConfig, learning_rate: float | None = None
+) -> ModelParams:
+    """One coordinator update from the summed gradients: regularize, descend, clamp."""
     eta = cfg.learning_rate if learning_rate is None else learning_rate
-
-    loss = global_loss(params, contributions, cfg)
-    g_base = _sorted_sum([c.grads.base_rate for c in contributions])
-    g_tgt = _sorted_sum([c.grads.target_factors for c in contributions])
-    g_src = _sorted_sum([c.grads.source_factors for c in contributions])
-
     # d(loss)/d(theta) = rho * theta - sum of likelihood gradients; the
     # descent step projects back onto the positive orthant.
-    new = ModelParams(
+    return ModelParams(
         base_rate=np.maximum(
-            params.base_rate - eta * (cfg.rho_base * params.base_rate - g_base), PARAM_FLOOR
+            params.base_rate - eta * (cfg.rho_base * params.base_rate - summed.base_rate), PARAM_FLOOR
         ),
         target_factors=np.maximum(
-            params.target_factors - eta * (cfg.rho_target * params.target_factors - g_tgt),
+            params.target_factors - eta * (cfg.rho_target * params.target_factors - summed.target_factors),
             PARAM_FLOOR,
         ),
         source_factors=np.maximum(
-            params.source_factors - eta * (cfg.rho_source * params.source_factors - g_src),
+            params.source_factors - eta * (cfg.rho_source * params.source_factors - summed.source_factors),
             PARAM_FLOOR,
         ),
         decay=params.decay,
     )
-    return new, loss
 
 
 @dataclass
@@ -178,51 +157,43 @@ class FitResult:
     params: ModelParams
     losses: list[float] = field(default_factory=list)
 
-    @property
-    def rounds(self) -> int:
-        return len(self.losses)
 
-
+# A diverging fit overflows to infinities or NaNs; global_loss and
+# sum_gradients report those as an AggregationError, so numpy's warnings
+# would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def run_fit_round(edge_logs, params: ModelParams, window: TrainWindow, cfg: TrainConfig) -> FitResult:
-    """Iterate local rounds and coordinator steps until convergence.
+    """Iterate coordinator steps with backtracking until convergence.
 
     The step size halves whenever a step would increase the loss, so the
     accepted-loss sequence is non-increasing. Per-edge statistics are
     precomputed once per call; only parameter-dependent terms are
-    re-evaluated inside the loop. A candidate step needs only its loss, so
-    edges compute gradients only at the points a step is taken from.
+    re-evaluated inside the loop. Each iteration sums the edges' gradients
+    once, at the point its steps start from; a candidate step needs only
+    its loss.
     """
     params = params.clamped(PARAM_FLOOR)
     stats = [window_stats(params, log, window) for log in edge_logs]
-
-    def likelihoods(p: ModelParams) -> list[LocalContribution]:
-        return [LocalContribution(window_log_likelihood(p, None, window, stats=st)) for st in stats]
-
-    losses: list[float] = []
     if cfg.max_iters == 0 or not stats:
-        return FitResult(params=params, losses=losses)
+        return FitResult(params=params)
 
-    contribs = likelihoods(params)
-    loss = global_loss(params, contribs, cfg)
-    losses.append(loss)
+    def loss_at(p: ModelParams) -> float:
+        return global_loss(p, [window_log_likelihood(p, None, window, stats=st) for st in stats], cfg)
+
+    loss = loss_at(params)
+    losses = [loss]
     eta = cfg.learning_rate
     for _ in range(cfg.max_iters):
-        contribs = [
-            LocalContribution(c.ll, window_gradients(params, None, window, stats=st))
-            for c, st in zip(contribs, stats)
-        ]
-        accepted = False
+        summed = sum_gradients([window_gradients(params, None, window, stats=st) for st in stats])
         for _backtrack in range(60):
-            candidate, _ = aggregate_and_step(params, contribs, cfg, learning_rate=eta)
-            cand_contribs = likelihoods(candidate)
-            cand_loss = global_loss(candidate, cand_contribs, cfg)
+            candidate = aggregate_and_step(params, summed, cfg, learning_rate=eta)
+            cand_loss = loss_at(candidate)
             if cand_loss <= loss:
-                accepted = True
                 break
             eta *= 0.5
-        if not accepted:
+        else:
             break
-        params, contribs = candidate, cand_contribs
+        params = candidate
         losses.append(cand_loss)
         if abs(cand_loss - loss) < cfg.tolerance * max(abs(loss), 1.0):
             break

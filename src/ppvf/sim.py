@@ -102,8 +102,6 @@ class SimReport:
     cache_capacity: int
     hits: int = 0
     requests: int = 0
-    per_edge_hits: list[int] = field(default_factory=list)
-    per_edge_requests: list[int] = field(default_factory=list)
     per_edge_fetches: list[int] = field(default_factory=list)
     per_user_js: dict[tuple[int, int], float] = field(default_factory=dict)
     residual_fractions: list[float] = field(default_factory=list)
@@ -372,11 +370,8 @@ def run_simulation(cfg: SimConfig, log: EventLog) -> SimReport:
 def _finalize_report(report: SimReport, edges) -> None:
     for rt in edges:
         test = rt.log.timestamps >= rt.cfg.init_horizon
-        requests = int(np.count_nonzero(test))
         report.hits += rt.hits
-        report.requests += requests
-        report.per_edge_hits.append(rt.hits)
-        report.per_edge_requests.append(requests)
+        report.requests += int(np.count_nonzero(test))
         report.per_edge_fetches.append(len(rt.exposed))
         profiles: dict[int, set[int]] = {}
         for user, video in zip(rt.log.user_ids[test].tolist(), rt.log.video_ids[test].tolist()):

@@ -76,10 +76,6 @@ class EventLog:
         for e, u, v, t in zip(self.edge_ids, self.user_ids, self.video_ids, self.timestamps):
             yield RequestEvent(int(e), int(u), int(v), float(t))
 
-    @property
-    def events(self) -> list[RequestEvent]:
-        return list(self)
-
     def before(self, t: float) -> "EventLog":
         """The requests stamped strictly before ``t``, as a log with horizon ``t``."""
         stop = int(np.searchsorted(self.timestamps, t, side="left"))

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from ppvf.federation import FitResult, LocalContribution, TrainConfig, aggregate_and_step, global_loss
+from ppvf.federation import FitResult, TrainConfig, aggregate_and_step, global_loss, sum_gradients
 from ppvf.predictor import (
     PARAM_FLOOR,
     GradientBundle,
@@ -191,36 +191,32 @@ def fit_round_evaluating_everything(edge_logs, params: ModelParams, window: Trai
     params = params.clamped(PARAM_FLOOR)
     stats = [window_stats(params, log, window) for log in edge_logs]
 
-    def evaluate(p: ModelParams) -> list[LocalContribution]:
-        return [
-            LocalContribution(
-                ll=window_log_likelihood(p, None, window, stats=st),
-                grads=window_gradients(p, None, window, stats=st),
-            )
-            for st in stats
-        ]
+    def evaluate(p: ModelParams) -> tuple[list[float], list[GradientBundle]]:
+        lls = [window_log_likelihood(p, None, window, stats=st) for st in stats]
+        grads = [window_gradients(p, None, window, stats=st) for st in stats]
+        return lls, grads
 
     losses: list[float] = []
     if cfg.max_iters == 0 or not stats:
         return FitResult(params=params, losses=losses)
 
-    contribs = evaluate(params)
-    loss = global_loss(params, contribs, cfg)
+    lls, grads = evaluate(params)
+    loss = global_loss(params, lls, cfg)
     losses.append(loss)
     eta = cfg.learning_rate
     for _ in range(cfg.max_iters):
         accepted = False
         for _backtrack in range(60):
-            candidate, _ = aggregate_and_step(params, contribs, cfg, learning_rate=eta)
-            cand_contribs = evaluate(candidate)
-            cand_loss = global_loss(candidate, cand_contribs, cfg)
+            candidate = aggregate_and_step(params, sum_gradients(grads), cfg, learning_rate=eta)
+            cand_lls, cand_grads = evaluate(candidate)
+            cand_loss = global_loss(candidate, cand_lls, cfg)
             if cand_loss <= loss:
                 accepted = True
                 break
             eta *= 0.5
         if not accepted:
             break
-        params, contribs = candidate, cand_contribs
+        params, grads = candidate, cand_grads
         losses.append(cand_loss)
         if abs(cand_loss - loss) < cfg.tolerance * max(abs(loss), 1.0):
             loss = cand_loss

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import warnings
 
 import pytest
 
@@ -143,6 +144,18 @@ class TestEvalCr:
         cfg = write_config(tmp_path, cr_videos=6, cr_steps=8)
         assert cli.main(["eval-cr", "--config", cfg]) == cli.EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"lower": "nan", "upper": 5}, {"cr_budget_units": -1}, {"cr_budget_units": 5}],
+        ids=["lower-nan", "budget-negative", "budget-below-small-cost"],
+    )
+    def test_bad_setting_usage_error(self, tmp_path, capsys, setting):
+        cfg = write_config(tmp_path, cr_instances=5, **setting)
+        capsys.readouterr()
+        assert cli.main(["eval-cr", "--config", cfg]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:")
+
 
 class TestUsage:
     def test_unknown_config_key(self, tmp_path):
@@ -193,10 +206,13 @@ class TestUsage:
             ("simulate", {"epsilon": "inf"}),
             ("simulate", {"lower": 5, "upper": 1}),
             ("simulate", {"eta": "inf"}),
+            ("simulate", {"lower": 2}),
+            ("fit", {"upper": 5}),
         ],
         ids=[
             "phi_th", "delta", "quantize", "edges", "latent_dim",
             "horizon-inf", "gen-trace-horizon-inf", "xi-nan", "epsilon-inf", "lower-above-upper", "eta-inf",
+            "lower-alone", "fit-upper-alone",
         ],
     )
     def test_out_of_range_setting_usage_error(self, tiny_trace, tmp_path, capsys, command, setting):
@@ -318,14 +334,17 @@ class TestFitAndReport:
         ModelParams.constant(catalog + 5, 2).save(large)
         assert cli.main(["fit", "--config", cfg, "--trace", tr, "--out", str(tmp_path / "fit2"), "--init-params", large]) == 0
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_diverging_fit_data_error(self, tiny_trace, tmp_path, capsys):
         cfg, tr = tiny_trace
         catalog = trace.load_trace(tr).catalog_size
         huge = str(tmp_path / "huge.json")
         ModelParams.constant(catalog, 2, 1e300).save(huge)
         capsys.readouterr()
-        code = cli.main(["fit", "--config", cfg, "--trace", tr, "--out", str(tmp_path / "fit"), "--init-params", huge])
+        # Outside pytest a warning would print to standard error next to the
+        # one-line message; here it would fail the command.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["fit", "--config", cfg, "--trace", tr, "--out", str(tmp_path / "fit"), "--init-params", huge])
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:")

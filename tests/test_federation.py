@@ -10,12 +10,11 @@ from oracles import fit_round_evaluating_everything, sort_then_sum
 from ppvf import federation, predictor, trace
 from ppvf.federation import (
     AggregationError,
-    LocalContribution,
     TrainConfig,
     aggregate_and_step,
     global_loss,
-    local_round,
     run_fit_round,
+    sum_gradients,
 )
 from ppvf.predictor import GradientBundle, ModelParams, TrainWindow
 
@@ -33,6 +32,16 @@ def make_log(times, vids, catalog, horizon, edge=0, edge_count=1):
     )
 
 
+def recording(calls, fn):
+    """``fn``, appending its first argument to ``calls`` on every call."""
+
+    def wrapper(first, *args, **kwargs):
+        calls.append(first)
+        return fn(first, *args, **kwargs)
+
+    return wrapper
+
+
 def random_params(rng, catalog=4, dim=2):
     return ModelParams(
         base_rate=rng.uniform(0.1, 0.5, catalog),
@@ -43,28 +52,18 @@ def random_params(rng, catalog=4, dim=2):
 
 
 class TestLocalRound:
+    """An edge's upload: its window likelihood and gradients on its own log."""
+
     def test_empty_log_reduction(self):
         params = random_params(np.random.default_rng(0))
         window = TrainWindow(end=50.0, length=20.0)
-        contrib = local_round(make_log([], [], 4, 50.0), params, window)
-        assert contrib.ll == pytest.approx(-20.0 * float(np.sum(params.base_rate)))
-        assert np.allclose(contrib.grads.base_rate, -20.0)
-        assert np.allclose(contrib.grads.target_factors, 0.0)
-        assert np.allclose(contrib.grads.source_factors, 0.0)
-
-    def test_equals_direct_predictor_calls(self):
-        rng = np.random.default_rng(1)
-        params = random_params(rng)
-        times = np.sort(rng.uniform(0, 50, 25))
-        vids = rng.integers(0, 4, 25)
-        log = make_log(times, vids, 4, 50.0)
-        window = TrainWindow(end=50.0, length=30.0)
-        contrib = local_round(log, params, window)
-        assert contrib.ll == predictor.window_log_likelihood(params, log, window)
-        direct = predictor.window_gradients(params, log, window)
-        assert np.array_equal(contrib.grads.base_rate, direct.base_rate)
-        assert np.array_equal(contrib.grads.target_factors, direct.target_factors)
-        assert np.array_equal(contrib.grads.source_factors, direct.source_factors)
+        log = make_log([], [], 4, 50.0)
+        ll = predictor.window_log_likelihood(params, log, window)
+        grads = predictor.window_gradients(params, log, window)
+        assert ll == pytest.approx(-20.0 * float(np.sum(params.base_rate)))
+        assert np.allclose(grads.base_rate, -20.0)
+        assert np.allclose(grads.target_factors, 0.0)
+        assert np.allclose(grads.source_factors, 0.0)
 
     def test_disjoint_halves_do_not_sum_to_union(self):
         # Per-edge likelihoods condition on per-edge histories; splitting one
@@ -75,37 +74,43 @@ class TestLocalRound:
         times = np.linspace(1.0, 19.0, 10)
         vids = np.array([0, 1] * 5)
         window = TrainWindow(end=20.0, length=15.0)
-        union = local_round(make_log(times, vids, 2, 20.0), params, window).ll
-        first = local_round(make_log(times[:5], vids[:5], 2, 20.0), params, window).ll
-        second = local_round(make_log(times[5:], vids[5:], 2, 20.0), params, window).ll
-        assert first + second != pytest.approx(union, rel=1e-12)
+
+        def ll(t, v):
+            return predictor.window_log_likelihood(params, make_log(t, v, 2, 20.0), window)
+
+        assert ll(times[:5], vids[:5]) + ll(times[5:], vids[5:]) != pytest.approx(ll(times, vids), rel=1e-12)
 
 
 def zero_grads(catalog, dim):
     return GradientBundle(np.zeros(catalog), np.zeros((catalog, dim)), np.zeros((catalog, dim)))
 
 
+def random_grads(rng, catalog=4, dim=2):
+    return GradientBundle(rng.normal(size=catalog), rng.normal(size=(catalog, dim)), rng.normal(size=(catalog, dim)))
+
+
+def assert_same_bundle(a, b):
+    for name in ("base_rate", "target_factors", "source_factors"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
 class TestAggregateAndStep:
     def test_zero_gradients_no_reg_leaves_params(self):
         params = random_params(np.random.default_rng(3))
-        contribs = [LocalContribution(ll=-5.0, grads=zero_grads(4, 2))]
-        new, loss = aggregate_and_step(params, contribs, TrainConfig())
-        assert loss == pytest.approx(5.0)
+        new = aggregate_and_step(params, sum_gradients([zero_grads(4, 2)]), TrainConfig())
+        assert global_loss(params, [-5.0], TrainConfig()) == pytest.approx(5.0)
         assert np.array_equal(new.base_rate, params.base_rate)
         assert np.array_equal(new.target_factors, params.target_factors)
 
     def test_split_contribution_gives_identical_step(self):
         rng = np.random.default_rng(4)
         params = random_params(rng)
-        g = GradientBundle(rng.normal(size=4), rng.normal(size=(4, 2)), rng.normal(size=(4, 2)))
+        g = random_grads(rng)
         half = GradientBundle(g.base_rate / 2, g.target_factors / 2, g.source_factors / 2)
         cfg = TrainConfig(learning_rate=0.01)
-        whole, _ = aggregate_and_step(params, [LocalContribution(-3.0, g)], cfg)
-        split, _ = aggregate_and_step(
-            params,
-            [LocalContribution(-1.5, half), LocalContribution(-1.5, half)],
-            cfg,
-        )
+        whole = aggregate_and_step(params, sum_gradients([g]), cfg)
+        split = aggregate_and_step(params, sum_gradients([half, half]), cfg)
+        assert global_loss(params, [-3.0], cfg) == global_loss(params, [-1.5, -1.5], cfg)
         assert np.allclose(whole.base_rate, split.base_rate, atol=1e-12)
         assert np.allclose(whole.target_factors, split.target_factors, atol=1e-12)
         assert np.allclose(whole.source_factors, split.source_factors, atol=1e-12)
@@ -116,49 +121,37 @@ class TestAggregateAndStep:
         params = ModelParams(np.array([1.0]), np.full((1, 1), 1.0), np.full((1, 1), 1.0), 0.01)
         grads = GradientBundle(np.array([0.3]), np.zeros((1, 1)), np.zeros((1, 1)))
         cfg = TrainConfig(rho_base=0.1, learning_rate=0.5)
-        new, _ = aggregate_and_step(params, [LocalContribution(-1.0, grads)], cfg)
+        new = aggregate_and_step(params, grads, cfg)
         assert new.base_rate[0] == pytest.approx(1.1, rel=1e-12)
 
     def test_permutation_invariance_is_exact(self):
         rng = np.random.default_rng(5)
         params = random_params(rng)
-        contribs = [
-            LocalContribution(
-                ll=float(rng.normal()),
-                grads=GradientBundle(
-                    rng.normal(size=4), rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
-                ),
-            )
-            for _ in range(7)
-        ]
+        lls = [float(rng.normal()) for _ in range(7)]
+        grads = [random_grads(rng) for _ in range(7)]
         cfg = TrainConfig(learning_rate=0.05, rho_base=0.01, rho_target=0.01, rho_source=0.01)
-        forward, loss_f = aggregate_and_step(params, contribs, cfg)
-        shuffled = [contribs[i] for i in rng.permutation(len(contribs))]
-        backward, loss_b = aggregate_and_step(params, shuffled, cfg)
-        assert loss_f == loss_b
-        assert np.array_equal(forward.base_rate, backward.base_rate)
-        assert np.array_equal(forward.target_factors, backward.target_factors)
-        assert np.array_equal(forward.source_factors, backward.source_factors)
+        order = rng.permutation(7)
+        forward, backward = sum_gradients(grads), sum_gradients([grads[i] for i in order])
+        assert global_loss(params, lls, cfg) == global_loss(params, [lls[i] for i in order], cfg)
+        assert_same_bundle(forward, backward)
+        assert_same_bundle(aggregate_and_step(params, forward, cfg), aggregate_and_step(params, backward, cfg))
 
     def test_non_finite_contribution_names_edge(self):
         params = random_params(np.random.default_rng(6))
         bad = GradientBundle(np.array([np.nan] * 4), np.zeros((4, 2)), np.zeros((4, 2)))
-        contribs = [
-            LocalContribution(-1.0, zero_grads(4, 2)),
-            LocalContribution(-1.0, bad),
-        ]
         with pytest.raises(AggregationError, match="edge index 1"):
-            aggregate_and_step(params, contribs, TrainConfig())
+            sum_gradients([zero_grads(4, 2), bad])
+        with pytest.raises(AggregationError, match="edge index 1"):
+            global_loss(params, [-1.0, math.inf], TrainConfig())
 
     def test_empty_contributions_rejected(self):
-        params = random_params(np.random.default_rng(7))
         with pytest.raises(AggregationError):
-            aggregate_and_step(params, [], TrainConfig())
+            sum_gradients([])
 
     def test_positivity_floor_after_step(self):
         params = ModelParams(np.array([0.01]), np.full((1, 1), 0.01), np.full((1, 1), 0.01), 0.01)
         grads = GradientBundle(np.array([-100.0]), np.full((1, 1), -100.0), np.full((1, 1), -100.0))
-        new, _ = aggregate_and_step(params, [LocalContribution(-1.0, grads)], TrainConfig(learning_rate=1.0))
+        new = aggregate_and_step(params, grads, TrainConfig(learning_rate=1.0))
         assert new.base_rate[0] == predictor.PARAM_FLOOR
         assert new.target_factors[0, 0] == predictor.PARAM_FLOOR
 
@@ -216,8 +209,8 @@ class TestRunFitRound:
         params = ModelParams.constant(4, 2, 1.0, 0.01)
         cfg = TrainConfig(learning_rate=1e-4, max_iters=1)
         result = run_fit_round(parts[:1], params, window, cfg)
-        contrib = local_round(parts[0], params, window)
-        stepped, _ = aggregate_and_step(params, [contrib], cfg)
+        grads = predictor.window_gradients(params, parts[0], window)
+        stepped = aggregate_and_step(params, sum_gradients([grads]), cfg)
         assert np.allclose(result.params.base_rate, stepped.base_rate, atol=1e-15)
         assert np.allclose(result.params.target_factors, stepped.target_factors, atol=1e-15)
 
@@ -253,23 +246,28 @@ class TestRunFitRound:
     def test_gradients_only_where_a_step_starts(self, cfg, monkeypatch):
         parts, window = self._three_edges()
         grad_points, step_origins = [], []
-        real_gradients, real_step = federation.window_gradients, federation.aggregate_and_step
-
-        def counting_gradients(p, *args, **kwargs):
-            grad_points.append(p)
-            return real_gradients(p, *args, **kwargs)
-
-        def counting_step(p, *args, **kwargs):
-            step_origins.append(p)
-            return real_step(p, *args, **kwargs)
-
-        monkeypatch.setattr(federation, "window_gradients", counting_gradients)
-        monkeypatch.setattr(federation, "aggregate_and_step", counting_step)
+        monkeypatch.setattr(federation, "window_gradients", recording(grad_points, federation.window_gradients))
+        monkeypatch.setattr(federation, "aggregate_and_step", recording(step_origins, federation.aggregate_and_step))
         result = run_fit_round(parts, ModelParams.constant(6, 2, 1.0, 0.01), window, cfg)
         origins = [p for i, p in enumerate(step_origins) if i == 0 or p is not step_origins[i - 1]]
         assert [id(p) for p in grad_points] == [id(p) for p in origins for _ in parts]
         if cfg.learning_rate == 0.5:
             assert len(step_origins) > len(result.losses) - 1  # some candidates were rejected
+
+    @pytest.mark.parametrize("cfg", _CONFIGS)
+    def test_one_gradient_sum_per_step_origin(self, cfg, monkeypatch):
+        # Backtracking reuses the origin's summed gradients: each of the three
+        # blocks is summed once per origin, not once per candidate. The loss
+        # is computed once per scored point: the start and each candidate.
+        parts, window = self._three_edges()
+        block_sums, step_origins, scored = [], [], []
+        monkeypatch.setattr(federation, "_sorted_sum", recording(block_sums, federation._sorted_sum))
+        monkeypatch.setattr(federation, "aggregate_and_step", recording(step_origins, federation.aggregate_and_step))
+        monkeypatch.setattr(federation, "global_loss", recording(scored, federation.global_loss))
+        run_fit_round(parts, ModelParams.constant(6, 2, 1.0, 0.01), window, cfg)
+        origins = [p for i, p in enumerate(step_origins) if i == 0 or p is not step_origins[i - 1]]
+        assert len(block_sums) == 3 * len(origins)
+        assert len(scored) == 1 + len(step_origins)
 
     def test_all_params_above_floor_after_fit(self):
         parts, window = self._setup()
@@ -282,7 +280,6 @@ class TestRunFitRound:
 
 def test_global_loss_includes_regularizers():
     params = ModelParams(np.array([2.0]), np.full((1, 1), 3.0), np.full((1, 1), 4.0), 0.01)
-    contribs = [LocalContribution(-7.0, zero_grads(1, 1))]
     cfg = TrainConfig(rho_base=1.0, rho_target=1.0, rho_source=1.0)
     expected = 7.0 + 0.5 * (4.0 + 9.0 + 16.0)
-    assert global_loss(params, contribs, cfg) == pytest.approx(expected)
+    assert global_loss(params, [-7.0], cfg) == pytest.approx(expected)
