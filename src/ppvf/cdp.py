@@ -2,10 +2,11 @@
 
 Each cache miss contributes one utility sweep to a running Pearson state.
 Between refits every sweep is affine in the edge's latent mix,
-``utilities = base_rate + target_factors @ mix``, so the state keeps, per
-parameter epoch, the epoch's parameters and the moments of the mix; any
-pair's full-history cross sum follows from those in O(D^2), for every
-catalog size. Sensitivity of a candidate video is the correlation-weighted
+``utilities = base_rate + target_factors @ mix``, so the state keeps the
+moments of the mix per parameter epoch, next to one (epoch, video, 1+D)
+table of every epoch's parameters that all edges share; any pair's
+full-history cross sum follows from those in O(E * D^2), for every catalog
+size. Sensitivity of a candidate video is the correlation-weighted
 sum of how much deleting each co-candidate's history would move its
 utility; with the exponential kernel that deletion difference has the
 closed form ``influence(i,j) * decayed_counts[j]``, so no rebuild is
@@ -15,6 +16,11 @@ exponential mechanism scaled by the worst candidate sensitivity.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +35,18 @@ class CorrelationState:
     """Running sums behind the per-pair Pearson correlation of utilities.
 
     ``sums`` and ``sq_sums`` accumulate each video's utilities directly.
-    Cross sums stay factored: epoch ``e`` holds its ``base_rate`` and
-    ``target_factors`` by reference and ``moments[e]``, the sum of
-    ``outer(z, z)`` over its sweeps with ``z = (1, mix)``. With
-    ``phi_e(i) = (base_rate[i], target_factors[i])`` the full-history cross
-    sum of videos ``i`` and ``j`` is ``sum_e phi_e(i) @ moments[e] @ phi_e(j)``,
-    exact for every catalog size. A state fed sweeps without their mix
-    holds one identity epoch (zero base, identity factors, mix = the sweep),
-    whose ``cross`` is exactly the sum of ``outer(utilities, utilities)``;
-    it is O(catalog^2), so the simulator always passes the mix.
+    Cross sums stay factored over parameter epochs. ``epochs`` is the
+    (E, I, 1+D) table built by :func:`append_epoch`: row ``epochs[e, i]`` is
+    ``(base_rate[i], *target_factors[i])`` under epoch ``e``'s parameters.
+    The simulator builds it once per fitting barrier and every edge holds
+    the same array by reference. ``moments[e]`` is the sum of
+    ``outer(z, z)`` over epoch ``e``'s sweeps with ``z = (1, mix)``, and only
+    ``moments[-1]`` changes. The full-history cross sum of videos ``i`` and
+    ``j`` is ``sum_e epochs[e, i] @ moments[e] @ epochs[e, j]``, exact for
+    every catalog size. A state fed sweeps without their mix holds one
+    identity epoch (zero base, identity factors, mix = the sweep), whose
+    ``cross`` is exactly the sum of ``outer(utilities, utilities)``; it is
+    O(catalog^2), so the simulator always passes the mix.
     """
 
     # bench/tracing.py sizes the state as sums + sq_sums + cross when this is set.
@@ -48,42 +57,47 @@ class CorrelationState:
         self.steps = 0
         self.sums = np.zeros(catalog_size)
         self.sq_sums = np.zeros(catalog_size)
-        self.bases: list[np.ndarray] = []
-        self.factors: list[np.ndarray] = []
-        self.moments: list[np.ndarray] = []
+        self.epochs: np.ndarray | None = None
+        self.moments: np.ndarray | None = None
 
-    def start_epoch(self, base_rate: np.ndarray, target_factors: np.ndarray) -> None:
-        """Fold later sweeps as ``base_rate + target_factors @ mix``."""
-        self.bases.append(base_rate)
-        self.factors.append(target_factors)
-        self.moments.append(np.zeros((target_factors.shape[1] + 1,) * 2))
+    def start_epoch(self, epochs: np.ndarray) -> None:
+        """Fold later sweeps as ``epochs[-1] @ (1, mix)``.
+
+        ``epochs`` is the state's table with one more epoch appended.
+        """
+        if len(epochs) != (0 if self.epochs is None else len(self.epochs)) + 1:
+            raise ValueError("epochs must extend the state's table by one epoch")
+        fresh = np.zeros((1,) + (epochs.shape[2],) * 2)
+        self.moments = fresh if self.moments is None else np.concatenate((self.moments, fresh))
+        self.epochs = epochs
 
     @property
     def cross(self) -> np.ndarray:
         """The current epoch's sum of ``outer(mix, mix)``."""
-        return self.moments[-1][1:, 1:]
+        return self.moments[-1, 1:, 1:]
 
     def update(self, utilities: np.ndarray, mix: np.ndarray | None = None) -> None:
         """Fold one utility sweep, and the mix it was computed from, into the state."""
         lam = np.asarray(utilities, dtype=np.float64)
         if lam.shape[0] != self.catalog_size:
             raise ValueError("utility vector length must match the catalog")
-        if not np.all(np.isfinite(lam)):
+        if not np.isfinite(lam).all():
             raise ValueError("utilities must be finite")
         if mix is None:
-            if not self.bases:
-                self.start_epoch(np.zeros(self.catalog_size), np.eye(self.catalog_size))
+            if self.epochs is None:
+                self.start_epoch(append_epoch(None, np.zeros(self.catalog_size), np.eye(self.catalog_size)))
             mix = lam
         z = np.concatenate(([1.0], mix))
-        self.moments[-1] += np.outer(z, z)
+        self.moments[-1] += z[:, None] * z
         self.steps += 1
         self.sums += lam
         self.sq_sums += lam * lam
 
 
-def update_correlation(state: CorrelationState, utilities: np.ndarray, mix=None) -> CorrelationState:
-    state.update(utilities, mix)
-    return state
+def append_epoch(epochs: np.ndarray | None, base_rate: np.ndarray, target_factors: np.ndarray) -> np.ndarray:
+    """A new table: ``epochs`` (or nothing) followed by the rows ``(base_rate[i], *target_factors[i])``."""
+    rows = np.concatenate((base_rate[:, None], target_factors), axis=1)[None]
+    return rows if epochs is None else np.concatenate((epochs, rows))
 
 
 def correlation_block(state: CorrelationState, videos) -> np.ndarray:
@@ -95,24 +109,20 @@ def correlation_block(state: CorrelationState, videos) -> np.ndarray:
     if state.steps < 2:
         raise ValueError("correlation undefined before two incorporated steps")
     c = np.asarray(videos, dtype=np.intp)
-    bases = np.array([b[c] for b in state.bases])[..., None]
-    feats = np.concatenate((bases, np.array([t.take(c, axis=0) for t in state.factors])), axis=2)
+    feats = state.epochs.take(c, axis=1)
     # All epochs sum as one product over the flattened (epoch, feature) axis.
     shape = (len(c), feats.shape[0] * feats.shape[2])
-    weighted = (feats @ np.array(state.moments)).transpose(1, 0, 2).reshape(shape)
+    weighted = (feats @ state.moments).transpose(1, 0, 2).reshape(shape)
     cross = weighted @ feats.transpose(1, 0, 2).reshape(shape).T
     n = state.steps
     s = state.sums[c]
     var = n * state.sq_sums[c] - s * s
     # An infinite spread zeroes every pair of a degenerate series.
     sd = np.sqrt(np.where(var > _VARIANCE_EPS, var, np.inf))
-    value = (n * cross - np.outer(s, s)) / np.outer(sd, sd)
-    return np.clip(value, -1.0, 1.0, out=value)
-
-
-def correlation_degree(state: CorrelationState, i: int, j: int) -> float:
-    """Pearson correlation of two videos' utility histories; see ``correlation_block``."""
-    return float(correlation_block(state, (i, j))[0, 1])
+    # Broadcast products and a max/min pair: what np.outer and np.clip
+    # compute, without their Python-level wrappers.
+    value = (n * cross - s[:, None] * s) / (sd[:, None] * sd)
+    return np.minimum(np.maximum(value, -1.0, out=value), 1.0, out=value)
 
 
 def candidate_sensitivities(
@@ -138,19 +148,6 @@ def candidate_sensitivities(
     deletion = (params.target_factors[c] @ params.source_factors[c].T) * kernel_state.decayed_counts[c]
     sens = (np.abs(correlation_block(corr, c)) * deletion).sum(axis=1)
     return dict(zip(candidates, sens.tolist()))
-
-
-def video_sensitivity(
-    params: ModelParams,
-    kernel_state: KernelState,
-    corr: CorrelationState,
-    candidates: CandidateSet,
-    video: int,
-) -> float:
-    """One candidate's entry of ``candidate_sensitivities``."""
-    if video not in candidates:
-        raise ValueError("sensitivity is defined for candidate videos only")
-    return candidate_sensitivities(params, kernel_state, corr, candidates)[video]
 
 
 def global_sensitivity(per_video: dict[int, float]) -> float:
@@ -187,6 +184,13 @@ def em_weights(utilities: np.ndarray, eps_step: float, sensitivity: float) -> np
     return w / w.sum()
 
 
+@functools.lru_cache(maxsize=64)
+def _uniform_cdf(n: int) -> tuple[float, ...]:
+    """The normalized cumulative sum ``rng.choice`` searches for ``em_weights``' uniform limit."""
+    cdf = np.full(n, 1.0 / n).cumsum()
+    return tuple((cdf / cdf[-1]).tolist())
+
+
 def em_sample(
     candidates: CandidateSet,
     utilities: np.ndarray,
@@ -200,17 +204,55 @@ def em_sample(
     Each sequential draw is an exponential mechanism over the remaining pool;
     the accounted cost of the step is draws * eps_step under composition. An
     empty candidate set yields an empty decision.
+
+    Draw for draw, this is ``rng.choice(len(pool), p=em_weights(...))`` over
+    the remaining pool, bit for bit and with the same random stream:
+    ``choice`` searches the normalized cumulative sum of ``p`` for one
+    ``rng.random()`` (``side="right"``), and ``rng.random(k)`` yields k such
+    values at once. A score minus the pool maximum does not depend on the
+    rest of the pool, so one ``np.exp`` call weighs the pool against each
+    maximum it can reach, and each draw reads its survivors' weights from
+    the row of the current maximum.
     """
     pool = list(candidates)
     lam = np.asarray(utilities, dtype=np.float64)
     if lam.shape[0] != len(pool):
         raise ValueError("need one utility per candidate")
+    draws = min(len(pool), prefetch_cap)
+    if draws <= 0:
+        return PrefetchDecision(chosen=())
+    if sensitivity < 0:
+        raise ValueError("sensitivity must be non-negative")
     chosen: list[int] = []
-    while pool and len(chosen) < prefetch_cap:
-        probs = em_weights(lam, eps_step, sensitivity)
-        idx = int(rng.choice(len(pool), p=probs))
-        chosen.append(pool.pop(idx))
-        lam = np.delete(lam, idx)
+    if sensitivity == 0.0 or eps_step == 0.0:
+        # No usable signal: the uniform draw is the privacy-safe limit.
+        for u in rng.random(draws).tolist():
+            chosen.append(pool.pop(bisect.bisect_right(_uniform_cdf(len(pool)), u)))
+        return PrefetchDecision(chosen=tuple(chosen))
+    scores = eps_step * lam / (2.0 * sensitivity)
+    # NaN sorts last, so it leads the descending order.
+    ranked = np.sort(scores)[::-1][:draws]
+    if not (ranked[0] < math.inf and ranked[-1] > -math.inf):
+        # A NaN or +inf score, or a pool left with only -inf scores before
+        # the last draw, makes NaN probabilities.
+        raise ValueError("exponential-mechanism scores must be finite for every draw")
+    # Every pool maximum is one of the top ``draws`` scores: one weight row
+    # per candidate maximum, from np.exp (math.exp's last bit differs on
+    # some inputs). Drawn entries may lie above a later maximum; capping
+    # them at 0 keeps their unread weights from overflowing.
+    rows = np.exp(np.minimum(scores - ranked[:, None], 0.0)).tolist()
+    tops = ranked.tolist()
+    listed = scores.tolist()
+    left = list(range(len(pool)))  # undrawn pool positions, in pool order
+    for u in rng.random(draws).tolist():
+        weights = rows[tops.index(max(listed[i] for i in left))]
+        w = [weights[i] for i in left]
+        # numpy sums fewer than 8 floats left to right and more pairwise;
+        # float division and cumsum round the same in Python as in numpy.
+        total = functools.reduce(operator.add, w) if len(w) < 8 else float(np.sum(w))
+        cdf = list(itertools.accumulate(x / total for x in w))
+        last = cdf[-1]
+        chosen.append(pool[left.pop(bisect.bisect_right([c / last for c in cdf], u))])
     return PrefetchDecision(chosen=tuple(chosen))
 
 

@@ -358,6 +358,11 @@ def cmd_eval_cr(args) -> int:
     # Instances charge unit costs, and the bound assumes unit_cost <= budget / 20.
     if int(cfg["cr_budget_units"]) < 20:
         raise UsageError(f"cr_budget_units must be at least 20, got {cfg['cr_budget_units']}")
+    # With no instance, video, step or prefetch slot every optimum is 0, so
+    # the check would skip every instance and still report a worst ratio.
+    for key in ("cr_instances", "cr_videos", "cr_steps", "cr_cap"):
+        if int(cfg[key]) < 1:
+            raise UsageError(f"{key} must be at least 1, got {cfg[key]}")
     n_videos, steps = int(cfg["cr_videos"]), int(cfg["cr_steps"])
     if n_videos * steps > 24:
         raise scheduler.InstanceTooLarge(

@@ -186,43 +186,9 @@ def advance_state(
     return out
 
 
-def rebuild_state(params: ModelParams, event_times, event_videos, at_time: float) -> KernelState:
-    """Recompute the state from raw events (consistency oracle for advance_state)."""
-    times = np.asarray(event_times, dtype=np.float64)
-    vids = np.asarray(event_videos, dtype=np.int64)
-    keep = times <= at_time
-    times, vids = times[keep], vids[keep]
-    counts = np.zeros(params.catalog_size)
-    np.add.at(counts, vids, np.exp(-params.decay * (at_time - times)))
-    state = KernelState(counts, np.zeros(params.dim), at_time)
-    state.rebuild_mix(params)
-    return state
-
-
-def intensity(params: ModelParams, state: KernelState, video: int) -> float:
-    """Request rate of one video at the state's time; O(D)."""
-    return float(params.base_rate[video] + params.target_factors[video] @ state.source_mix)
-
-
 def intensity_sweep(params: ModelParams, state: KernelState) -> np.ndarray:
     """Request rates of every video at the state's time; O(I*D)."""
     return params.base_rate + params.target_factors @ state.source_mix
-
-
-def intensity_sweep_at(params: ModelParams, state: KernelState, at_time: float) -> np.ndarray:
-    """Sweep at a later instant without mutating the state (pure decay)."""
-    if at_time < state.last_update:
-        raise ValueError("cannot evaluate before the state's time")
-    fade = math.exp(-params.decay * (at_time - state.last_update))
-    return params.base_rate + params.target_factors @ (state.source_mix * fade)
-
-
-def kernel_integral(a: float, b: float, decay: float) -> float:
-    """Integral of exp(-decay * t) over [a, b]; b may be infinite."""
-    if a < 0 or a > b:
-        raise ValueError("need 0 <= a <= b")
-    hi = 0.0 if math.isinf(b) else math.exp(-decay * b)
-    return (math.exp(-decay * a) - hi) / decay
 
 
 @dataclass(frozen=True)

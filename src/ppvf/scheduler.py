@@ -88,6 +88,8 @@ class PrivacyLedger:
         if self.prefetch_cap < 0:
             raise ValueError("prefetch_cap must be non-negative")
         self.counts = np.asarray(self.counts, dtype=np.int64)
+        if np.any(self.counts < 0):
+            raise ValueError("charge counts must be non-negative")
         # charge() needs count + 1 <= budget / cost; can_charge() needs
         # count + 1 < budget / cost, i.e. count + 1 <= ceil(budget / cost) - 1.
         self.charge_limit = int(self.total_budget // self.cost)
@@ -95,6 +97,7 @@ class PrivacyLedger:
         self.charge_fraction = self.cost / self.total_budget if self.total_budget else Fraction(0)
         # Read-only per-video view of the one cost (stride 0, one element).
         self.unit_cost = np.broadcast_to(np.array(self.cost, dtype=object), self.counts.shape)
+        self._bar_tables: dict[ThresholdConfig, np.ndarray] = {}
 
     @classmethod
     def uniform(cls, catalog_size: int, total_budget, unit_cost, prefetch_cap: int) -> "PrivacyLedger":
@@ -125,6 +128,26 @@ class PrivacyLedger:
         for count in np.flatnonzero(histogram).tolist():
             table[count] = fn(count)
         return table[self.counts]
+
+    def threshold_bars(self, cfg: ThresholdConfig) -> np.ndarray:
+        """Every video's admission bar, ``threshold`` at its consumed fraction.
+
+        The bars come from a table of ``threshold`` per charge count, kept
+        per ``cfg``. It grows (doubling, capped at ``charge_limit``) only
+        when a count outgrows it, so its size follows the largest count
+        present, not the budget.
+        """
+        table = self._bar_tables.get(cfg, np.empty(0))
+        try:
+            return table[self.counts]
+        except IndexError:
+            size = max(int(self.counts.max()) + 1, min(2 * table.size, self.charge_limit + 1))
+            # Integer true division rounds correctly, as float(Fraction) does,
+            # so this equals float(self.consumed_fraction(v)) without a Fraction.
+            num, den = self.charge_fraction.numerator, self.charge_fraction.denominator
+            table = np.array([threshold(count * num / den, cfg) for count in range(size)])
+            self._bar_tables[cfg] = table
+            return table[self.counts]
 
     def residual_fractions(self) -> np.ndarray:
         """``float(residual_fraction(v))`` for every video."""
@@ -200,11 +223,7 @@ def select_candidates(
     utilities = np.asarray(utilities, dtype=np.float64)
     if utilities.shape[0] != ledger.catalog_size:
         raise ValueError("utility vector length must match the ledger catalog")
-    # Integer true division rounds correctly, as float(Fraction) does, so
-    # this equals float(ledger.consumed_fraction(v)) without a Fraction.
-    num, den = ledger.charge_fraction.numerator, ledger.charge_fraction.denominator
-    bars = ledger.per_count(lambda count: threshold(count * num / den, cfg))
-    eligible = (utilities / float(ledger.cost) > bars) & ledger.chargeable()
+    eligible = (utilities / float(ledger.cost) > ledger.threshold_bars(cfg)) & ledger.chargeable()
     return admit_in_order(rng.permutation(ledger.catalog_size), eligible, ledger)
 
 

@@ -179,8 +179,8 @@ class _EdgeRuntime:
     sweep at that stamp sees only the strictly earlier past (left limit).
     """
 
-    def __init__(self, edge_id: int, log: EventLog, cfg: SimConfig, params: ModelParams, capacity: int):
-        catalog_size = params.catalog_size
+    def __init__(self, edge_id: int, log: EventLog, cfg: SimConfig, epochs: np.ndarray, capacity: int):
+        catalog_size = epochs.shape[1]
         self.edge_id = edge_id
         self.log = log
         self.cfg = cfg
@@ -190,8 +190,12 @@ class _EdgeRuntime:
         self.ledger = scheduler.PrivacyLedger.uniform(
             catalog_size, cfg.total_budget, cfg.unit_cost, cfg.prefetch_cap
         )
+        # The exponential mechanism's per-draw budget for each candidate count.
+        self.eps_steps = [
+            float(k * self.ledger.cost / cfg.prefetch_cap) for k in range(cfg.prefetch_cap + 1)
+        ]
         self.corr = cdp.CorrelationState(catalog_size)
-        self.corr.start_epoch(params.base_rate, params.target_factors)
+        self.corr.start_epoch(epochs)
         self.bounds = _BoundTracker(cfg.bounds)
         if cfg.policy == "lru":
             self.cache = cache_mod.LruCache(capacity)
@@ -293,11 +297,10 @@ class _EdgeRuntime:
                 if self.mav is None:
                     sens = cdp.candidate_sensitivities(params, state, self.corr, candidates)
                     worst = cdp.global_sensitivity(sens)
-                eps_step = float(len(candidates) * self.ledger.cost / self.ledger.prefetch_cap)
                 decision = cdp.em_sample(
                     candidates,
                     lam[list(candidates)],
-                    eps_step,
+                    self.eps_steps[len(candidates)],
                     worst,
                     self.ledger.prefetch_cap,
                     self.rng_em,
@@ -347,7 +350,8 @@ def run_simulation(cfg: SimConfig, log: EventLog) -> SimReport:
     capacity = max(1, round(cfg.cache_fraction * log.catalog_size))
     params = ModelParams.constant(log.catalog_size, cfg.latent_dim, 1.0, cfg.decay)
     edge_logs = partition_by_edge(log)
-    edges = [_EdgeRuntime(e, el, cfg, params, capacity) for e, el in enumerate(edge_logs)]
+    epochs = cdp.append_epoch(None, params.base_rate, params.target_factors)
+    edges = [_EdgeRuntime(e, el, cfg, epochs, capacity) for e, el in enumerate(edge_logs)]
     report = SimReport(policy=cfg.policy, cache_capacity=capacity)
 
     fits = fit_barriers(edge_logs, params, cfg, cfg.test_horizon) if cfg.policy in _MEP_POLICIES else ()
@@ -357,9 +361,11 @@ def run_simulation(cfg: SimConfig, log: EventLog) -> SimReport:
             rt.fold(params)
         params = result.params
         report.fl_losses.extend((barrier, idx, loss) for idx, loss in enumerate(result.losses))
+        # One table per barrier, shared by reference by every edge's state.
+        epochs = cdp.append_epoch(epochs, params.base_rate, params.target_factors)
         for rt in edges:
             rt.kernel.rebuild_mix(params)
-            rt.corr.start_epoch(params.base_rate, params.target_factors)
+            rt.corr.start_epoch(epochs)
     for rt in edges:
         rt.replay(params, math.inf)
 

@@ -2,8 +2,10 @@
 
 Everything here recomputes quantities from raw inputs (literal double sums,
 numeric quadrature, finite differences, sequential budget walks over exact
-fractions, an evaluate-everything fitting loop) and deliberately avoids the
-machinery under test.
+fractions, an evaluate-everything fitting loop, per-draw ``rng.choice``
+sampling, per-epoch correlation lists) and deliberately avoids the
+machinery under test. The test-only helpers that follow the oracles wrap
+production code for single-value queries.
 """
 
 import math
@@ -12,17 +14,19 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
+from ppvf.cdp import CorrelationState, PrefetchDecision, candidate_sensitivities, correlation_block, em_weights
 from ppvf.federation import FitResult, TrainConfig, aggregate_and_step, global_loss, sum_gradients
 from ppvf.predictor import (
     PARAM_FLOOR,
     GradientBundle,
+    KernelState,
     ModelParams,
     TrainWindow,
     window_gradients,
     window_log_likelihood,
     window_stats,
 )
-from ppvf.scheduler import threshold
+from ppvf.scheduler import CandidateSet, threshold
 
 
 def brute_intensity_all(params: ModelParams, times, vids, at: float) -> np.ndarray:
@@ -223,3 +227,123 @@ def fit_round_evaluating_everything(edge_logs, params: ModelParams, window: Trai
             break
         loss = cand_loss
     return FitResult(params=params, losses=losses)
+
+
+def em_sample_per_draw(candidates, utilities, eps_step, sensitivity, prefetch_cap, rng) -> PrefetchDecision:
+    """Sequential exponential-mechanism draws: ``em_weights`` of the remaining
+    pool, one ``rng.choice`` with those probabilities, delete, repeat."""
+    pool = list(candidates)
+    lam = np.asarray(utilities, dtype=np.float64)
+    if lam.shape[0] != len(pool):
+        raise ValueError("need one utility per candidate")
+    chosen: list[int] = []
+    while pool and len(chosen) < prefetch_cap:
+        probs = em_weights(lam, eps_step, sensitivity)
+        idx = int(rng.choice(len(pool), p=probs))
+        chosen.append(pool.pop(idx))
+        lam = np.delete(lam, idx)
+    return PrefetchDecision(chosen=tuple(chosen))
+
+
+class ListCorrelationState:
+    """Correlation sums with each epoch's ``base_rate``, ``target_factors``
+    and mix moments kept in three parallel lists."""
+
+    def __init__(self, catalog_size: int):
+        self.steps = 0
+        self.sums = np.zeros(catalog_size)
+        self.sq_sums = np.zeros(catalog_size)
+        self.bases: list[np.ndarray] = []
+        self.factors: list[np.ndarray] = []
+        self.moments: list[np.ndarray] = []
+
+    def start_epoch(self, base_rate: np.ndarray, target_factors: np.ndarray) -> None:
+        self.bases.append(base_rate)
+        self.factors.append(target_factors)
+        self.moments.append(np.zeros((target_factors.shape[1] + 1,) * 2))
+
+    def update(self, utilities: np.ndarray, mix: np.ndarray) -> None:
+        lam = np.asarray(utilities, dtype=np.float64)
+        z = np.concatenate(([1.0], mix))
+        self.moments[-1] += np.outer(z, z)
+        self.steps += 1
+        self.sums += lam
+        self.sq_sums += lam * lam
+
+
+def correlation_block_from_lists(state: ListCorrelationState, videos) -> np.ndarray:
+    """Pearson block of ``videos``, each epoch's rows stacked from the lists."""
+    if state.steps < 2:
+        raise ValueError("correlation undefined before two incorporated steps")
+    c = np.asarray(videos, dtype=np.intp)
+    bases = np.array([b[c] for b in state.bases])[..., None]
+    feats = np.concatenate((bases, np.array([t.take(c, axis=0) for t in state.factors])), axis=2)
+    shape = (len(c), feats.shape[0] * feats.shape[2])
+    weighted = (feats @ np.array(state.moments)).transpose(1, 0, 2).reshape(shape)
+    cross = weighted @ feats.transpose(1, 0, 2).reshape(shape).T
+    n = state.steps
+    s = state.sums[c]
+    var = n * state.sq_sums[c] - s * s
+    sd = np.sqrt(np.where(var > 1e-12, var, np.inf))
+    value = (n * cross - np.outer(s, s)) / np.outer(sd, sd)
+    return np.clip(value, -1.0, 1.0, out=value)
+
+
+# -- test-only helpers -------------------------------------------------------
+
+
+def rebuild_state(params: ModelParams, event_times, event_videos, at_time: float) -> KernelState:
+    """Recompute the state from raw events (consistency oracle for advance_state)."""
+    times = np.asarray(event_times, dtype=np.float64)
+    vids = np.asarray(event_videos, dtype=np.int64)
+    keep = times <= at_time
+    times, vids = times[keep], vids[keep]
+    counts = np.zeros(params.catalog_size)
+    np.add.at(counts, vids, np.exp(-params.decay * (at_time - times)))
+    state = KernelState(counts, np.zeros(params.dim), at_time)
+    state.rebuild_mix(params)
+    return state
+
+
+def intensity(params: ModelParams, state: KernelState, video: int) -> float:
+    """Request rate of one video at the state's time; O(D)."""
+    return float(params.base_rate[video] + params.target_factors[video] @ state.source_mix)
+
+
+def intensity_sweep_at(params: ModelParams, state: KernelState, at_time: float) -> np.ndarray:
+    """Sweep at a later instant without mutating the state (pure decay)."""
+    if at_time < state.last_update:
+        raise ValueError("cannot evaluate before the state's time")
+    fade = math.exp(-params.decay * (at_time - state.last_update))
+    return params.base_rate + params.target_factors @ (state.source_mix * fade)
+
+
+def kernel_integral(a: float, b: float, decay: float) -> float:
+    """Integral of exp(-decay * t) over [a, b]; b may be infinite."""
+    if a < 0 or a > b:
+        raise ValueError("need 0 <= a <= b")
+    hi = 0.0 if math.isinf(b) else math.exp(-decay * b)
+    return (math.exp(-decay * a) - hi) / decay
+
+
+def update_correlation(state: CorrelationState, utilities: np.ndarray, mix=None) -> CorrelationState:
+    state.update(utilities, mix)
+    return state
+
+
+def correlation_degree(state: CorrelationState, i: int, j: int) -> float:
+    """Pearson correlation of two videos' utility histories; see ``correlation_block``."""
+    return float(correlation_block(state, (i, j))[0, 1])
+
+
+def video_sensitivity(
+    params: ModelParams,
+    kernel_state: KernelState,
+    corr: CorrelationState,
+    candidates: CandidateSet,
+    video: int,
+) -> float:
+    """One candidate's entry of ``candidate_sensitivities``."""
+    if video not in candidates:
+        raise ValueError("sensitivity is defined for candidate videos only")
+    return candidate_sensitivities(params, kernel_state, corr, candidates)[video]

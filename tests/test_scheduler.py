@@ -210,6 +210,47 @@ class TestSelectorsMatchSequentialWalk:
         assert ledger.residual_fractions().tolist() == residuals
 
 
+class TestThresholdBars:
+    """The per-count bar table equals ``threshold`` evaluated per distinct count."""
+
+    @staticmethod
+    def per_count_bars(ledger, cfg):
+        num, den = ledger.charge_fraction.numerator, ledger.charge_fraction.denominator
+        return ledger.per_count(lambda count: threshold(count * num / den, cfg))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ledger_pairs(),
+        st.sampled_from([ThresholdConfig(upper=6.0, lower=0.5), ThresholdConfig(upper=3.0, lower=3.0)]),
+        st.lists(st.integers(min_value=0, max_value=9), max_size=12),
+    )
+    def test_table_equals_per_count(self, pair, cfg, charges):
+        ledger, _ = pair
+        assert ledger.threshold_bars(cfg).tolist() == self.per_count_bars(ledger, cfg).tolist()
+        for video in charges:
+            video %= ledger.catalog_size
+            if ledger.counts[video] < ledger.charge_limit:
+                ledger.charge(video)
+            assert ledger.threshold_bars(cfg).tolist() == self.per_count_bars(ledger, cfg).tolist()
+
+    def test_zero_budget_bars_sit_at_lower_bound(self):
+        cfg = ThresholdConfig(upper=6.0, lower=0.5)
+        ledger = PrivacyLedger.uniform(3, 0, 1, 2)
+        assert ledger.threshold_bars(cfg).tolist() == self.per_count_bars(ledger, cfg).tolist() == [0.5] * 3
+
+    def test_table_covers_only_counts_that_occur(self):
+        cfg = ThresholdConfig(upper=6.0, lower=0.5)
+        ledger = PrivacyLedger.uniform(4, 10**6, 1, 2)
+        for _ in range(3):
+            ledger.charge(2)
+        assert ledger.threshold_bars(cfg).tolist() == self.per_count_bars(ledger, cfg).tolist()
+        assert len(ledger._bar_tables[cfg]) <= 8
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValueError):
+            PrivacyLedger(Fraction(4), Fraction(1), 2, np.array([0, -1]))
+
+
 class TestOfflineOptimum:
     def test_single_step_ample_budget_takes_everything(self):
         ledger = PrivacyLedger.uniform(4, 100, 1, 4)

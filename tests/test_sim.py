@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import rebuild_state
 from ppvf import predictor, sim, trace
 from ppvf.federation import TrainConfig
 from ppvf.predictor import ModelParams
@@ -189,7 +190,7 @@ class TestRunSimulation:
                         reference_hits.append(hit)
                     if not hit:
                         past = times < t  # brute-force left-limit sweep
-                        state = predictor.rebuild_state(params, times[past], vids[past], t)
+                        state = rebuild_state(params, times[past], vids[past], t)
                         lam = predictor.intensity_sweep(params, state)
                         cache.refresh_scores(lam)
                         cache.admit([(int(v), lam[int(v)])])
