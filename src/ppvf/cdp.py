@@ -4,23 +4,22 @@ Each cache miss contributes one utility sweep to a running Pearson state.
 Between refits every sweep is affine in the edge's latent mix,
 ``utilities = base_rate + target_factors @ mix``, so the state keeps the
 moments of the mix per parameter epoch, next to one (epoch, video, 1+D)
-table of every epoch's parameters that all edges share; any pair's
-full-history cross sum follows from those in O(E * D^2), for every catalog
-size. Sensitivity of a candidate video is the correlation-weighted
-sum of how much deleting each co-candidate's history would move its
-utility; with the exponential kernel that deletion difference has the
-closed form ``influence(i,j) * decayed_counts[j]``, so no rebuild is
-needed. Prefetch decisions sample candidates without replacement through an
-exponential mechanism scaled by the worst candidate sensitivity.
+table of every epoch's parameters, allocated once for the whole fitting
+schedule and shared by all edges; any pair's full-history cross sum
+follows from those in O(E * D^2), for every catalog size. Sensitivity of
+a candidate video is the correlation-weighted sum of how much deleting
+each co-candidate's history would move its utility; with the exponential
+kernel that deletion difference has the closed form
+``influence(i,j) * decayed_counts[j]``, so no rebuild is needed. Prefetch
+decisions sample candidates without replacement through an exponential
+mechanism scaled by the worst candidate sensitivity.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +35,11 @@ class CorrelationState:
 
     ``sums`` and ``sq_sums`` accumulate each video's utilities directly.
     Cross sums stay factored over parameter epochs. ``epochs`` is the
-    (E, I, 1+D) table built by :func:`append_epoch`: row ``epochs[e, i]`` is
+    (E, I, 1+D) table filled by :func:`set_epoch`: row ``epochs[e, i]`` is
     ``(base_rate[i], *target_factors[i])`` under epoch ``e``'s parameters.
-    The simulator builds it once per fitting barrier and every edge holds
-    the same array by reference. ``moments[e]`` is the sum of
+    The simulator allocates one table for every barrier of its schedule,
+    fills epoch ``e`` at barrier ``e`` and gives every edge the same view
+    of the filled epochs. ``moments[e]`` is the sum of
     ``outer(z, z)`` over epoch ``e``'s sweeps with ``z = (1, mix)``, and only
     ``moments[-1]`` changes. The full-history cross sum of videos ``i`` and
     ``j`` is ``sum_e epochs[e, i] @ moments[e] @ epochs[e, j]``, exact for
@@ -63,7 +63,7 @@ class CorrelationState:
     def start_epoch(self, epochs: np.ndarray) -> None:
         """Fold later sweeps as ``epochs[-1] @ (1, mix)``.
 
-        ``epochs`` is the state's table with one more epoch appended.
+        ``epochs`` is the state's table with one more epoch filled in.
         """
         if len(epochs) != (0 if self.epochs is None else len(self.epochs)) + 1:
             raise ValueError("epochs must extend the state's table by one epoch")
@@ -85,7 +85,8 @@ class CorrelationState:
             raise ValueError("utilities must be finite")
         if mix is None:
             if self.epochs is None:
-                self.start_epoch(append_epoch(None, np.zeros(self.catalog_size), np.eye(self.catalog_size)))
+                # Zero base rate in column 0, identity factors after it.
+                self.start_epoch(np.eye(self.catalog_size, self.catalog_size + 1, 1)[None])
             mix = lam
         z = np.concatenate(([1.0], mix))
         self.moments[-1] += z[:, None] * z
@@ -94,10 +95,14 @@ class CorrelationState:
         self.sq_sums += lam * lam
 
 
-def append_epoch(epochs: np.ndarray | None, base_rate: np.ndarray, target_factors: np.ndarray) -> np.ndarray:
-    """A new table: ``epochs`` (or nothing) followed by the rows ``(base_rate[i], *target_factors[i])``."""
-    rows = np.concatenate((base_rate[:, None], target_factors), axis=1)[None]
-    return rows if epochs is None else np.concatenate((epochs, rows))
+def set_epoch(table: np.ndarray, epoch: int, base_rate: np.ndarray, target_factors: np.ndarray) -> np.ndarray:
+    """Fill ``table[epoch]`` with the rows ``(base_rate[i], *target_factors[i])``.
+
+    Returns the view of epochs ``0..epoch`` that :meth:`CorrelationState.start_epoch` takes.
+    """
+    table[epoch, :, 0] = base_rate
+    table[epoch, :, 1:] = target_factors
+    return table[: epoch + 1]
 
 
 def correlation_block(state: CorrelationState, videos) -> np.ndarray:
@@ -240,19 +245,17 @@ def em_sample(
     # per candidate maximum, from np.exp (math.exp's last bit differs on
     # some inputs). Drawn entries may lie above a later maximum; capping
     # them at 0 keeps their unread weights from overflowing.
-    rows = np.exp(np.minimum(scores - ranked[:, None], 0.0)).tolist()
+    rows = np.exp(np.minimum(scores - ranked[:, None], 0.0))
     tops = ranked.tolist()
     listed = scores.tolist()
     left = list(range(len(pool)))  # undrawn pool positions, in pool order
     for u in rng.random(draws).tolist():
-        weights = rows[tops.index(max(listed[i] for i in left))]
-        w = [weights[i] for i in left]
-        # numpy sums fewer than 8 floats left to right and more pairwise;
-        # float division and cumsum round the same in Python as in numpy.
-        total = functools.reduce(operator.add, w) if len(w) < 8 else float(np.sum(w))
-        cdf = list(itertools.accumulate(x / total for x in w))
-        last = cdf[-1]
-        chosen.append(pool[left.pop(bisect.bisect_right([c / last for c in cdf], u))])
+        # The survivors' weights, normalised and searched with the same
+        # numpy reductions as em_weights and rng.choice.
+        w = rows[tops.index(max(listed[i] for i in left)), left]
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        chosen.append(pool[left.pop(int(cdf.searchsorted(u, side="right")))])
     return PrefetchDecision(chosen=tuple(chosen))
 
 

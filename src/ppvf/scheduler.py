@@ -97,7 +97,8 @@ class PrivacyLedger:
         self.charge_fraction = self.cost / self.total_budget if self.total_budget else Fraction(0)
         # Read-only per-video view of the one cost (stride 0, one element).
         self.unit_cost = np.broadcast_to(np.array(self.cost, dtype=object), self.counts.shape)
-        self._bar_tables: dict[ThresholdConfig, np.ndarray] = {}
+        self._bars_cfg: ThresholdConfig | None = None
+        self._bars = np.empty(0)
 
     @classmethod
     def uniform(cls, catalog_size: int, total_budget, unit_cost, prefetch_cap: int) -> "PrivacyLedger":
@@ -132,22 +133,21 @@ class PrivacyLedger:
     def threshold_bars(self, cfg: ThresholdConfig) -> np.ndarray:
         """Every video's admission bar, ``threshold`` at its consumed fraction.
 
-        The bars come from a table of ``threshold`` per charge count, kept
-        per ``cfg``. It grows (doubling, capped at ``charge_limit``) only
-        when a count outgrows it, so its size follows the largest count
-        present, not the budget.
+        The bars come from a table of ``threshold`` per charge count for the
+        last ``cfg`` asked for. It is extended only when a count outgrows
+        it, so its size follows the largest count present, not the budget.
         """
-        table = self._bar_tables.get(cfg, np.empty(0))
+        if cfg != self._bars_cfg:
+            self._bars_cfg, self._bars = cfg, np.empty(0)
         try:
-            return table[self.counts]
+            return self._bars[self.counts]
         except IndexError:
-            size = max(int(self.counts.max()) + 1, min(2 * table.size, self.charge_limit + 1))
             # Integer true division rounds correctly, as float(Fraction) does,
             # so this equals float(self.consumed_fraction(v)) without a Fraction.
             num, den = self.charge_fraction.numerator, self.charge_fraction.denominator
-            table = np.array([threshold(count * num / den, cfg) for count in range(size)])
-            self._bar_tables[cfg] = table
-            return table[self.counts]
+            missing = range(self._bars.size, int(self.counts.max()) + 1)
+            self._bars = np.append(self._bars, [threshold(count * num / den, cfg) for count in missing])
+            return self._bars[self.counts]
 
     def residual_fractions(self) -> np.ndarray:
         """``float(residual_fraction(v))`` for every video."""

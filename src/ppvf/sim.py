@@ -334,14 +334,22 @@ def fit_barriers(edge_logs, params: ModelParams, cfg: SimConfig, horizon: float)
     barrier reads each edge's requests stamped before it and starts from the
     previous fit's parameters, so no replay state enters the sequence.
     """
-    interval = cfg.train.update_interval_hours
-    barrier = interval
-    while barrier < horizon:
+    for barrier in barrier_times(cfg, horizon):
         window = TrainWindow.from_truncation(barrier, cfg.truncation, cfg.decay)
         result = run_fit_round([el.before(barrier) for el in edge_logs], params, window, cfg.train)
         yield barrier, result
         params = result.params
+
+
+def barrier_times(cfg: SimConfig, horizon: float) -> list[float]:
+    """The fitting barriers before ``horizon``, every ``cfg.train.update_interval_hours``."""
+    interval = cfg.train.update_interval_hours
+    times = []
+    barrier = interval
+    while barrier < horizon:
+        times.append(barrier)
         barrier += interval
+    return times
 
 
 def run_simulation(cfg: SimConfig, log: EventLog) -> SimReport:
@@ -350,19 +358,23 @@ def run_simulation(cfg: SimConfig, log: EventLog) -> SimReport:
     capacity = max(1, round(cfg.cache_fraction * log.catalog_size))
     params = ModelParams.constant(log.catalog_size, cfg.latent_dim, 1.0, cfg.decay)
     edge_logs = partition_by_edge(log)
-    epochs = cdp.append_epoch(None, params.base_rate, params.target_factors)
+    fitted = cfg.policy in _MEP_POLICIES
+    # One parameter table for the whole schedule, shared by every edge's
+    # correlation state; barrier e fills epoch e.
+    refits = len(barrier_times(cfg, cfg.test_horizon)) if fitted else 0
+    table = np.empty((1 + refits, log.catalog_size, 1 + cfg.latent_dim))
+    epochs = cdp.set_epoch(table, 0, params.base_rate, params.target_factors)
     edges = [_EdgeRuntime(e, el, cfg, epochs, capacity) for e, el in enumerate(edge_logs)]
     report = SimReport(policy=cfg.policy, cache_capacity=capacity)
 
-    fits = fit_barriers(edge_logs, params, cfg, cfg.test_horizon) if cfg.policy in _MEP_POLICIES else ()
-    for barrier, result in fits:
+    fits = fit_barriers(edge_logs, params, cfg, cfg.test_horizon) if fitted else ()
+    for epoch, (barrier, result) in enumerate(fits, start=1):
         for rt in edges:
             rt.replay(params, barrier)
             rt.fold(params)
         params = result.params
         report.fl_losses.extend((barrier, idx, loss) for idx, loss in enumerate(result.losses))
-        # One table per barrier, shared by reference by every edge's state.
-        epochs = cdp.append_epoch(epochs, params.base_rate, params.target_factors)
+        epochs = cdp.set_epoch(table, epoch, params.base_rate, params.target_factors)
         for rt in edges:
             rt.kernel.rebuild_mix(params)
             rt.corr.start_epoch(epochs)

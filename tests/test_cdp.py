@@ -116,11 +116,12 @@ class TestCorrelationDegree:
         rng = np.random.default_rng(2)
         catalog, dim = 5000, 3
         state = CorrelationState(catalog)
+        table = np.empty((2, catalog, 1 + dim))
         history = []
-        for _ in range(2):
+        for epoch in range(2):
             base = rng.uniform(0.1, 0.5, catalog)
             factors = rng.uniform(0.05, 0.3, (catalog, dim))
-            state.start_epoch(cdp.append_epoch(state.epochs, base, factors))
+            state.start_epoch(cdp.set_epoch(table, epoch, base, factors))
             for _ in range(15):
                 mix = rng.uniform(0.0, 2.0, dim)
                 lam = base + factors @ mix
@@ -138,10 +139,11 @@ class TestCorrelationBlockMatchesEpochLists:
         rng = np.random.default_rng(epochs)
         catalog, dim = 60, 10
         state, ref = CorrelationState(catalog), ListCorrelationState(catalog)
-        for _ in range(epochs):
+        table = np.empty((epochs, catalog, 1 + dim))
+        for epoch in range(epochs):
             base = rng.uniform(0.1, 0.5, catalog)
             factors = rng.uniform(0.05, 0.3, (catalog, dim))
-            state.start_epoch(cdp.append_epoch(state.epochs, base, factors))
+            state.start_epoch(cdp.set_epoch(table, epoch, base, factors))
             ref.start_epoch(base, factors)
             for _ in range(int(rng.integers(2, 6))):
                 mix = rng.uniform(0.0, 2.0, dim)
@@ -155,10 +157,11 @@ class TestCorrelationBlockMatchesEpochLists:
 
     def test_table_must_grow_by_one_epoch(self):
         state = CorrelationState(3)
-        table = cdp.append_epoch(None, np.ones(3), np.ones((3, 2)))
-        state.start_epoch(table)
+        table = np.empty((2, 3, 3))
+        first = cdp.set_epoch(table, 0, np.ones(3), np.ones((3, 2)))
+        state.start_epoch(first)
         with pytest.raises(ValueError):
-            state.start_epoch(table)
+            state.start_epoch(first)
 
 
 def warm_corr(catalog, rng, steps=12):

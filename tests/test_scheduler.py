@@ -244,7 +244,15 @@ class TestThresholdBars:
         for _ in range(3):
             ledger.charge(2)
         assert ledger.threshold_bars(cfg).tolist() == self.per_count_bars(ledger, cfg).tolist()
-        assert len(ledger._bar_tables[cfg]) <= 8
+        assert len(ledger._bars) == 4
+
+    def test_changed_config_rebuilds_the_table(self):
+        first, second = ThresholdConfig(upper=6.0, lower=0.5), ThresholdConfig(upper=3.0, lower=1.0)
+        ledger = PrivacyLedger.uniform(3, 4, 1, 2)
+        ledger.charge(1)
+        for cfg in (first, second, first):
+            assert ledger.threshold_bars(cfg).tolist() == self.per_count_bars(ledger, cfg).tolist()
+            ledger.charge(0)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
