@@ -93,6 +93,8 @@ class PrivacyLedger:
         # charge() needs count + 1 <= budget / cost; can_charge() needs
         # count + 1 < budget / cost, i.e. count + 1 <= ceil(budget / cost) - 1.
         self.charge_limit = int(self.total_budget // self.cost)
+        if self.counts.size and int(self.counts.max()) > self.charge_limit:
+            raise ValueError(f"charge counts must not exceed the charge limit {self.charge_limit}")
         self.strict_limit = -(-self.total_budget // self.cost) - 1
         self.charge_fraction = self.cost / self.total_budget if self.total_budget else Fraction(0)
         # Read-only per-video view of the one cost (stride 0, one element).

@@ -80,6 +80,8 @@ class SimConfig:
             raise ValueError("slot_hours must be positive")
         if not 0 <= self.mav_weight < 1:
             raise ValueError("mav_weight must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,9 @@ import numpy as np
 from .predictor import ModelParams
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 class TraceFormatError(ValueError):
     """Raised when a trace file cannot be parsed; carries the 1-based line number."""
 
@@ -42,9 +45,10 @@ class RequestEvent(NamedTuple):
 class EventLog:
     """Time-sorted viewing requests over a fixed catalog and edge set.
 
-    Events are stored as parallel arrays for fast scanning; iteration yields
-    :class:`RequestEvent` tuples. All timestamps lie in ``[0, horizon)`` and
-    ties preserve input order (stable sort), so replays are deterministic.
+    Events are stored as parallel arrays (int64 ids, float64 stamps) for fast
+    scanning; iteration yields :class:`RequestEvent` tuples. All timestamps
+    lie in ``[0, horizon)`` and ties preserve input order (stable sort), so
+    replays are deterministic.
     """
 
     edge_ids: np.ndarray
@@ -73,8 +77,13 @@ class EventLog:
         return len(self.timestamps)
 
     def __iter__(self) -> Iterator[RequestEvent]:
-        for e, u, v, t in zip(self.edge_ids, self.user_ids, self.video_ids, self.timestamps):
-            yield RequestEvent(int(e), int(u), int(v), float(t))
+        return map(RequestEvent._make, self._rows())
+
+    def _rows(self) -> Iterator[tuple[int, int, int, float]]:
+        # tolist() turns the int64 and float64 columns into the same Python
+        # ints and floats as per-element int()/float(), in one pass per column.
+        columns = (self.edge_ids, self.user_ids, self.video_ids, self.timestamps)
+        return zip(*(c.tolist() for c in columns))
 
     def before(self, t: float) -> "EventLog":
         """The requests stamped strictly before ``t``, as a log with horizon ``t``."""
@@ -153,9 +162,9 @@ def load_trace(
     the likelihood. The catalog defaults to ``1 + max(video_id)`` unless
     overridden.
     """
-    if quantize_hours <= 0:
-        raise ValueError("quantize_hours must be positive")
-    edges, users, vids, tss = [], [], [], []
+    if not 0 < quantize_hours < math.inf:
+        raise ValueError("quantize_hours must be positive and finite")
+    edges, users, vids, tss, line_nos = [], [], [], [], []
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for line_no, raw in enumerate(fh, start=1):
@@ -180,18 +189,25 @@ def load_trace(
                 users.append(u)
                 vids.append(v)
                 tss.append(t)
+                line_nos.append(line_no)
         except UnicodeDecodeError:
             raise TraceFormatError("trace file is not valid UTF-8") from None
     if not edges:
         raise TraceFormatError("trace file contains no records")
 
+    try:
+        edge_arr, user_arr, vid_arr = (np.array(ids, dtype=np.int64) for ids in (edges, users, vids))
+    except OverflowError:
+        rows = zip(edges, users, vids)
+        bad = next(k for k, ids in enumerate(rows) if not all(_INT64.min <= i <= _INT64.max for i in ids))
+        raise TraceFormatError("id does not fit in a 64-bit integer", line_nos[bad]) from None
     ts = np.array(tss, dtype=np.float64)
     # The tiny bias guards against 2.9999999 from float division of an
     # already-quantized stamp; it keeps quantization idempotent.
-    ts = np.floor(ts / quantize_hours + 1e-9) * quantize_hours
+    with np.errstate(over="ignore"):  # an overflowing stamp is reported below
+        ts = np.floor(ts / quantize_hours + 1e-9) * quantize_hours
     order = np.argsort(ts, kind="stable")
 
-    vid_arr = np.array(vids, dtype=np.int64)
     inferred = int(vid_arr.max()) + 1
     if catalog_size is None:
         catalog_size = inferred
@@ -199,14 +215,21 @@ def load_trace(
         raise TraceFormatError(
             f"catalog_size override {catalog_size} smaller than 1 + max video id {inferred - 1}"
         )
-    horizon = float(ts.max()) + quantize_hours
+    # The horizon is one slot past the last stamp, so that stamp needs a
+    # slot that ends at a larger finite time.
+    last = int(ts.argmax())
+    horizon = float(ts[last]) + quantize_hours
+    if not ts[last] < horizon < math.inf:
+        raise TraceFormatError(
+            f"timestamp {tss[last]!r} has no finite {quantize_hours} h slot after it", line_nos[last]
+        )
     return EventLog(
-        edge_ids=np.array(edges, dtype=np.int64)[order],
-        user_ids=np.array(users, dtype=np.int64)[order],
+        edge_ids=edge_arr[order],
+        user_ids=user_arr[order],
         video_ids=vid_arr[order],
         timestamps=ts[order],
         catalog_size=catalog_size,
-        edge_count=int(max(edges)) + 1,
+        edge_count=int(edge_arr.max()) + 1,
         horizon=horizon,
     )
 
@@ -238,7 +261,7 @@ def generate_synthetic(spec: SyntheticSpec) -> EventLog:
         raise StabilityError(
             f"excitation branching ratio {ratio:.4f} >= 1; the process is explosive"
         )
-    per_edge = [_thin_one_edge(spec, e) for e in range(spec.edge_count)]
+    per_edge = [_thin_one_edge(spec, e, _edge_rng(spec, e)) for e in range(spec.edge_count)]
     edges = np.concatenate([p[0] for p in per_edge])
     users = np.concatenate([p[1] for p in per_edge])
     vids = np.concatenate([p[2] for p in per_edge])
@@ -255,39 +278,46 @@ def generate_synthetic(spec: SyntheticSpec) -> EventLog:
     )
 
 
-def _thin_one_edge(spec: SyntheticSpec, edge: int):
+def _edge_rng(spec: SyntheticSpec, edge: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(spec.rng_seed, spawn_key=(edge,)))
+
+
+def _thin_one_edge(spec: SyntheticSpec, edge: int, rng: np.random.Generator):
     gt = spec.ground_truth
-    rng = np.random.default_rng(np.random.SeedSequence(spec.rng_seed, spawn_key=(edge,)))
     base = spec.base_rate_scale * gt.base_rate
     tgt, src, decay = gt.target_factors, gt.source_factors, gt.decay
+    base_total, tgt_totals = base.sum(), tgt.sum(axis=0)
 
     times: list[float] = []
     vids: list[int] = []
-    # Decayed per-video event counts and their latent projection; both decay
-    # by the same factor between events, so the total intensity right after
-    # an event upper-bounds it until the next one (exponential kernel).
-    counts = np.zeros(spec.catalog_size)
+    # The latent projection of the decayed event counts decays by one factor
+    # between events, so the total intensity right after an event
+    # upper-bounds it until the next one (exponential kernel).
     mix = np.zeros(gt.dim)
     t = 0.0
     while True:
-        bound = float(base.sum() + tgt.sum(axis=0) @ mix)
+        bound = float(base_total + tgt_totals @ mix)
         if bound <= 0:
             break
         dt = rng.exponential(1.0 / bound)
         t += dt
         if t >= spec.horizon:
             break
-        fade = np.exp(-decay * dt)
-        counts *= fade
-        mix *= fade
+        mix *= np.exp(-decay * dt)
         lam = base + tgt @ mix
         total = float(lam.sum())
         if rng.random() * bound > total:
             continue  # thinned out
-        video = int(rng.choice(spec.catalog_size, p=lam / total))
+        # The intensities are non-negative, so rng.choice(p=lam / total)
+        # rejects p exactly when total is zero or not finite; otherwise it
+        # draws one uniform and searches it in this normalised CDF.
+        if not 0 < total < math.inf:
+            raise ValueError(f"total intensity {total} cannot normalise a video distribution")
+        cdf = (lam / total).cumsum()
+        cdf /= cdf[-1]
+        video = int(cdf.searchsorted(rng.random(), side="right"))
         times.append(t)
         vids.append(video)
-        counts[video] += 1.0
         mix += src[video]
 
     n = len(times)
@@ -323,5 +353,4 @@ def write_trace(log: EventLog, path) -> None:
     """Emit the flat CSV format accepted by :func:`load_trace`."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# edge_id,user_id,video_id,timestamp\n")
-        for ev in log:
-            fh.write(f"{ev.edge_id},{ev.user_id},{ev.video_id},{ev.timestamp!r}\n")
+        fh.writelines(f"{e},{u},{v},{t!r}\n" for e, u, v, t in log._rows())

@@ -3,8 +3,9 @@
 Everything here recomputes quantities from raw inputs (literal double sums,
 numeric quadrature, finite differences, sequential budget walks over exact
 fractions, an evaluate-everything fitting loop, per-draw ``rng.choice``
-sampling, per-epoch correlation lists) and deliberately avoids the
-machinery under test. The test-only helpers that follow the oracles wrap
+sampling, Ogata thinning with per-video counts, per-event trace writing,
+per-epoch correlation lists) and deliberately avoids the machinery under
+test. The test-only helpers that follow the oracles wrap
 production code for single-value queries.
 """
 
@@ -243,6 +244,56 @@ def em_sample_per_draw(candidates, utilities, eps_step, sensitivity, prefetch_ca
         chosen.append(pool.pop(idx))
         lam = np.delete(lam, idx)
     return PrefetchDecision(chosen=tuple(chosen))
+
+
+def thin_one_edge_with_choice(spec, edge: int, rng):
+    """Ogata thinning of one edge that keeps the decayed per-video counts
+    beside their latent projection and draws each accepted video with
+    ``rng.choice(p=lam / total)``."""
+    gt = spec.ground_truth
+    base = spec.base_rate_scale * gt.base_rate
+    tgt, src, decay = gt.target_factors, gt.source_factors, gt.decay
+    times: list[float] = []
+    vids: list[int] = []
+    counts = np.zeros(spec.catalog_size)
+    mix = np.zeros(gt.dim)
+    t = 0.0
+    while True:
+        bound = float(base.sum() + tgt.sum(axis=0) @ mix)
+        if bound <= 0:
+            break
+        dt = rng.exponential(1.0 / bound)
+        t += dt
+        if t >= spec.horizon:
+            break
+        fade = np.exp(-decay * dt)
+        counts *= fade
+        mix *= fade
+        lam = base + tgt @ mix
+        total = float(lam.sum())
+        if rng.random() * bound > total:
+            continue
+        video = int(rng.choice(spec.catalog_size, p=lam / total))
+        times.append(t)
+        vids.append(video)
+        counts[video] += 1.0
+        mix += src[video]
+    n = len(times)
+    users = edge * spec.users_per_edge + rng.integers(0, spec.users_per_edge, size=n)
+    return (
+        np.full(n, edge, dtype=np.int64),
+        users.astype(np.int64),
+        np.array(vids, dtype=np.int64),
+        np.array(times, dtype=np.float64),
+    )
+
+
+def write_trace_per_event(log, path) -> None:
+    """The trace CSV written one ``RequestEvent`` at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# edge_id,user_id,video_id,timestamp\n")
+        for e, u, v, t in zip(log.edge_ids, log.user_ids, log.video_ids, log.timestamps):
+            fh.write(f"{int(e)},{int(u)},{int(v)},{float(t)!r}\n")
 
 
 class ListCorrelationState:

@@ -1,9 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ppvf import cli, sim, trace
 from ppvf.predictor import ModelParams
@@ -220,11 +225,13 @@ class TestUsage:
             ("simulate", {"eta": "inf"}),
             ("simulate", {"lower": 2}),
             ("fit", {"upper": 5}),
+            ("simulate", {"seed": -1}),
+            ("fit", {"seed": -1}),
         ],
         ids=[
             "phi_th", "delta", "quantize", "edges", "latent_dim",
             "horizon-inf", "gen-trace-horizon-inf", "xi-nan", "epsilon-inf", "lower-above-upper", "eta-inf",
-            "lower-alone", "fit-upper-alone",
+            "lower-alone", "fit-upper-alone", "negative-seed", "fit-negative-seed",
         ],
     )
     def test_out_of_range_setting_usage_error(self, tiny_trace, tmp_path, capsys, command, setting):
@@ -285,6 +292,82 @@ class TestUsage:
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:")
+
+    @pytest.mark.parametrize(
+        "record",
+        ["99999999999999999999,0,1,1", "0,0,99999999999999999999,1", "0,0,1,1e308"],
+        ids=["edge-id-past-int64", "video-id-past-int64", "stamp-without-slot"],
+    )
+    def test_unrepresentable_trace_field_data_error(self, tmp_path, capsys, record):
+        cfg = write_config(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"0,0,1,0.5\n{record}\n")
+        capsys.readouterr()
+        code = cli.main(["simulate", "--config", cfg, "--trace", str(bad), "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: line 2:")
+
+
+# Ids stay small or leave the int64 range: a representable but huge edge or
+# video id sizes per-edge or per-video state, which is a resource limit, not a
+# parse error. Config values stay in ranges whose runs finish in milliseconds.
+_ID = st.one_of(
+    st.integers(-3, 40),
+    st.integers(2**63, 2**80),
+    st.integers(-(2**80), -(2**63) - 1),
+).map(str)
+_FIELD = st.one_of(
+    _ID,
+    st.integers(-(2**80), 2**80).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["", " 7 ", "x", "1.5", "0x1", "1e308", "1e999", "-0.0", "nan"]),
+)
+_RECORD = st.one_of(
+    st.tuples(_ID, _FIELD, _ID, _FIELD).map(",".join),
+    st.lists(_FIELD, max_size=6).map(",".join),
+    st.text(max_size=20),
+)
+_GOOD_RECORD = st.tuples(st.integers(0, 40), st.integers(-5, 10**6), st.integers(0, 40), st.floats(0, 23.9)).map(
+    lambda fields: ",".join(map(str, fields))
+)
+_TRACE_BYTES = st.one_of(
+    st.binary(max_size=120),
+    st.tuples(st.lists(_GOOD_RECORD, max_size=8), st.lists(_RECORD, max_size=2)).map(
+        lambda parts: "\n".join(parts[0] + parts[1]).encode("utf-8", "surrogatepass")
+    ),
+)
+_VALUE = st.sampled_from(
+    ["0", "-1", "1", "2", "3", "0.5", "24", "nan", "inf", "-inf", "1e400", "", "x", "lru", "ppvf,sage,bestfit,mav,lru,lfu"]
+)
+_SETTING = st.one_of(
+    st.tuples(st.sampled_from(sorted(cli.DEFAULTS)), _VALUE).map(" = ".join),
+    st.text(max_size=20),
+)
+_SMALL_RUN = "horizon = 24\ninit_horizon = 12\nt_theta = 12\nmax_iters = 2\nlatent_dim = 2\nc = 0.2\n"
+_CONFIG_TEXT = st.one_of(
+    st.text(max_size=80),
+    st.lists(_SETTING, max_size=6).map(lambda lines: _SMALL_RUN + "\n".join(lines)),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(trace_bytes=_TRACE_BYTES, config_text=_CONFIG_TEXT)
+def test_arbitrary_trace_and_config_end_in_a_documented_exit(trace_bytes, config_text):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        tr, cfg = os.path.join(tmp, "trace.csv"), os.path.join(tmp, "run.cfg")
+        with open(tr, "wb") as fh:
+            fh.write(trace_bytes)
+        with open(cfg, "w", encoding="utf-8", errors="surrogatepass") as fh:
+            fh.write(config_text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["simulate", "--config", cfg, "--trace", tr, "--out", os.path.join(tmp, "out")])
+    err = err.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA)
+    assert "Traceback" not in err
+    if code != cli.EXIT_OK:
+        assert len(err.splitlines()) == 1
 
 
 class TestFitAndReport:

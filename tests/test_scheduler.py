@@ -258,6 +258,11 @@ class TestThresholdBars:
         with pytest.raises(ValueError):
             PrivacyLedger(Fraction(4), Fraction(1), 2, np.array([0, -1]))
 
+    def test_counts_past_the_charge_limit_rejected(self):
+        with pytest.raises(ValueError, match="charge limit 4"):
+            PrivacyLedger(4, 1, 2, [9, 0])
+        assert PrivacyLedger(4, 1, 2, [4, 0]).residual_fractions().tolist() == [0.0, 1.0]
+
 
 class TestOfflineOptimum:
     def test_single_step_ample_budget_takes_everything(self):

@@ -1,9 +1,14 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppvf import predictor, trace
+
+from oracles import thin_one_edge_with_choice, write_trace_per_event
 
 
 def _flat_params(catalog, base=0.0, factor=0.0, dim=2, decay=0.01):
@@ -84,6 +89,30 @@ def test_load_empty_file_is_an_error(tmp_path):
     path.write_text("# nothing here\n")
     with pytest.raises(trace.TraceFormatError):
         trace.load_trace(path)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        "99999999999999999999,0,1,1",
+        "0,0,99999999999999999999,1",
+        "0,99999999999999999999,1,1",
+        "0,-99999999999999999999,1,1",
+        "0,0,1,1e308",
+    ],
+)
+def test_load_rejects_unrepresentable_fields_with_line_number(tmp_path, record):
+    path = tmp_path / "t.csv"
+    path.write_text(f"0,0,0,0\n{record}\n")
+    with pytest.raises(trace.TraceFormatError, match="line 2"):
+        trace.load_trace(path)
+
+
+def test_load_rejects_stamp_that_overflows_its_slot(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("0,0,0,1e300\n")
+    with pytest.raises(trace.TraceFormatError, match="line 1"):
+        trace.load_trace(path, quantize_hours=1e-10)
 
 
 def test_load_rejects_small_catalog_override(tmp_path):
@@ -172,6 +201,86 @@ class TestSynthetic:
         lo = trace.generate_synthetic(trace.SyntheticSpec(2, 1, 400.0, gt, base_rate_scale=1.0, rng_seed=3))
         hi = trace.generate_synthetic(trace.SyntheticSpec(2, 1, 400.0, gt, base_rate_scale=4.0, rng_seed=3))
         assert len(hi) > 2 * len(lo)
+
+
+def _stable_params(seed, catalog, dim, branching, decay):
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.0, 0.2, catalog)
+    tgt = rng.uniform(0.0, 1.0, (catalog, dim))
+    src = rng.uniform(0.0, 1.0, (catalog, dim))
+    ratio = trace.excitation_branching_ratio(predictor.ModelParams(base, tgt, src, decay))
+    scale = math.sqrt(branching / ratio) if ratio > 0 else 0.0
+    return predictor.ModelParams(base, tgt * scale, src * scale, decay)
+
+
+class TestThinningOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        catalog=st.integers(1, 40),
+        edges=st.integers(1, 3),
+        dim=st.integers(1, 3),
+        branching=st.sampled_from([0.0, 0.3, 0.8]),
+        decay=st.sampled_from([0.05, 0.5, 3.0]),
+        base_rate_scale=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+        horizon=st.floats(0.01, 25.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lean_thinning_matches_choice_thinning(
+        self, tmp_path_factory, catalog, edges, dim, branching, decay, base_rate_scale, horizon, seed
+    ):
+        gt = _stable_params(seed, catalog, dim, branching, decay)
+        spec = trace.SyntheticSpec(
+            catalog, edges, horizon, gt, base_rate_scale=base_rate_scale, rng_seed=seed, users_per_edge=3
+        )
+        for edge in range(edges):
+            lean_rng, oracle_rng = trace._edge_rng(spec, edge), trace._edge_rng(spec, edge)
+            lean = trace._thin_one_edge(spec, edge, lean_rng)
+            oracle = thin_one_edge_with_choice(spec, edge, oracle_rng)
+            for got, want in zip(lean, oracle):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert lean_rng.random() == oracle_rng.random()
+        log = trace.generate_synthetic(spec)
+        out = tmp_path_factory.mktemp("thin")
+        trace.write_trace(log, out / "lean.csv")
+        write_trace_per_event(log, out / "oracle.csv")
+        assert (out / "lean.csv").read_bytes() == (out / "oracle.csv").read_bytes()
+
+    def test_uniform_on_a_cdf_step_draws_like_choice(self):
+        # Equal intensities over four videos put the CDF steps at quarters,
+        # and a generator whose uniforms are quarters lands on them, so a
+        # search that breaks ties the other way than choice draws other videos.
+        class QuarterGenerator(np.random.Generator):
+            def random(self, size=None, dtype=np.float64, out=None):
+                return np.floor(super().random(size) * 4) / 4
+
+        gt = _flat_params(4, base=0.5, factor=0.1)
+        spec = trace.SyntheticSpec(4, 1, 30.0, gt, rng_seed=2)
+        lean_rng, oracle_rng = (QuarterGenerator(np.random.PCG64(9)) for _ in range(2))
+        lean = trace._thin_one_edge(spec, 0, lean_rng)
+        oracle = thin_one_edge_with_choice(spec, 0, oracle_rng)
+        assert len(oracle[2]) > 20
+        for got, want in zip(lean, oracle):
+            assert got.tobytes() == want.tobytes()
+        assert lean_rng.random() == oracle_rng.random()
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_rejects_what_choice_rejects(self):
+        # An infinite base-rate scale makes the total intensity infinite.
+        gt = _stable_params(4, 5, 2, 0.3, 0.5)
+        spec = trace.SyntheticSpec(5, 1, 10.0, gt, base_rate_scale=math.inf, rng_seed=4)
+        with pytest.raises(ValueError):
+            thin_one_edge_with_choice(spec, 0, trace._edge_rng(spec, 0))
+        with pytest.raises(ValueError):
+            trace._thin_one_edge(spec, 0, trace._edge_rng(spec, 0))
+
+    def test_generated_trace_file_is_pinned(self, tmp_path):
+        # sha256 of this file as written before the thinning loop dropped
+        # rng.choice and the per-video counts.
+        gt = _stable_params(17, 12, 3, 0.6, 0.2)
+        log = trace.generate_synthetic(trace.SyntheticSpec(12, 3, 40.0, gt, rng_seed=23, users_per_edge=4))
+        trace.write_trace(log, tmp_path / "pinned.csv")
+        digest = hashlib.sha256((tmp_path / "pinned.csv").read_bytes()).hexdigest()
+        assert digest == "6bfb2e35c126391a38b1701967db42f3f7a41047810c4138a585a2706e8ca148"
 
 
 class TestPartition:
