@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scheduler import CandidateSet, PrivacyLedger, admit_in_order
+from .scheduler import CandidateSet, PrivacyLedger, admit_in_order, admit_picked
 
 
 class EdgeCache:
@@ -193,16 +193,36 @@ def select_candidates_random(
     utilities: np.ndarray, ledger: PrivacyLedger, rng
 ) -> tuple[CandidateSet, PrivacyLedger]:
     """Random budget-feasible candidate picks (no utility filter), charging
-    the ledger per admission until the cap or the feasible pool runs out."""
-    return admit_in_order(rng.permutation(ledger.catalog_size), ledger.chargeable(), ledger)
+    the ledger per admission until the cap or the feasible pool runs out.
+
+    Feasibility is tested beyond the permutation's head only when
+    :func:`admit_in_order` reads further."""
+    return admit_in_order(rng.permutation(ledger.catalog_size), ledger.chargeable, ledger)
 
 
 def select_candidates_best_utility(
     utilities: np.ndarray, ledger: PrivacyLedger
 ) -> tuple[CandidateSet, PrivacyLedger]:
-    """Top-utility budget-feasible candidate picks, charging per admission."""
-    order = np.argsort(-np.asarray(utilities, dtype=np.float64), kind="stable")
-    return admit_in_order(order, ledger.chargeable(), ledger)
+    """Top-utility budget-feasible candidate picks, charging per admission.
+
+    The picks are the first ``prefetch_cap`` chargeable videos of the stable
+    descending-utility order (ties by ascending video id, NaN last).
+    ``np.partition`` finds the cap-th largest chargeable utility, and only
+    the chargeable videos at or above it are stably sorted; all of them are
+    when fewer than ``prefetch_cap`` utilities are numbers.
+    """
+    chargeable = ledger.chargeable()
+    feasible = np.flatnonzero(chargeable)
+    neg = -np.asarray(utilities, dtype=np.float64)[chargeable]
+    cap = ledger.prefetch_cap
+    if 0 < cap < len(neg):
+        top = neg.copy()
+        top.partition(cap - 1)
+        kth = top[cap - 1]
+        if kth == kth:  # not NaN
+            keep = neg <= kth
+            feasible, neg = feasible[keep], neg[keep]
+    return admit_picked(feasible[neg.argsort(kind="stable")[:cap]], ledger)
 
 
 @dataclass

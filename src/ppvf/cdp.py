@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -196,6 +197,50 @@ def _uniform_cdf(n: int) -> tuple[float, ...]:
     return tuple((cdf / cdf[-1]).tolist())
 
 
+def pairwise_sum(values) -> float:
+    """``np.add.reduce`` of a float64 vector, bit for bit, in Python floats.
+
+    numpy adds from +0.0 and, within one contiguous run, sums fewer than 8
+    terms in order, up to 128 terms in eight interleaved lanes combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` plus the leftover terms in
+    order, and longer runs as two halves split at a multiple of 8
+    (Higham 1993's pairwise summation).
+    """
+    if len(values) < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    return 0.0 + _pairwise(values, 0, len(values))
+
+
+def _pairwise(a, lo: int, n: int) -> float:
+    if n < 8:
+        total = 0.0
+        for v in a[lo : lo + n]:
+            total += v
+        return total
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = a[lo : lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            r0 += a[i]
+            r1 += a[i + 1]
+            r2 += a[i + 2]
+            r3 += a[i + 3]
+            r4 += a[i + 4]
+            r5 += a[i + 5]
+            r6 += a[i + 6]
+            r7 += a[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for v in a[end : lo + n]:
+            total += v
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise(a, lo, half) + _pairwise(a, lo + half, n - half)
+
+
 def em_sample(
     candidates: CandidateSet,
     utilities: np.ndarray,
@@ -217,7 +262,10 @@ def em_sample(
     values at once. A score minus the pool maximum does not depend on the
     rest of the pool, so one ``np.exp`` call weighs the pool against each
     maximum it can reach, and each draw reads its survivors' weights from
-    the row of the current maximum.
+    the row of the current maximum. Everything else is Python float
+    arithmetic in numpy's order: the survivors' total is
+    :func:`pairwise_sum`, the cumulative sum runs left to right, and the
+    search is ``bisect_right``.
     """
     pool = list(candidates)
     lam = np.asarray(utilities, dtype=np.float64)
@@ -235,27 +283,33 @@ def em_sample(
             chosen.append(pool.pop(bisect.bisect_right(_uniform_cdf(len(pool)), u)))
         return PrefetchDecision(chosen=tuple(chosen))
     scores = eps_step * lam / (2.0 * sensitivity)
-    # NaN sorts last, so it leads the descending order.
-    ranked = np.sort(scores)[::-1][:draws]
-    if not (ranked[0] < math.inf and ranked[-1] > -math.inf):
-        # A NaN or +inf score, or a pool left with only -inf scores before
-        # the last draw, makes NaN probabilities.
+    listed = scores.tolist()
+    if any(map(math.isnan, listed)):
+        raise ValueError("exponential-mechanism scores must be finite for every draw")
+    tops = sorted(listed, reverse=True)[:draws]
+    if not (tops[0] < math.inf and tops[-1] > -math.inf):
+        # A +inf score, or a pool left with only -inf scores before the
+        # last draw, makes NaN probabilities.
         raise ValueError("exponential-mechanism scores must be finite for every draw")
     # Every pool maximum is one of the top ``draws`` scores: one weight row
     # per candidate maximum, from np.exp (math.exp's last bit differs on
     # some inputs). Drawn entries may lie above a later maximum; capping
     # them at 0 keeps their unread weights from overflowing.
-    rows = np.exp(np.minimum(scores - ranked[:, None], 0.0))
-    tops = ranked.tolist()
-    listed = scores.tolist()
+    rows = np.exp(np.minimum(scores - np.array(tops)[:, None], 0.0)).tolist()
     left = list(range(len(pool)))  # undrawn pool positions, in pool order
     for u in rng.random(draws).tolist():
-        # The survivors' weights, normalised and searched with the same
-        # numpy reductions as em_weights and rng.choice.
-        w = rows[tops.index(max(listed[i] for i in left)), left]
-        cdf = (w / w.sum()).cumsum()
-        cdf /= cdf[-1]
-        chosen.append(pool[left.pop(int(cdf.searchsorted(u, side="right")))])
+        if len(left) == 1:
+            # One survivor: its normalised cumulative sum is [1.0] and u < 1.
+            chosen.append(pool[left.pop()])
+            break
+        # What ``w / w.sum()``, ``cumsum``, ``cdf /= cdf[-1]`` and
+        # ``searchsorted(u, side="right")`` compute on the survivors' weights.
+        row = rows[tops.index(max([listed[i] for i in left]))]
+        w = [row[i] for i in left]
+        total = pairwise_sum(w)
+        cdf = list(itertools.accumulate([x / total for x in w]))
+        last = cdf[-1]
+        chosen.append(pool[left.pop(bisect.bisect_right([c / last for c in cdf], u))])
     return PrefetchDecision(chosen=tuple(chosen))
 
 

@@ -7,8 +7,9 @@ output directory). Configuration is a flat ``key = value`` file overridden
 by flags; every command is deterministic under a fixed seed and prints its
 effective configuration. Exit codes: 0 success, 1 usage, 2 data error,
 3 property violation. A data error is an input that cannot be read or used:
-a missing or malformed file, a trace longer than the configured horizon, or
-a fit whose likelihood or aggregated gradients are not finite.
+a missing or malformed file, a trace longer than the configured horizon, a
+trace whose fit would need more than ``sim.MAX_BARRIERS`` refits, or a fit
+whose likelihood or aggregated gradients are not finite.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from . import __version__, scheduler, trace
 from .federation import AggregationError, TrainConfig
 from .predictor import LikelihoodError, ModelParams
-from .sim import POLICIES, SimConfig, fit_barriers, run_simulation, write_reports
+from .sim import POLICIES, SimConfig, barrier_times, fit_barriers, run_simulation, write_reports
 from .trace import StabilityError, TraceFormatError
 
 EXIT_OK = 0
@@ -265,6 +266,12 @@ def cmd_fit(args) -> int:
     out_dir = args.out or "fit_out"
     os.makedirs(out_dir, exist_ok=True)
 
+    # The fit runs to the trace's own horizon, so a schedule too long to
+    # fit is a property of the trace.
+    try:
+        barrier_times(settings, log.horizon)
+    except ValueError as exc:
+        raise TraceFormatError(f"trace spans {log.horizon} h: {exc}") from None
     started = time.perf_counter()
     records = []
     for t_theta, result in fit_barriers(trace.partition_by_edge(log), params, settings, log.horizon):

@@ -65,7 +65,6 @@ class TrainConfig:
             raise ValueError("update_interval_hours must be positive")
 
 
-@lru_cache(maxsize=None)
 def _merge_network(n: int) -> tuple[tuple[int, int], ...]:
     """Comparators of Batcher's odd-even merge sort on ``n`` inputs."""
     pairs = []
@@ -82,22 +81,55 @@ def _merge_network(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+@lru_cache(maxsize=None)
+def _merge_plan(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """The merge network on ``n`` inputs, and the row copies ``(to, from)``
+    that put :func:`_sorted_sum`'s rotated buffer back in rank order."""
+    pairs = _merge_network(n)
+    # where[k]: the buffer row holding rank k after the rotating network.
+    where, free = list(range(n)), n
+    for a, _ in pairs:
+        where[a], free = free, where[a]
+    moves = []
+    while True:
+        if free < n:  # row `free` is rank `free`'s home: fill it
+            moves.append((free, where[free]))
+            where[free], free = free, where[free]
+            continue
+        stray = next((k for k in range(n) if where[k] != k), None)
+        if stray is None:
+            return pairs, tuple(moves)
+        # A cycle that avoids the free row: open it by parking one rank there.
+        moves.append((free, where[stray]))
+        where[stray], free = free, where[stray]
+
+
 def _sorted_sum(arrays: list[np.ndarray]) -> np.ndarray:
     """Sum of the arrays with each entry's addends sorted ascending first.
 
     Sorting makes the reduction exactly permutation-invariant. A merge
-    network of in-place min/max compare-exchanges sorts every entry at once;
-    it differs from a sort only on tied zeros of opposite sign, which the
-    axis-0 sum (it starts from +0.0) cannot tell apart.
+    network of min/max compare-exchanges sorts every entry at once; it
+    differs from a sort only on tied zeros of opposite sign, which the
+    axis-0 sum (it starts from +0.0) cannot tell apart. The addends are
+    stacked into a buffer with one spare row. Each compare-exchange writes
+    the minimum into the spare row and the maximum over its larger input,
+    and the smaller input's row becomes the next spare: two numpy calls per
+    comparator instead of a third to copy the minimum back. At most
+    ``len(arrays) + 1`` row copies then restore rank order for the sum.
     """
-    stacked = np.stack(arrays, axis=0)
-    tmp = np.empty_like(stacked[0])
-    for a, b in _merge_network(len(arrays)):
-        lo, hi = stacked[a], stacked[b]
-        np.minimum(lo, hi, out=tmp)
+    pairs, moves = _merge_plan(len(arrays))
+    buf = np.empty((len(arrays) + 1,) + arrays[0].shape)
+    np.stack(arrays, out=buf[:-1])
+    rows = list(buf)
+    spare = rows.pop()
+    for a, b in pairs:
+        lo, hi = rows[a], rows[b]
+        np.minimum(lo, hi, out=spare)
         np.maximum(lo, hi, out=hi)
-        lo[...] = tmp
-    return np.sum(stacked, axis=0)
+        rows[a], spare = spare, lo
+    for to, src in moves:
+        buf[to] = buf[src]
+    return np.sum(buf[:-1], axis=0)
 
 
 def global_loss(params: ModelParams, lls: list[float], cfg: TrainConfig) -> float:
@@ -114,19 +146,30 @@ def global_loss(params: ModelParams, lls: list[float], cfg: TrainConfig) -> floa
     return -ll_sum + reg
 
 
+# Non-finite gradients are reported below, naming their edge, so numpy's
+# warnings about the NaNs they make would only repeat it.
+@np.errstate(invalid="ignore")
 def sum_gradients(grads: list[GradientBundle]) -> GradientBundle:
     """The edges' likelihood gradients, summed block by block in an
-    order-independent way."""
+    order-independent way.
+
+    A NaN or infinite addend always makes its entry's sum non-finite, so
+    only a non-finite sum needs the edges scanned: the first edge holding a
+    non-finite entry is named in an :class:`AggregationError`. When every
+    addend is finite, an overflowed sum is returned as it is.
+    """
     if not grads:
         raise AggregationError("no gradients to sum")
-    for idx, g in enumerate(grads):
-        if not g.is_finite():
-            raise AggregationError(f"non-finite gradients from edge index {idx}")
-    return GradientBundle(
+    summed = GradientBundle(
         base_rate=_sorted_sum([g.base_rate for g in grads]),
         target_factors=_sorted_sum([g.target_factors for g in grads]),
         source_factors=_sorted_sum([g.source_factors for g in grads]),
     )
+    if not summed.is_finite():
+        for idx, g in enumerate(grads):
+            if not g.is_finite():
+                raise AggregationError(f"non-finite gradients from edge index {idx}")
+    return summed
 
 
 def aggregate_and_step(

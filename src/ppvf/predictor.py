@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,10 @@ class ModelParams:
     target_factors: (I, D) how strongly each video responds to excitation.
     source_factors: (I, D) how strongly each video's requests excite others.
     decay: kernel decay per hour, exp(-decay * lag).
+
+    Parameters are immutable, so the reductions every edge's likelihood and
+    gradients need at one point (:attr:`base_total`, :attr:`target_sums`)
+    are computed once, on first use, and kept with the object.
     """
 
     base_rate: np.ndarray
@@ -66,6 +71,16 @@ class ModelParams:
     @property
     def catalog_size(self) -> int:
         return self.base_rate.shape[0]
+
+    @cached_property
+    def base_total(self) -> float:
+        """``float(np.sum(base_rate))``."""
+        return float(np.sum(self.base_rate))
+
+    @cached_property
+    def target_sums(self) -> np.ndarray:
+        """``target_factors.sum(axis=0)``, the (D,) column sums."""
+        return self.target_factors.sum(axis=0)
 
     @property
     def dim(self) -> int:
@@ -274,24 +289,23 @@ class WindowStats:
         self.n_events = len(in_t)
         self._last_terms: tuple[ModelParams, tuple] | None = None
 
-    def event_intensities(self, params: ModelParams) -> np.ndarray:
-        """Left-limit intensity of each in-window event under ``params``."""
-        return self._event_terms(params)[2]
-
-    def _event_terms(self, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per in-window event: latent mix, target factor row, and intensity.
+    def _event_terms(self, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per in-window event: latent mix, target factor row, and intensity;
+        then the (D,) source projection of the window integral weights.
 
         The terms of the last ``params`` object are kept (parameters are
         immutable), so gradients taken right after the likelihood at the
-        same point reuse its intensities.
+        same point reuse its intensities and projection.
         """
         if self._last_terms is not None and self._last_terms[0] is params:
             return self._last_terms[1]
         mix_ev = (self.counts_at @ params.source_factors)[self.event_group]  # (n, D)
         tgt_ev = params.target_factors[self.event_videos]
         lam = params.base_rate[self.event_videos] + np.einsum("nd,nd->n", tgt_ev, mix_ev)
-        self._last_terms = (params, (mix_ev, tgt_ev, lam))
-        return mix_ev, tgt_ev, lam
+        source_total = params.source_factors.T @ self.integral_weights
+        terms = (mix_ev, tgt_ev, lam, source_total)
+        self._last_terms = (params, terms)
+        return terms
 
 
 def window_stats(params: ModelParams, log, window: TrainWindow) -> WindowStats:
@@ -307,14 +321,11 @@ def window_log_likelihood(params: ModelParams, log, window: TrainWindow, stats: 
     """
     if stats is None:
         stats = window_stats(params, log, window)
-    lam = stats.event_intensities(params)
-    if np.any(lam <= 0):
+    _, _, lam, source_total = stats._event_terms(params)
+    if (lam <= 0).any():
         raise LikelihoodError("non-positive intensity at an event; parameters or state corrupted")
     event_term = math.fsum(np.log(lam).tolist())
-    source_total = params.source_factors.T @ stats.integral_weights  # (D,)
-    integral = window.length * float(np.sum(params.base_rate)) + float(
-        params.target_factors.sum(axis=0) @ source_total
-    )
+    integral = window.length * params.base_total + float(params.target_sums @ source_total)
     return event_term - integral
 
 
@@ -343,13 +354,13 @@ def window_gradients(params: ModelParams, log, window: TrainWindow, stats: Windo
     if stats is None:
         stats = window_stats(params, log, window)
     I, D = params.catalog_size, params.dim
+    mix_ev, tgt_ev, lam, source_total = stats._event_terms(params)
     g_base = np.full(I, -window.length)
     g_tgt = np.zeros((I, D))
     g_src = np.zeros((I, D))
 
     if stats.n_events:
-        mix_ev, tgt_ev, lam = stats._event_terms(params)
-        if np.any(lam <= 0):
+        if (lam <= 0).any():
             raise LikelihoodError("non-positive intensity at an event; parameters or state corrupted")
         inv = 1.0 / lam
         np.add.at(g_base, stats.event_videos, inv)
@@ -358,7 +369,6 @@ def window_gradients(params: ModelParams, log, window: TrainWindow, stats: Windo
         np.add.at(weights, stats.event_group, tgt_ev * inv[:, None])
         g_src += stats.counts_at.T @ weights
 
-    source_total = params.source_factors.T @ stats.integral_weights  # (D,)
-    g_tgt -= source_total[None, :]
-    g_src -= np.outer(stats.integral_weights, params.target_factors.sum(axis=0))
+    g_tgt -= source_total
+    g_src -= stats.integral_weights[:, None] * params.target_sums
     return GradientBundle(g_base, g_tgt, g_src)

@@ -132,33 +132,35 @@ class PrivacyLedger:
             table[count] = fn(count)
         return table[self.counts]
 
-    def threshold_bars(self, cfg: ThresholdConfig) -> np.ndarray:
-        """Every video's admission bar, ``threshold`` at its consumed fraction.
+    def threshold_bars(self, cfg: ThresholdConfig, videos: np.ndarray | None = None) -> np.ndarray:
+        """Each video's admission bar, ``threshold`` at its consumed fraction.
 
-        The bars come from a table of ``threshold`` per charge count for the
-        last ``cfg`` asked for. It is extended only when a count outgrows
-        it, so its size follows the largest count present, not the budget.
+        Covers every video, or only ``videos`` when given. The bars come
+        from a table of ``threshold`` per charge count for the last ``cfg``
+        asked for. It is extended only when a count outgrows it, so its
+        size follows the largest count looked up, not the budget.
         """
-        if cfg != self._bars_cfg:
+        if cfg is not self._bars_cfg and cfg != self._bars_cfg:
             self._bars_cfg, self._bars = cfg, np.empty(0)
+        counts = self.counts if videos is None else self.counts[videos]
         try:
-            return self._bars[self.counts]
+            return self._bars[counts]
         except IndexError:
             # Integer true division rounds correctly, as float(Fraction) does,
             # so this equals float(self.consumed_fraction(v)) without a Fraction.
             num, den = self.charge_fraction.numerator, self.charge_fraction.denominator
-            missing = range(self._bars.size, int(self.counts.max()) + 1)
+            missing = range(self._bars.size, int(counts.max()) + 1)
             self._bars = np.append(self._bars, [threshold(count * num / den, cfg) for count in missing])
-            return self._bars[self.counts]
+            return self._bars[counts]
 
     def residual_fractions(self) -> np.ndarray:
         """``float(residual_fraction(v))`` for every video."""
         num, den = self.charge_fraction.numerator, self.charge_fraction.denominator
         return self.per_count(lambda count: (den - count * num) / den)
 
-    def chargeable(self) -> np.ndarray:
-        """Mask of videos for which :meth:`can_charge` holds."""
-        return self.counts < self.strict_limit
+    def chargeable(self, videos: np.ndarray | None = None) -> np.ndarray:
+        """Mask of :meth:`can_charge` over every video, or over ``videos``."""
+        return (self.counts if videos is None else self.counts[videos]) < self.strict_limit
 
     def can_charge(self, video: int) -> bool:
         """Strict feasibility test of one more charge (cost < remaining budget)."""
@@ -196,17 +198,29 @@ class CandidateSet:
         return video in self.videos
 
 
-def admit_in_order(
-    order: np.ndarray, eligible: np.ndarray, ledger: PrivacyLedger
-) -> tuple[CandidateSet, PrivacyLedger]:
-    """Admit and charge the first ``prefetch_cap`` eligible videos of ``order``.
-
-    ``order`` visits each video at most once, so eligibility taken before
-    any charge equals eligibility checked during a sequential walk.
-    """
-    picked = order[eligible[order]][: ledger.prefetch_cap]
+def admit_picked(picked: np.ndarray, ledger: PrivacyLedger) -> tuple[CandidateSet, PrivacyLedger]:
+    """Charge the ledger once for each of the distinct ``picked`` videos."""
     ledger.counts[picked] += 1
     return CandidateSet(videos=tuple(picked.tolist()), cap=ledger.prefetch_cap), ledger
+
+
+def admit_in_order(order: np.ndarray, eligible, ledger: PrivacyLedger) -> tuple[CandidateSet, PrivacyLedger]:
+    """Admit and charge the first ``prefetch_cap`` eligible videos of ``order``.
+
+    ``eligible(videos)`` gives the eligibility mask of an array of videos,
+    and ``eligible()`` that of the whole catalog, indexed by video. ``order``
+    visits each video at most once, so eligibility taken before any charge
+    equals eligibility checked during a sequential walk. The walk usually
+    ends within the first ``2 * prefetch_cap`` videos, so only those are
+    tested first; the whole catalog is tested only when they leave the cap
+    unfilled.
+    """
+    cap = ledger.prefetch_cap
+    head = order[: 2 * cap]
+    picked = head[eligible(head)]
+    if len(picked) < cap and len(order) > len(head):
+        picked = order[eligible()[order]]
+    return admit_picked(picked[:cap], ledger)
 
 
 def select_candidates(
@@ -220,12 +234,19 @@ def select_candidates(
     A drawn video is admitted iff its utility/cost ratio strictly clears the
     threshold at its current consumed fraction and one more charge fits in
     its remaining budget; admissions charge the ledger immediately. The
-    ledger is updated in place and returned.
+    ledger is updated in place and returned. The whole permutation is drawn
+    (it fixes the random stream), but eligibility is tested beyond its head
+    only when :func:`admit_in_order` reads further.
     """
     utilities = np.asarray(utilities, dtype=np.float64)
     if utilities.shape[0] != ledger.catalog_size:
         raise ValueError("utility vector length must match the ledger catalog")
-    eligible = (utilities / float(ledger.cost) > ledger.threshold_bars(cfg)) & ledger.chargeable()
+    cost = float(ledger.cost)
+
+    def eligible(videos: np.ndarray | None = None) -> np.ndarray:
+        ratios = (utilities if videos is None else utilities[videos]) / cost
+        return (ratios > ledger.threshold_bars(cfg, videos)) & ledger.chargeable(videos)
+
     return admit_in_order(rng.permutation(ledger.catalog_size), eligible, ledger)
 
 

@@ -35,6 +35,10 @@ from .trace import EventLog, partition_by_edge
 
 POLICIES = ("ppvf", "sage", "bestfit", "mav", "lru", "lfu")
 _MEP_POLICIES = {"ppvf", "sage", "bestfit"}
+# The most fitting barriers one schedule may hold: 55 years at the default
+# 48 h interval. Each barrier is a federated fit and one more epoch in the
+# simulator's parameter table (catalog x (1 + latent_dim) floats).
+MAX_BARRIERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,8 @@ class SimConfig:
             raise ValueError("mav_weight must lie in [0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.policy in _MEP_POLICIES:
+            barrier_times(self, self.test_horizon)
 
 
 @dataclass(frozen=True)
@@ -344,11 +350,21 @@ def fit_barriers(edge_logs, params: ModelParams, cfg: SimConfig, horizon: float)
 
 
 def barrier_times(cfg: SimConfig, horizon: float) -> list[float]:
-    """The fitting barriers before ``horizon``, every ``cfg.train.update_interval_hours``."""
+    """The fitting barriers before ``horizon``, every ``cfg.train.update_interval_hours``.
+
+    Each barrier is the previous one plus the interval. Raises
+    ``ValueError`` as soon as the schedule would hold more than
+    :data:`MAX_BARRIERS` barriers. The limit also keeps the sum advancing:
+    adding the interval stops moving a barrier only after about 2**53 of them.
+    """
     interval = cfg.train.update_interval_hours
     times = []
     barrier = interval
     while barrier < horizon:
+        if len(times) == MAX_BARRIERS:
+            raise ValueError(
+                f"a horizon of {horizon} h needs more than {MAX_BARRIERS} fitting barriers {interval} h apart"
+            )
         times.append(barrier)
         barrier += interval
     return times

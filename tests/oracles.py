@@ -2,7 +2,8 @@
 
 Everything here recomputes quantities from raw inputs (literal double sums,
 numeric quadrature, finite differences, sequential budget walks over exact
-fractions, an evaluate-everything fitting loop, per-draw ``rng.choice``
+fractions, an evaluate-everything fitting loop, the window likelihood and
+gradients with every parameter reduction redone, per-draw ``rng.choice``
 sampling, Ogata thinning with per-video counts, per-event trace writing,
 per-epoch correlation lists) and deliberately avoids the machinery under
 test. The test-only helpers that follow the oracles wrap
@@ -21,6 +22,7 @@ from ppvf.predictor import (
     PARAM_FLOOR,
     GradientBundle,
     KernelState,
+    LikelihoodError,
     ModelParams,
     TrainWindow,
     window_gradients,
@@ -228,6 +230,48 @@ def fit_round_evaluating_everything(edge_logs, params: ModelParams, window: Trai
             break
         loss = cand_loss
     return FitResult(params=params, losses=losses)
+
+
+def window_log_likelihood_reference(params: ModelParams, window: TrainWindow, stats) -> float:
+    """The window log-likelihood as computed before parameter-only terms were
+    cached: every reduction redone from the parameters and the statistics'
+    parameter-independent arrays."""
+    mix_ev = (stats.counts_at @ params.source_factors)[stats.event_group]
+    tgt_ev = params.target_factors[stats.event_videos]
+    lam = params.base_rate[stats.event_videos] + np.einsum("nd,nd->n", tgt_ev, mix_ev)
+    if np.any(lam <= 0):
+        raise LikelihoodError("non-positive intensity at an event; parameters or state corrupted")
+    event_term = math.fsum(np.log(lam).tolist())
+    source_total = params.source_factors.T @ stats.integral_weights  # (D,)
+    integral = window.length * float(np.sum(params.base_rate)) + float(
+        params.target_factors.sum(axis=0) @ source_total
+    )
+    return event_term - integral
+
+
+def window_gradients_reference(params: ModelParams, window: TrainWindow, stats) -> GradientBundle:
+    """The window gradients as computed before parameter-only terms were
+    cached, with the integral term from ``np.outer``."""
+    I, D = params.catalog_size, params.dim
+    g_base = np.full(I, -window.length)
+    g_tgt = np.zeros((I, D))
+    g_src = np.zeros((I, D))
+    if stats.n_events:
+        mix_ev = (stats.counts_at @ params.source_factors)[stats.event_group]
+        tgt_ev = params.target_factors[stats.event_videos]
+        lam = params.base_rate[stats.event_videos] + np.einsum("nd,nd->n", tgt_ev, mix_ev)
+        if np.any(lam <= 0):
+            raise LikelihoodError("non-positive intensity at an event; parameters or state corrupted")
+        inv = 1.0 / lam
+        np.add.at(g_base, stats.event_videos, inv)
+        np.add.at(g_tgt, stats.event_videos, mix_ev * inv[:, None])
+        weights = np.zeros((stats.counts_at.shape[0], D))
+        np.add.at(weights, stats.event_group, tgt_ev * inv[:, None])
+        g_src += stats.counts_at.T @ weights
+    source_total = params.source_factors.T @ stats.integral_weights  # (D,)
+    g_tgt -= source_total[None, :]
+    g_src -= np.outer(stats.integral_weights, params.target_factors.sum(axis=0))
+    return GradientBundle(g_base, g_tgt, g_src)
 
 
 def em_sample_per_draw(candidates, utilities, eps_step, sensitivity, prefetch_cap, rng) -> PrefetchDecision:

@@ -439,6 +439,38 @@ class TestEmSampleMatchesPerDrawOracle:
             em_sample(*args, np.random.default_rng(0))
 
 
+def signed_mixture(rng, n):
+    """Floats with signed zeros, subnormals, ties and magnitudes over many
+    decades, all of one sign or mixed."""
+    kinds = rng.integers(0, 5, n)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    values[kinds == 0] = rng.choice([0.0, -0.0], int(np.sum(kinds == 0)))
+    values[kinds == 1] = rng.choice([5e-324, -5e-324, 1e-310, -2.2e-308], int(np.sum(kinds == 1)))
+    values[kinds == 2] = rng.choice([1.0, -1.0, 0.1], int(np.sum(kinds == 2)))
+    sign = rng.integers(0, 3)
+    return np.abs(values) if sign == 0 else -np.abs(values) if sign == 1 else values
+
+
+class TestPairwiseSum:
+    """``pairwise_sum`` is ``np.add.reduce`` of a float64 vector, bit for bit."""
+
+    def test_matches_numpy_reduce_bitwise(self):
+        rng = np.random.default_rng(13)
+        for n in [*range(1, 301), 512, 4096]:
+            for _ in range(4):
+                values = signed_mixture(rng, n)
+                want = np.add.reduce(values)
+                assert np.float64(cdp.pairwise_sum(values.tolist())).tobytes() == want.tobytes(), n
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 128, 129, 300])
+    def test_all_negative_zeros_sum_to_positive_zero(self, n):
+        got = cdp.pairwise_sum([-0.0] * n)
+        assert np.float64(got).tobytes() == np.add.reduce(np.full(n, -0.0)).tobytes() == np.float64(0.0).tobytes()
+
+    def test_empty_is_positive_zero(self):
+        assert np.float64(cdp.pairwise_sum([])).tobytes() == np.add.reduce(np.empty(0)).tobytes()
+
+
 class TestDpRatioCheck:
     def _cands(self, n):
         return CandidateSet(videos=tuple(range(n)), cap=8)

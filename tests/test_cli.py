@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+import time
 import warnings
 
 import pytest
@@ -276,6 +277,30 @@ class TestUsage:
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:")
+
+    def test_horizon_past_barrier_limit_usage_error(self, tiny_trace, tmp_path, capsys):
+        _, tr = tiny_trace
+        cfg = write_config(tmp_path, horizon=1e17)
+        capsys.readouterr()
+        started = time.perf_counter()
+        code = cli.main(["simulate", "--config", cfg, "--trace", tr, "--policy", "ppvf", "--out", str(tmp_path / "x")])
+        assert time.perf_counter() - started < 1.0
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:") and "fitting barriers" in err[0]
+
+    def test_fit_past_barrier_limit_data_error(self, tmp_path, capsys):
+        # fit refits up to the trace's own horizon, one slot past its last stamp.
+        cfg = write_config(tmp_path)
+        far = tmp_path / "far.csv"
+        far.write_text("0,0,1,0.5\n0,0,2,1e15\n")
+        capsys.readouterr()
+        started = time.perf_counter()
+        code = cli.main(["fit", "--config", cfg, "--trace", str(far), "--out", str(tmp_path / "fit")])
+        assert time.perf_counter() - started < 1.0
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and "fitting barriers" in err[0]
 
     def test_trace_directory_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,30 @@ class TestAggregateAndStep:
             sum_gradients([zero_grads(4, 2), bad])
         with pytest.raises(AggregationError, match="edge index 1"):
             global_loss(params, [-1.0, math.inf], TrainConfig())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("block", ["base_rate", "target_factors", "source_factors"])
+    def test_non_finite_entry_names_its_edge_among_many(self, bad, block):
+        rng = np.random.default_rng(9)
+        grads = [random_grads(rng, catalog=6, dim=3) for _ in range(25)]
+        getattr(grads[2], block)[(4,) if block == "base_rate" else (4, 1)] = bad
+        # A later edge's opposite infinity must not hide the first culprit.
+        getattr(grads[20], block)[(4,) if block == "base_rate" else (4, 1)] = -bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AggregationError, match="edge index 2$"):
+                sum_gradients(grads)
+
+    def test_finite_addends_that_overflow_return_the_overflowed_sum(self):
+        rng = np.random.default_rng(10)
+        grads = [random_grads(rng, catalog=6, dim=3) for _ in range(25)]
+        for g in grads[3:6]:
+            g.target_factors[1, 2] = 1e308
+        with np.errstate(over="ignore"):
+            summed = sum_gradients(grads)
+            want = sort_then_sum([g.target_factors for g in grads])
+        assert summed.target_factors[1, 2] == math.inf
+        assert summed.target_factors.tobytes() == want.tobytes()
 
     def test_empty_contributions_rejected(self):
         with pytest.raises(AggregationError):

@@ -13,8 +13,11 @@ from oracles import (
     kernel_integral,
     quadrature_ll,
     rebuild_state,
+    window_gradients_reference,
+    window_log_likelihood_reference,
 )
-from ppvf import predictor
+from ppvf import predictor, trace
+from ppvf.federation import TrainConfig, run_fit_round
 from ppvf.predictor import (
     GradientBundle,
     KernelState,
@@ -24,6 +27,7 @@ from ppvf.predictor import (
     intensity_sweep,
     window_gradients,
     window_log_likelihood,
+    window_stats,
 )
 
 
@@ -261,6 +265,62 @@ class TestWindowGradients:
         analytic = window_gradients(params, log, window)
         numeric = fd_gradients(params, log, window)
         assert_gradients_close(analytic, numeric)
+
+
+@pytest.fixture(scope="module")
+def multi_edge_fit():
+    """Catalog 500, D = 10, four edge logs (the last with no in-window
+    events), and constant, fitted and perturbed parameters."""
+    rng = np.random.default_rng(2024)
+    catalog, dim = 500, 10
+    truth = ModelParams(
+        base_rate=0.25 / np.arange(1, catalog + 1),
+        target_factors=rng.uniform(0.1, 1.0, (catalog, dim)) * 0.002,
+        source_factors=rng.uniform(0.1, 1.0, (catalog, dim)) * 0.002,
+        decay=0.01,
+    )
+    log = trace.generate_synthetic(trace.SyntheticSpec(catalog, 4, 144.0, truth, rng_seed=7, users_per_edge=5))
+    window = TrainWindow(end=144.0, length=48.0)
+    logs = trace.partition_by_edge(log)
+    logs[-1] = logs[-1].before(window.start)
+    start = ModelParams.constant(catalog, dim, 1.0, 0.01)
+    fitted = run_fit_round(logs, start, window, TrainConfig(rho_base=1e-4, learning_rate=2e-3, max_iters=4)).params
+    noise = lambda shape: rng.lognormal(0.0, 0.3, shape)  # noqa: E731
+    perturbed = ModelParams(
+        fitted.base_rate * noise(catalog),
+        fitted.target_factors * noise((catalog, dim)),
+        fitted.source_factors * noise((catalog, dim)),
+        fitted.decay,
+    )
+    return logs, window, (start.clamped(), fitted, perturbed)
+
+
+class TestWindowBitsMatchReference:
+    """Likelihood and gradients equal the uncached reference to the last bit,
+    whichever of the two is evaluated first at a point."""
+
+    def test_fixture_has_an_edge_without_window_events(self, multi_edge_fit):
+        logs, window, (start, _, _) = multi_edge_fit
+        counts = [window_stats(start, log, window).n_events for log in logs]
+        assert counts[-1] == 0 and min(counts[:-1]) > 0
+
+    @pytest.mark.parametrize("likelihood_first", [True, False])
+    def test_bitwise(self, multi_edge_fit, likelihood_first):
+        logs, window, points = multi_edge_fit
+        for params in points:
+            for log in logs:
+                stats = window_stats(params, log, window)
+                ll_ref = window_log_likelihood_reference(params, window, stats)
+                g_ref = window_gradients_reference(params, window, stats)
+                if likelihood_first:
+                    ll = window_log_likelihood(params, None, window, stats=stats)
+                    g = window_gradients(params, None, window, stats=stats)
+                else:
+                    g = window_gradients(params, None, window, stats=stats)
+                    ll = window_log_likelihood(params, log, window)
+                assert np.float64(ll).tobytes() == np.float64(ll_ref).tobytes()
+                for block in ("base_rate", "target_factors", "source_factors"):
+                    assert getattr(g, block).tobytes() == getattr(g_ref, block).tobytes(), block
 
 
 class TestSerialization:

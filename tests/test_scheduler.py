@@ -210,6 +210,45 @@ class TestSelectorsMatchSequentialWalk:
         assert ledger.residual_fractions().tolist() == residuals
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=30),
+        st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0]), min_size=1, max_size=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_best_utility_ties_straddling_the_cap(self, cap, extra, levels, seed):
+        # Catalogs larger than the cap whose cap-th and (cap+1)-th chargeable
+        # utilities tie, on fresh and partly spent ledgers.
+        rng = np.random.default_rng(seed)
+        n = cap + extra
+        utilities = rng.choice(levels, n)
+        ledger = PrivacyLedger.uniform(n, 3, 1, cap)
+        twin = FractionLedger(n, 3, 1, cap)
+        for video in rng.choice(n, int(rng.integers(0, n + 1))).tolist():
+            if ledger.can_charge(video):
+                ledger.charge(video)
+                twin.charge(video)
+        feasible = np.sort(utilities[ledger.chargeable()])[::-1]
+        if len(feasible) > cap:
+            utilities[utilities == feasible[cap]] = feasible[cap - 1]
+        for _ in range(3):
+            cands, ledger = select_candidates_best_utility(utilities, ledger)
+            assert cands.videos == walk_best_utility(utilities, twin)
+            assert list(ledger.consumed) == twin.consumed
+
+
+    def test_best_utility_nan_utilities_sort_last(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n, cap = int(rng.integers(2, 12)), int(rng.integers(1, 5))
+            utilities = rng.choice([np.nan, 1.0, 2.0, -0.0, 0.0], n)
+            ledger, twin = PrivacyLedger.uniform(n, 2, 1, cap), FractionLedger(n, 2, 1, cap)
+            for _ in range(2):
+                cands, ledger = select_candidates_best_utility(utilities, ledger)
+                assert cands.videos == walk_best_utility(utilities, twin)
+
+
 class TestThresholdBars:
     """The per-count bar table equals ``threshold`` evaluated per distinct count."""
 

@@ -108,6 +108,32 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(init_horizon=100.0, test_horizon=50.0)
 
+    def test_fitted_horizon_past_barrier_limit_rejected(self):
+        # 1e17 h at 48 h intervals would be about 2e15 refits.
+        for policy in ("ppvf", "sage", "bestfit"):
+            with pytest.raises(ValueError, match="fitting barriers"):
+                SimConfig(policy=policy, test_horizon=1e17)
+        # A policy that never fits has no schedule to bound.
+        assert SimConfig(policy="lru", test_horizon=1e17).test_horizon == 1e17
+
+
+class TestBarrierTimes:
+    def test_values_are_repeated_sums(self):
+        cfg = SimConfig(train=TrainConfig(update_interval_hours=0.1))
+        expected, barrier = [], 0.1
+        while barrier < 720.0:
+            expected.append(barrier)
+            barrier += 0.1
+        assert sim.barrier_times(cfg, 720.0) == expected
+        assert sim.barrier_times(SimConfig(), 720.0) == [48.0 * k for k in range(1, 15)]
+
+    def test_limit_is_inclusive(self):
+        cfg = SimConfig(train=TrainConfig(update_interval_hours=1.0))
+        times = sim.barrier_times(cfg, sim.MAX_BARRIERS + 1.0)
+        assert len(times) == sim.MAX_BARRIERS and times[-1] == float(sim.MAX_BARRIERS)
+        with pytest.raises(ValueError, match="fitting barriers"):
+            sim.barrier_times(cfg, sim.MAX_BARRIERS + 1.5)
+
 
 def repeated_video_log(n, spacing=0.5):
     events = [trace.RequestEvent(0, 0, 0, i * spacing) for i in range(n)]
