@@ -4,8 +4,8 @@ Each cache miss contributes one utility sweep to a running Pearson state.
 Between refits every sweep is affine in the edge's latent mix,
 ``utilities = base_rate + target_factors @ mix``, so the state keeps the
 moments of the mix per parameter epoch, next to one (epoch, video, 1+D)
-table of every epoch's parameters, allocated once for the whole fitting
-schedule and shared by all edges; any pair's full-history cross sum
+table of every epoch's parameters, built once from the fitted sequence
+and shared read-only by all edges; any pair's full-history cross sum
 follows from those in O(E * D^2), for every catalog size. Sensitivity of
 a candidate video is the correlation-weighted sum of how much deleting
 each co-candidate's history would move its utility; with the exponential
@@ -21,7 +21,6 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,60 +34,49 @@ class CorrelationState:
     """Running sums behind the per-pair Pearson correlation of utilities.
 
     ``sums`` and ``sq_sums`` accumulate each video's utilities directly.
-    Cross sums stay factored over parameter epochs. ``epochs`` is the
-    (E, I, 1+D) table filled by :func:`set_epoch`: row ``epochs[e, i]`` is
-    ``(base_rate[i], *target_factors[i])`` under epoch ``e``'s parameters.
-    The simulator allocates one table for every barrier of its schedule,
-    fills epoch ``e`` at barrier ``e`` and gives every edge the same view
-    of the filled epochs. ``moments[e]`` is the sum of
-    ``outer(z, z)`` over epoch ``e``'s sweeps with ``z = (1, mix)``, and only
-    ``moments[-1]`` changes. The full-history cross sum of videos ``i`` and
-    ``j`` is ``sum_e epochs[e, i] @ moments[e] @ epochs[e, j]``, exact for
-    every catalog size. A state fed sweeps without their mix holds one
-    identity epoch (zero base, identity factors, mix = the sweep), whose
-    ``cross`` is exactly the sum of ``outer(utilities, utilities)``; it is
-    O(catalog^2), so the simulator always passes the mix.
+    Cross sums stay factored over parameter epochs. ``table`` is the
+    read-only (E, I, 1+D) table of :func:`epoch_table`: row ``table[e, i]``
+    is ``(base_rate[i], *target_factors[i])`` under epoch ``e``'s
+    parameters, built once per run and shared by every edge. The state
+    starts in epoch 0 and :meth:`next_epoch` moves it on; ``epochs`` and
+    ``moments`` cover the epochs reached so far. ``moments[e]`` is the sum
+    of ``outer(z, z)`` over epoch ``e``'s sweeps with ``z = (1, mix)``, and
+    only ``moments[-1]`` changes. The full-history cross sum of videos ``i``
+    and ``j`` is ``sum_e epochs[e, i] @ moments[e] @ epochs[e, j]``, exact
+    for every catalog size.
     """
 
     # bench/tracing.py sizes the state as sums + sq_sums + cross when this is set.
     dense = True
 
-    def __init__(self, catalog_size: int):
-        self.catalog_size = catalog_size
+    def __init__(self, table: np.ndarray):
+        self.table = table
+        self.catalog_size = table.shape[1]
         self.steps = 0
-        self.sums = np.zeros(catalog_size)
-        self.sq_sums = np.zeros(catalog_size)
-        self.epochs: np.ndarray | None = None
-        self.moments: np.ndarray | None = None
+        self.sums = np.zeros(self.catalog_size)
+        self.sq_sums = np.zeros(self.catalog_size)
+        self._moments = np.zeros((len(table),) + (table.shape[2],) * 2)
+        self.epochs, self.moments = table[:1], self._moments[:1]
 
-    def start_epoch(self, epochs: np.ndarray) -> None:
-        """Fold later sweeps as ``epochs[-1] @ (1, mix)``.
-
-        ``epochs`` is the state's table with one more epoch filled in.
-        """
-        if len(epochs) != (0 if self.epochs is None else len(self.epochs)) + 1:
-            raise ValueError("epochs must extend the state's table by one epoch")
-        fresh = np.zeros((1,) + (epochs.shape[2],) * 2)
-        self.moments = fresh if self.moments is None else np.concatenate((self.moments, fresh))
-        self.epochs = epochs
+    def next_epoch(self) -> None:
+        """Fold later sweeps as ``table[e + 1] @ (1, mix)``."""
+        reached = len(self.epochs) + 1
+        if reached > len(self.table):
+            raise ValueError("the epoch table holds no later epoch")
+        self.epochs, self.moments = self.table[:reached], self._moments[:reached]
 
     @property
     def cross(self) -> np.ndarray:
         """The current epoch's sum of ``outer(mix, mix)``."""
         return self.moments[-1, 1:, 1:]
 
-    def update(self, utilities: np.ndarray, mix: np.ndarray | None = None) -> None:
+    def update(self, utilities: np.ndarray, mix: np.ndarray) -> None:
         """Fold one utility sweep, and the mix it was computed from, into the state."""
         lam = np.asarray(utilities, dtype=np.float64)
         if lam.shape[0] != self.catalog_size:
             raise ValueError("utility vector length must match the catalog")
         if not np.isfinite(lam).all():
             raise ValueError("utilities must be finite")
-        if mix is None:
-            if self.epochs is None:
-                # Zero base rate in column 0, identity factors after it.
-                self.start_epoch(np.eye(self.catalog_size, self.catalog_size + 1, 1)[None])
-            mix = lam
         z = np.concatenate(([1.0], mix))
         self.moments[-1] += z[:, None] * z
         self.steps += 1
@@ -96,14 +84,15 @@ class CorrelationState:
         self.sq_sums += lam * lam
 
 
-def set_epoch(table: np.ndarray, epoch: int, base_rate: np.ndarray, target_factors: np.ndarray) -> np.ndarray:
-    """Fill ``table[epoch]`` with the rows ``(base_rate[i], *target_factors[i])``.
-
-    Returns the view of epochs ``0..epoch`` that :meth:`CorrelationState.start_epoch` takes.
-    """
-    table[epoch, :, 0] = base_rate
-    table[epoch, :, 1:] = target_factors
-    return table[: epoch + 1]
+def epoch_table(params_list) -> np.ndarray:
+    """The (E, I, 1+D) table whose row ``[e, i]`` is ``(base_rate[i], *target_factors[i])``
+    under ``params_list[e]``."""
+    first = params_list[0]
+    table = np.empty((len(params_list), first.catalog_size, 1 + first.dim))
+    for rows, params in zip(table, params_list):
+        rows[:, 0] = params.base_rate
+        rows[:, 1:] = params.target_factors
+    return table
 
 
 def correlation_block(state: CorrelationState, videos) -> np.ndarray:
@@ -161,19 +150,6 @@ def global_sensitivity(per_video: dict[int, float]) -> float:
     if not per_video:
         raise ValueError("candidate set must be non-empty")
     return max(per_video.values())
-
-
-@dataclass(frozen=True)
-class PrefetchDecision:
-    """Videos chosen for redundant fetching, in draw order."""
-
-    chosen: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.chosen)
-
-    def __iter__(self):
-        return iter(self.chosen)
 
 
 def em_weights(utilities: np.ndarray, eps_step: float, sensitivity: float) -> np.ndarray:
@@ -248,12 +224,12 @@ def em_sample(
     sensitivity: float,
     prefetch_cap: int,
     rng,
-) -> PrefetchDecision:
+) -> tuple[int, ...]:
     """Draw up to ``prefetch_cap`` distinct candidates, utility-weighted.
 
     Each sequential draw is an exponential mechanism over the remaining pool;
     the accounted cost of the step is draws * eps_step under composition. An
-    empty candidate set yields an empty decision.
+    empty candidate set yields an empty tuple.
 
     Draw for draw, this is ``rng.choice(len(pool), p=em_weights(...))`` over
     the remaining pool, bit for bit and with the same random stream:
@@ -273,7 +249,7 @@ def em_sample(
         raise ValueError("need one utility per candidate")
     draws = min(len(pool), prefetch_cap)
     if draws <= 0:
-        return PrefetchDecision(chosen=())
+        return ()
     if sensitivity < 0:
         raise ValueError("sensitivity must be non-negative")
     chosen: list[int] = []
@@ -281,7 +257,7 @@ def em_sample(
         # No usable signal: the uniform draw is the privacy-safe limit.
         for u in rng.random(draws).tolist():
             chosen.append(pool.pop(bisect.bisect_right(_uniform_cdf(len(pool)), u)))
-        return PrefetchDecision(chosen=tuple(chosen))
+        return tuple(chosen)
     scores = eps_step * lam / (2.0 * sensitivity)
     listed = scores.tolist()
     if any(map(math.isnan, listed)):
@@ -310,7 +286,7 @@ def em_sample(
         cdf = list(itertools.accumulate([x / total for x in w]))
         last = cdf[-1]
         chosen.append(pool[left.pop(bisect.bisect_right([c / last for c in cdf], u))])
-    return PrefetchDecision(chosen=tuple(chosen))
+    return tuple(chosen)
 
 
 def dp_ratio_check(

@@ -9,14 +9,15 @@ through federated fitting over the edges' private logs. The warmup period
 exercises caches and state but spends no privacy budget and counts toward
 no metric.
 
-The trace is the only record of requests. It is split by edge once, and
-each edge replays its own log up to the next fitting barrier, one edge at a
-time on the calling thread (the per-event loop holds the GIL, so threads
-give no speedup). Each barrier's fit (:func:`fit_barriers`, which ``ppvf
-fit`` runs too) reads the requests stamped before it from the edge logs, so
-the fitted sequence depends on the trace and the settings alone. All
-randomness flows from per-edge seeded streams and all reductions are
-order-independent, so reports depend on the seed alone.
+The trace is the only record of requests. It is split by edge once. A
+run first fits the whole barrier sequence (:func:`fit_barriers`, which
+``ppvf fit`` runs too): each barrier's fit reads the requests stamped
+before it from the edge logs, so the fitted sequence depends on the trace
+and the settings alone. Then each edge replays its whole log in one pass,
+on its own and in edge order, switching to the next fitted parameters when
+a request reaches that barrier, and is folded into the report before the
+next edge starts. All randomness flows from per-edge seeded streams and
+all reductions are order-independent, so reports depend on the seed alone.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from .trace import EventLog, partition_by_edge
 POLICIES = ("ppvf", "sage", "bestfit", "mav", "lru", "lfu")
 _MEP_POLICIES = {"ppvf", "sage", "bestfit"}
 # The most fitting barriers one schedule may hold: 55 years at the default
-# 48 h interval. Each barrier is a federated fit and one more epoch in the
+# 48 h interval. Each barrier is a federated fit, one more kept parameter
+# set (catalog x (1 + 2 * latent_dim) floats) and one more epoch in the
 # simulator's parameter table (catalog x (1 + latent_dim) floats).
 MAX_BARRIERS = 10_000
 
@@ -90,20 +92,6 @@ class SimConfig:
             barrier_times(self, self.test_horizon)
 
 
-@dataclass(frozen=True)
-class FetchRecord:
-    """One upstream fetch: the viewed video joined with its prefetch noise."""
-
-    edge_id: int
-    step: int
-    viewed: int
-    prefetched: tuple[int, ...]
-
-    @property
-    def fetched(self) -> tuple[int, ...]:
-        return (self.viewed,) + tuple(v for v in self.prefetched if v != self.viewed)
-
-
 @dataclass
 class SimReport:
     policy: str
@@ -135,21 +123,6 @@ def jaccard_similarity(profile_a: set, profile_b: set) -> float:
     return len(profile_a & profile_b) / len(union)
 
 
-def cache_hit_ratio(hits: int, requests: int) -> float:
-    if requests <= 0:
-        raise ValueError("cache hit ratio undefined without requests")
-    value = hits / requests
-    if not 0 <= value <= 1:
-        raise ValueError("hit count exceeds request count")
-    return value
-
-
-def budget_cdf(ledgers) -> list[tuple[float, float]]:
-    """Empirical CDF of per-video residual budget fractions, pooled over edges."""
-    residuals = [ledger.residual_fractions() for ledger in ledgers]
-    return _cdf_points(np.concatenate(residuals) if residuals else [])
-
-
 class _BoundTracker:
     """Running utility/cost ratio extremes during warmup, frozen at test time."""
 
@@ -179,7 +152,7 @@ class _BoundTracker:
 
 
 class _EdgeRuntime:
-    """All mutable per-edge state, driven by a replay of that edge's log.
+    """All mutable per-edge state, driven by one pass over that edge's log.
 
     ``cursor`` indexes the next request to replay. Fitted policies fold
     requests into the kernel one timestamp at a time: ``[folded, cursor)``
@@ -187,8 +160,8 @@ class _EdgeRuntime:
     sweep at that stamp sees only the strictly earlier past (left limit).
     """
 
-    def __init__(self, edge_id: int, log: EventLog, cfg: SimConfig, epochs: np.ndarray, capacity: int):
-        catalog_size = epochs.shape[1]
+    def __init__(self, edge_id: int, log: EventLog, cfg: SimConfig, table: np.ndarray, capacity: int):
+        catalog_size = log.catalog_size
         self.edge_id = edge_id
         self.log = log
         self.cfg = cfg
@@ -202,8 +175,7 @@ class _EdgeRuntime:
         self.eps_steps = [
             float(k * self.ledger.cost / cfg.prefetch_cap) for k in range(cfg.prefetch_cap + 1)
         ]
-        self.corr = cdp.CorrelationState(catalog_size)
-        self.corr.start_epoch(epochs)
+        self.corr = cdp.CorrelationState(table)
         self.bounds = _BoundTracker(cfg.bounds)
         if cfg.policy == "lru":
             self.cache = cache_mod.LruCache(capacity)
@@ -223,7 +195,6 @@ class _EdgeRuntime:
             np.random.SeedSequence(cfg.seed, spawn_key=(edge_id, 1))
         )
         self.hits = 0
-        self.miss_step = 0
         self.exposed: set[int] = set()
         self.hit_sequence: list[bool] = []
 
@@ -250,12 +221,26 @@ class _EdgeRuntime:
 
     # -- event processing ----------------------------------------------------
 
-    def replay(self, params: ModelParams, until: float) -> None:
-        """Process this edge's requests stamped before ``until``."""
-        times = self.log.timestamps
-        stop = int(np.searchsorted(times, until, side="left"))
-        videos = self.log.video_ids[self.cursor : stop].tolist()
-        for video, ts in zip(videos, times[self.cursor : stop].tolist()):
+    def run(self, barriers: list[float], params_list: list[ModelParams]) -> None:
+        """Replay the whole log; ``params_list[e]`` holds from ``barriers[e - 1]`` on.
+
+        A request stamped at or after the next barrier first folds the
+        pending requests under the old parameters, then moves the kernel
+        and the correlation state to the epoch it falls in. Barriers after
+        the last request need nothing: no later read sees them.
+        """
+        epoch = 0
+        params = params_list[0]
+        upcoming = barriers + [math.inf]
+        videos = self.log.video_ids.tolist()
+        for video, ts in zip(videos, self.log.timestamps.tolist()):
+            if ts >= upcoming[epoch]:
+                self.fold(params)
+                while ts >= upcoming[epoch]:
+                    epoch += 1
+                    self.corr.next_epoch()
+                params = params_list[epoch]
+                self.kernel.rebuild_mix(params)
             self.process(params, video, ts)
             self.cursor += 1
 
@@ -284,7 +269,6 @@ class _EdgeRuntime:
 
     def _on_miss(self, params: ModelParams, video: int, ts: float, in_test: bool) -> None:
         cfg = self.cfg
-        self.miss_step += 1
         if self.mav is None:
             state = self._left_limit_state(params, ts)
             lam = intensity_sweep(params, state)
@@ -294,7 +278,7 @@ class _EdgeRuntime:
             lam = self.mav.scores(ts)
         ratios = lam / cfg.unit_cost
 
-        prefetched: tuple[int, ...] = ()
+        fetched = [video]
         if not in_test:
             # Warmup exercises the cache and state only; no budget is spent.
             self.bounds.observe(ratios)
@@ -305,7 +289,7 @@ class _EdgeRuntime:
                 if self.mav is None:
                     sens = cdp.candidate_sensitivities(params, state, self.corr, candidates)
                     worst = cdp.global_sensitivity(sens)
-                decision = cdp.em_sample(
+                prefetched = cdp.em_sample(
                     candidates,
                     lam[list(candidates)],
                     self.eps_steps[len(candidates)],
@@ -313,15 +297,11 @@ class _EdgeRuntime:
                     self.ledger.prefetch_cap,
                     self.rng_em,
                 )
-                prefetched = decision.chosen
-
-        record = FetchRecord(
-            edge_id=self.edge_id, step=self.miss_step, viewed=video, prefetched=prefetched
-        )
-        if in_test:
-            self.exposed.update(record.fetched)
+                # The fetch sent upstream: the viewed video, then the prefetches.
+                fetched += [v for v in prefetched if v != video]
+            self.exposed.update(fetched)
         self.cache.refresh_scores(lam)
-        self.cache.admit([(v, lam[v]) for v in record.fetched])
+        self.cache.admit([(v, lam[v]) for v in fetched])
 
     def _select_candidates(self, lam: np.ndarray, ratios: np.ndarray) -> scheduler.CandidateSet:
         cfg = self.cfg
@@ -374,48 +354,35 @@ def run_simulation(cfg: SimConfig, log: EventLog) -> SimReport:
     if log.horizon > cfg.test_horizon:
         raise ValueError("log horizon extends past the configured test horizon")
     capacity = max(1, round(cfg.cache_fraction * log.catalog_size))
-    params = ModelParams.constant(log.catalog_size, cfg.latent_dim, 1.0, cfg.decay)
     edge_logs = partition_by_edge(log)
-    fitted = cfg.policy in _MEP_POLICIES
-    # One parameter table for the whole schedule, shared by every edge's
-    # correlation state; barrier e fills epoch e.
-    refits = len(barrier_times(cfg, cfg.test_horizon)) if fitted else 0
-    table = np.empty((1 + refits, log.catalog_size, 1 + cfg.latent_dim))
-    epochs = cdp.set_epoch(table, 0, params.base_rate, params.target_factors)
-    edges = [_EdgeRuntime(e, el, cfg, epochs, capacity) for e, el in enumerate(edge_logs)]
     report = SimReport(policy=cfg.policy, cache_capacity=capacity)
-
-    fits = fit_barriers(edge_logs, params, cfg, cfg.test_horizon) if fitted else ()
-    for epoch, (barrier, result) in enumerate(fits, start=1):
-        for rt in edges:
-            rt.replay(params, barrier)
-            rt.fold(params)
-        params = result.params
-        report.fl_losses.extend((barrier, idx, loss) for idx, loss in enumerate(result.losses))
-        epochs = cdp.set_epoch(table, epoch, params.base_rate, params.target_factors)
-        for rt in edges:
-            rt.kernel.rebuild_mix(params)
-            rt.corr.start_epoch(epochs)
-    for rt in edges:
-        rt.replay(params, math.inf)
-
-    _finalize_report(report, edges)
+    barriers: list[float] = []
+    params_list = [ModelParams.constant(log.catalog_size, cfg.latent_dim, 1.0, cfg.decay)]
+    if cfg.policy in _MEP_POLICIES:
+        for barrier, result in fit_barriers(edge_logs, params_list[0], cfg, cfg.test_horizon):
+            barriers.append(barrier)
+            params_list.append(result.params)
+            report.fl_losses.extend((barrier, idx, loss) for idx, loss in enumerate(result.losses))
+    table = cdp.epoch_table(params_list)
+    for edge_id, edge_log in enumerate(edge_logs):
+        rt = _EdgeRuntime(edge_id, edge_log, cfg, table, capacity)
+        rt.run(barriers, params_list)
+        _fold_edge(report, rt)
     return report
 
 
-def _finalize_report(report: SimReport, edges) -> None:
-    for rt in edges:
-        test = rt.log.timestamps >= rt.cfg.init_horizon
-        report.hits += rt.hits
-        report.requests += int(np.count_nonzero(test))
-        report.per_edge_fetches.append(len(rt.exposed))
-        profiles: dict[int, set[int]] = {}
-        for user, video in zip(rt.log.user_ids[test].tolist(), rt.log.video_ids[test].tolist()):
-            profiles.setdefault(user, set()).add(video)
-        for user, profile in sorted(profiles.items()):
-            report.per_user_js[(rt.edge_id, user)] = jaccard_similarity(profile, rt.exposed)
-        report.residual_fractions.extend(rt.ledger.residual_fractions().tolist())
-        report.hit_sequence.extend(rt.hit_sequence)
+def _fold_edge(report: SimReport, rt: _EdgeRuntime) -> None:
+    test = rt.log.timestamps >= rt.cfg.init_horizon
+    report.hits += rt.hits
+    report.requests += int(np.count_nonzero(test))
+    report.per_edge_fetches.append(len(rt.exposed))
+    profiles: dict[int, set[int]] = {}
+    for user, video in zip(rt.log.user_ids[test].tolist(), rt.log.video_ids[test].tolist()):
+        profiles.setdefault(user, set()).add(video)
+    for user, profile in sorted(profiles.items()):
+        report.per_user_js[(rt.edge_id, user)] = jaccard_similarity(profile, rt.exposed)
+    report.residual_fractions.extend(rt.ledger.residual_fractions().tolist())
+    report.hit_sequence.extend(rt.hit_sequence)
 
 
 # -- CSV serialization -------------------------------------------------------

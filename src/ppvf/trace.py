@@ -18,6 +18,16 @@ from .predictor import ModelParams
 
 
 _INT64 = np.iinfo(np.int64)
+# The largest ids load_trace accepts. A run allocates catalog-sized state
+# for every edge id up to the largest one and for every fitting epoch, so an
+# id is an index into that state, not a label: remap sparse or hashed ids to
+# 0, 1, ... first. The fit holds about 250 bytes per video for each edge
+# (its window statistics and gradient upload, at latent_dim 10), and each
+# epoch keeps its parameters and correlation rows, 8 * (2 + 3 * latent_dim)
+# bytes per video. 1024 edges then take about 120 MiB of fit state at a
+# 500-video catalog; 2**18 videos take about 64 MiB per edge and per epoch.
+MAX_EDGE_ID = 2**10 - 1
+MAX_VIDEO_ID = 2**18 - 1
 
 
 class TraceFormatError(ValueError):
@@ -183,8 +193,12 @@ def load_trace(
                     raise TraceFormatError(str(exc), line_no) from None
                 if not 0 <= t < math.inf:
                     raise TraceFormatError("timestamp must be finite and non-negative", line_no)
-                if e < 0 or v < 0:
-                    raise TraceFormatError("negative edge or video id", line_no)
+                if not 0 <= e <= MAX_EDGE_ID:
+                    raise TraceFormatError(f"edge id {e} outside 0..{MAX_EDGE_ID}", line_no)
+                if not 0 <= v <= MAX_VIDEO_ID:
+                    raise TraceFormatError(f"video id {v} outside 0..{MAX_VIDEO_ID}", line_no)
+                if not _INT64.min <= u <= _INT64.max:
+                    raise TraceFormatError("user id does not fit in a 64-bit integer", line_no)
                 edges.append(e)
                 users.append(u)
                 vids.append(v)
@@ -195,12 +209,7 @@ def load_trace(
     if not edges:
         raise TraceFormatError("trace file contains no records")
 
-    try:
-        edge_arr, user_arr, vid_arr = (np.array(ids, dtype=np.int64) for ids in (edges, users, vids))
-    except OverflowError:
-        rows = zip(edges, users, vids)
-        bad = next(k for k, ids in enumerate(rows) if not all(_INT64.min <= i <= _INT64.max for i in ids))
-        raise TraceFormatError("id does not fit in a 64-bit integer", line_nos[bad]) from None
+    edge_arr, user_arr, vid_arr = (np.array(ids, dtype=np.int64) for ids in (edges, users, vids))
     ts = np.array(tss, dtype=np.float64)
     # The tiny bias guards against 2.9999999 from float division of an
     # already-quantized stamp; it keeps quantization idempotent.

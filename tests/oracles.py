@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from ppvf.cdp import CorrelationState, PrefetchDecision, candidate_sensitivities, correlation_block, em_weights
+from ppvf.cdp import CorrelationState, candidate_sensitivities, correlation_block, em_weights
 from ppvf.federation import FitResult, TrainConfig, aggregate_and_step, global_loss, sum_gradients
 from ppvf.predictor import (
     PARAM_FLOOR,
@@ -274,7 +274,7 @@ def window_gradients_reference(params: ModelParams, window: TrainWindow, stats) 
     return GradientBundle(g_base, g_tgt, g_src)
 
 
-def em_sample_per_draw(candidates, utilities, eps_step, sensitivity, prefetch_cap, rng) -> PrefetchDecision:
+def em_sample_per_draw(candidates, utilities, eps_step, sensitivity, prefetch_cap, rng) -> tuple[int, ...]:
     """Sequential exponential-mechanism draws: ``em_weights`` of the remaining
     pool, one ``rng.choice`` with those probabilities, delete, repeat."""
     pool = list(candidates)
@@ -287,7 +287,7 @@ def em_sample_per_draw(candidates, utilities, eps_step, sensitivity, prefetch_ca
         idx = int(rng.choice(len(pool), p=probs))
         chosen.append(pool.pop(idx))
         lam = np.delete(lam, idx)
-    return PrefetchDecision(chosen=tuple(chosen))
+    return tuple(chosen)
 
 
 def thin_one_edge_with_choice(spec, edge: int, rng):
@@ -421,8 +421,17 @@ def kernel_integral(a: float, b: float, decay: float) -> float:
     return (math.exp(-decay * a) - hi) / decay
 
 
+def identity_correlation_state(catalog_size: int) -> CorrelationState:
+    """A correlation state of one identity epoch: zero base rate in column 0,
+    identity factors after it. Fed each sweep as its own mix, its ``cross``
+    is exactly the sum of ``outer(utilities, utilities)``; it is
+    O(catalog^2), for generic test vectors only."""
+    return CorrelationState(np.eye(catalog_size, catalog_size + 1, 1)[None])
+
+
 def update_correlation(state: CorrelationState, utilities: np.ndarray, mix=None) -> CorrelationState:
-    state.update(utilities, mix)
+    """Fold one sweep; without a mix the sweep is its own (identity-epoch) mix."""
+    state.update(utilities, utilities if mix is None else mix)
     return state
 
 

@@ -22,6 +22,7 @@ from oracles import (
     brute_intensity_all,
     correlation_degree,
     fd_gradients,
+    identity_correlation_state,
     intensity,
     quadrature_ll,
     rebuild_state,
@@ -168,7 +169,7 @@ def test_em_distribution():
         counts = np.zeros(4)
         for _ in range(n):
             decision = cdp.em_sample(cands, utilities, eps_step, sens, 1, rng)
-            counts[list(cands).index(decision.chosen[0])] += 1
+            counts[list(cands).index(decision[0])] += 1
         tv = 0.5 * float(np.abs(counts / n - exact).sum())
         assert tv <= 0.005, tv
 
@@ -179,7 +180,7 @@ def test_em_distribution():
         first = 0
         for _ in range(n):
             decision = cdp.em_sample(two, util2, 1.0, sens2, 1, rng)
-            first += decision.chosen[0] == 0
+            first += decision[0] == 0
         p_first = first / n
         assert abs(p_first - math.e / (math.e + 1)) <= 0.01
         assert abs(math.e / (math.e + 1) - 0.7311) < 5e-5
@@ -205,7 +206,7 @@ def test_correlation_and_sensitivity_oracles():
         rng = np.random.default_rng(577)
         catalog = 6
         sweeps = rng.uniform(0.0, 3.0, size=(1000, catalog))
-        state = cdp.CorrelationState(catalog)
+        state = identity_correlation_state(catalog)
         for lam in sweeps:
             update_correlation(state, lam)
         batch = np.corrcoef(sweeps.T)

@@ -11,6 +11,7 @@ from oracles import (
     correlation_block_from_lists,
     correlation_degree,
     em_sample_per_draw,
+    identity_correlation_state,
     intensity,
     rebuild_state,
     update_correlation,
@@ -19,7 +20,6 @@ from oracles import (
 from ppvf import cdp
 from ppvf.cdp import (
     CorrelationState,
-    PrefetchDecision,
     dp_ratio_check,
     em_sample,
     em_weights,
@@ -38,9 +38,17 @@ def random_params(rng, catalog=6, dim=2):
     )
 
 
+def fill_epoch(table, epoch, base, factors):
+    """Write one epoch's rows of a correlation table. A state reads only the
+    epochs it has reached, so a test may fill each one just before
+    ``next_epoch`` moves the state to it."""
+    table[epoch, :, 0] = base
+    table[epoch, :, 1:] = factors
+
+
 class TestCorrelationState:
     def test_single_update_is_rank_one(self):
-        state = CorrelationState(3)
+        state = identity_correlation_state(3)
         lam = np.array([1.0, 2.0, 3.0])
         update_correlation(state, lam)
         assert np.allclose(state.cross, np.outer(lam, lam))
@@ -49,7 +57,7 @@ class TestCorrelationState:
         assert state.steps == 1
 
     def test_two_identical_updates_double(self):
-        state = CorrelationState(3)
+        state = identity_correlation_state(3)
         lam = np.array([1.0, 2.0, 3.0])
         update_correlation(state, lam)
         update_correlation(state, lam)
@@ -59,7 +67,7 @@ class TestCorrelationState:
     def test_fifty_updates_match_batch_recomputation(self):
         rng = np.random.default_rng(0)
         sweeps = rng.uniform(0.0, 4.0, size=(50, 4))
-        state = CorrelationState(4)
+        state = identity_correlation_state(4)
         for lam in sweeps:
             update_correlation(state, lam)
         assert np.allclose(state.cross, sweeps.T @ sweeps, rtol=1e-9)
@@ -72,40 +80,40 @@ class TestCorrelationState:
 
     def test_diagonal_equals_square_sums(self):
         rng = np.random.default_rng(1)
-        state = CorrelationState(3)
+        state = identity_correlation_state(3)
         for _ in range(10):
             update_correlation(state, rng.uniform(0, 1, 3))
         assert np.allclose(np.diag(state.cross), state.sq_sums, rtol=1e-12)
         assert np.allclose(state.cross, state.cross.T)
 
     def test_non_finite_rejected(self):
-        state = CorrelationState(2)
+        state = identity_correlation_state(2)
         with pytest.raises(ValueError):
             update_correlation(state, np.array([1.0, np.inf]))
 
 
 class TestCorrelationDegree:
     def test_identical_series_fully_correlated(self):
-        state = CorrelationState(2)
+        state = identity_correlation_state(2)
         for v in (1.0, 3.0, 2.0, 5.0):
             update_correlation(state, np.array([v, v]))
         assert correlation_degree(state, 0, 1) == pytest.approx(1.0)
 
     def test_anti_correlated_series(self):
-        state = CorrelationState(2)
+        state = identity_correlation_state(2)
         for v in (1.0, 3.0, 2.0, 5.0):
             update_correlation(state, np.array([v, 10.0 - v]))
         assert correlation_degree(state, 0, 1) == pytest.approx(-1.0)
 
     def test_constant_series_degenerate_zero(self):
-        state = CorrelationState(2)
+        state = identity_correlation_state(2)
         for v in (1.0, 2.0, 3.0):
             update_correlation(state, np.array([4.0, v]))
         assert correlation_degree(state, 0, 1) == 0.0
         assert correlation_degree(state, 0, 0) == 0.0
 
     def test_undefined_before_two_steps(self):
-        state = CorrelationState(2)
+        state = identity_correlation_state(2)
         update_correlation(state, np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             correlation_degree(state, 0, 1)
@@ -115,13 +123,15 @@ class TestCorrelationDegree:
         # its Pearson correlation over the full history, across a refit.
         rng = np.random.default_rng(2)
         catalog, dim = 5000, 3
-        state = CorrelationState(catalog)
         table = np.empty((2, catalog, 1 + dim))
+        state = CorrelationState(table)
         history = []
         for epoch in range(2):
             base = rng.uniform(0.1, 0.5, catalog)
             factors = rng.uniform(0.05, 0.3, (catalog, dim))
-            state.start_epoch(cdp.set_epoch(table, epoch, base, factors))
+            fill_epoch(table, epoch, base, factors)
+            if epoch:
+                state.next_epoch()
             for _ in range(15):
                 mix = rng.uniform(0.0, 2.0, dim)
                 lam = base + factors @ mix
@@ -138,12 +148,14 @@ class TestCorrelationBlockMatchesEpochLists:
     def test_bit_for_bit(self, epochs):
         rng = np.random.default_rng(epochs)
         catalog, dim = 60, 10
-        state, ref = CorrelationState(catalog), ListCorrelationState(catalog)
         table = np.empty((epochs, catalog, 1 + dim))
+        state, ref = CorrelationState(table), ListCorrelationState(catalog)
         for epoch in range(epochs):
             base = rng.uniform(0.1, 0.5, catalog)
             factors = rng.uniform(0.05, 0.3, (catalog, dim))
-            state.start_epoch(cdp.set_epoch(table, epoch, base, factors))
+            fill_epoch(table, epoch, base, factors)
+            if epoch:
+                state.next_epoch()
             ref.start_epoch(base, factors)
             for _ in range(int(rng.integers(2, 6))):
                 mix = rng.uniform(0.0, 2.0, dim)
@@ -155,17 +167,25 @@ class TestCorrelationBlockMatchesEpochLists:
                 block = cdp.correlation_block(state, videos)
                 assert block.tobytes() == correlation_block_from_lists(ref, videos).tobytes()
 
-    def test_table_must_grow_by_one_epoch(self):
-        state = CorrelationState(3)
-        table = np.empty((2, 3, 3))
-        first = cdp.set_epoch(table, 0, np.ones(3), np.ones((3, 2)))
-        state.start_epoch(first)
+    def test_next_epoch_stops_at_table_end(self):
+        state = CorrelationState(np.ones((2, 3, 3)))
+        state.next_epoch()
+        assert len(state.epochs) == len(state.moments) == 2
         with pytest.raises(ValueError):
-            state.start_epoch(first)
+            state.next_epoch()
+
+    def test_epoch_table_rows_hold_base_then_target_factors(self):
+        rng = np.random.default_rng(14)
+        params_list = [random_params(rng) for _ in range(3)]
+        table = cdp.epoch_table(params_list)
+        assert table.shape == (3, 6, 3)
+        for rows, params in zip(table, params_list):
+            assert rows[:, 0].tobytes() == params.base_rate.tobytes()
+            assert rows[:, 1:].tobytes() == params.target_factors.tobytes()
 
 
 def warm_corr(catalog, rng, steps=12):
-    state = CorrelationState(catalog)
+    state = identity_correlation_state(catalog)
     for _ in range(steps):
         update_correlation(state, rng.uniform(0.1, 2.0, catalog))
     return state
@@ -213,7 +233,7 @@ class TestVideoSensitivity:
     def test_undefined_correlation_reads_zero(self):
         rng = np.random.default_rng(6)
         params = random_params(rng)
-        corr = CorrelationState(6)
+        corr = identity_correlation_state(6)
         update_correlation(corr, rng.uniform(0, 1, 6))
         state = advance_state(params, KernelState.empty(6, 2), 1.0, [1.0], [0])
         cands = CandidateSet(videos=(0,), cap=4)
@@ -235,7 +255,7 @@ class TestGlobalSensitivity:
     def test_independent_videos_reduce_to_self_terms(self):
         rng = np.random.default_rng(8)
         params = random_params(rng, catalog=2)
-        corr = CorrelationState(2)
+        corr = identity_correlation_state(2)
         # Orthogonal non-degenerate series: off-diagonal Pearson exactly zero.
         for lam in ([1.0, 1.0], [2.0, 1.0], [1.0, 2.0], [2.0, 2.0]):
             update_correlation(corr, np.array(lam))
@@ -266,7 +286,7 @@ class TestEmSample:
         counts = np.zeros(4)
         for _ in range(100_000):
             d = em_sample(cands, np.full(4, 2.5), 1.0, 1.0, 1, rng)
-            counts[list(cands).index(d.chosen[0])] += 1
+            counts[list(cands).index(d[0])] += 1
         _, p_value = chisquare(counts)
         assert p_value > 0.01
 
@@ -279,7 +299,7 @@ class TestEmSample:
         n = 100_000
         for _ in range(n):
             d = em_sample(cands, utilities, 1.0, sensitivity, 1, rng)
-            first += d.chosen[0] == 7
+            first += d[0] == 7
         expected = math.e / (math.e + 1.0)
         assert expected == pytest.approx(0.7311, abs=1e-4)
         assert first / n == pytest.approx(expected, abs=0.01)
@@ -294,7 +314,7 @@ class TestEmSample:
 
     def test_empty_candidates_empty_decision(self):
         d = em_sample(CandidateSet(videos=(), cap=4), np.array([]), 1.0, 1.0, 4, np.random.default_rng(0))
-        assert d.chosen == ()
+        assert d == ()
 
     def test_without_replacement_matches_enumeration(self):
         utilities = np.array([1.0, 0.4, 0.1])
@@ -311,14 +331,14 @@ class TestEmSample:
         counts = {key: 0 for key in exact}
         for _ in range(n):
             d = em_sample(cands, utilities, eps, sens, draws, rng)
-            counts[d.chosen] += 1
+            counts[d] += 1
         tv = 0.5 * sum(abs(counts[k] / n - exact[k]) for k in exact)
         assert tv <= 0.005
 
     def test_draw_count_capped_by_pool(self):
         cands = CandidateSet(videos=(1, 2), cap=4)
         d = em_sample(cands, np.array([1.0, 2.0]), 1.0, 1.0, 4, np.random.default_rng(12))
-        assert sorted(d.chosen) == [1, 2]
+        assert sorted(d) == [1, 2]
 
     def test_composition_accounting_identity(self):
         # Charged cost at admission equals draws * per-draw budget when the
@@ -386,7 +406,7 @@ class TestEmSampleMatchesPerDrawOracle:
             cands, utilities, eps, sensitivity, cap = em_case(cases)
             ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             got = em_sample(cands, utilities, eps, sensitivity, cap, ours)
-            assert got.chosen == em_sample_per_draw(cands, utilities, eps, sensitivity, cap, ref).chosen
+            assert got == em_sample_per_draw(cands, utilities, eps, sensitivity, cap, ref)
             assert ours.random() == ref.random()
 
     def test_same_draws_on_boundary_uniforms(self):
@@ -394,11 +414,11 @@ class TestEmSampleMatchesPerDrawOracle:
         for seed in range(5_000):
             cands, utilities, eps, sensitivity, cap = em_case(cases)
             boundary = BoundaryUniforms(seed)
-            expected = em_sample_per_draw(cands, utilities, eps, sensitivity, cap, boundary).chosen
+            expected = em_sample_per_draw(cands, utilities, eps, sensitivity, cap, boundary)
             if not expected:
                 continue
             got = em_sample(cands, utilities, eps, sensitivity, cap, ScriptedUniforms(boundary.uniforms))
-            assert got.chosen == expected
+            assert got == expected
 
     def test_choice_is_one_uniform_searched_in_the_cdf(self):
         cases = np.random.default_rng(10)
@@ -422,12 +442,12 @@ class TestEmSampleMatchesPerDrawOracle:
             cands = CandidateSet(videos=tuple(range(n)), cap=12)
             args = (cands, utilities, 1.5, [0.0, 1e-3, 0.5][seed % 3], int(cases.integers(1, 13)))
             try:
-                expected = em_sample_per_draw(*args, np.random.default_rng(seed)).chosen
+                expected = em_sample_per_draw(*args, np.random.default_rng(seed))
             except ValueError:
                 with pytest.raises(ValueError):
                     em_sample(*args, np.random.default_rng(seed))
             else:
-                assert em_sample(*args, np.random.default_rng(seed)).chosen == expected
+                assert em_sample(*args, np.random.default_rng(seed)) == expected
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("eps, sensitivity", [(1.0, -0.5), (1.0, math.nan), (math.inf, 1.0)])

@@ -320,8 +320,14 @@ class TestUsage:
 
     @pytest.mark.parametrize(
         "record",
-        ["99999999999999999999,0,1,1", "0,0,99999999999999999999,1", "0,0,1,1e308"],
-        ids=["edge-id-past-int64", "video-id-past-int64", "stamp-without-slot"],
+        [
+            "99999999999999999999,0,1,1",
+            "0,0,99999999999999999999,1",
+            "0,0,1,1e308",
+            "1000000000000,0,1,1",
+            "0,0,1000000000000,1",
+        ],
+        ids=["edge-id-past-int64", "video-id-past-int64", "stamp-without-slot", "edge-id-past-limit", "video-id-past-limit"],
     )
     def test_unrepresentable_trace_field_data_error(self, tmp_path, capsys, record):
         cfg = write_config(tmp_path)
@@ -334,11 +340,13 @@ class TestUsage:
         assert len(err) == 1 and err[0].startswith("data error: line 2:")
 
 
-# Ids stay small or leave the int64 range: a representable but huge edge or
-# video id sizes per-edge or per-video state, which is a resource limit, not a
-# parse error. Config values stay in ranges whose runs finish in milliseconds.
+# Ids stay small, lie past trace.MAX_EDGE_ID or trace.MAX_VIDEO_ID, or leave
+# the int64 range. Config values stay in ranges whose runs finish in
+# milliseconds.
 _ID = st.one_of(
     st.integers(-3, 40),
+    st.integers(trace.MAX_EDGE_ID + 1, 2**63 - 1),
+    st.integers(trace.MAX_VIDEO_ID + 1, 2**63 - 1),
     st.integers(2**63, 2**80),
     st.integers(-(2**80), -(2**63) - 1),
 ).map(str)

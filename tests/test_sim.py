@@ -1,17 +1,17 @@
+import bisect
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from oracles import rebuild_state
-from ppvf import predictor, sim, trace
+from ppvf import cdp, predictor, sim, trace
 from ppvf.federation import TrainConfig
 from ppvf.predictor import ModelParams
 from ppvf.sim import (
-    FetchRecord,
     SimConfig,
-    budget_cdf,
-    cache_hit_ratio,
+    SimReport,
     jaccard_similarity,
     run_simulation,
 )
@@ -49,21 +49,26 @@ class TestJaccard:
 
 
 class TestChr:
+    def _chr(self, hits, requests):
+        return SimReport(policy="lru", cache_capacity=1, hits=hits, requests=requests).chr_value
+
     def test_all_hits(self):
-        assert cache_hit_ratio(12, 12) == 1.0
+        assert self._chr(12, 12) == 1.0
 
     def test_no_hits(self):
-        assert cache_hit_ratio(0, 7) == 0.0
+        assert self._chr(0, 7) == 0.0
 
     def test_fraction(self):
-        assert cache_hit_ratio(3, 12) == 0.25
-
-    def test_zero_requests_rejected(self):
-        with pytest.raises(ValueError):
-            cache_hit_ratio(0, 0)
+        assert self._chr(3, 12) == 0.25
 
 
 class TestBudgetCdf:
+    """The ``budget_cdf.csv`` points ``write_reports`` writes from the edges'
+    pooled residual fractions."""
+
+    def _points(self, *ledgers):
+        return sim._cdf_points([r for ledger in ledgers for r in ledger.residual_fractions().tolist()])
+
     def _ledger(self, consumed_units, total=4):
         from ppvf.scheduler import PrivacyLedger
 
@@ -74,29 +79,22 @@ class TestBudgetCdf:
         return ledger
 
     def test_untouched_budgets_jump_at_one(self):
-        points = budget_cdf([self._ledger([0, 0, 0])])
+        points = self._points(self._ledger([0, 0, 0]))
         assert points == [(1.0, 1.0)]
 
     def test_exhausted_budgets_jump_at_zero(self):
-        points = budget_cdf([self._ledger([4, 4])])
+        points = self._points(self._ledger([4, 4]))
         assert points == [(0.0, 1.0)]
 
     def test_half_exhausted(self):
-        points = budget_cdf([self._ledger([4, 4, 0, 0])])
+        points = self._points(self._ledger([4, 4, 0, 0]))
         assert points == [(0.0, 0.5), (1.0, 1.0)]
 
     def test_monotone(self):
-        points = budget_cdf([self._ledger([4, 3, 1, 0])])
+        points = self._points(self._ledger([4, 3, 1, 0]))
         fractions = [c for _, c in points]
         assert fractions == sorted(fractions)
         assert fractions[-1] == 1.0
-
-
-class TestFetchRecord:
-    def test_viewed_always_fetched(self):
-        rec = FetchRecord(edge_id=0, step=1, viewed=5, prefetched=(7, 5, 9))
-        assert rec.fetched[0] == 5
-        assert set(rec.fetched) == {5, 7, 9}
 
 
 class TestSimConfig:
@@ -272,3 +270,79 @@ class TestRunSimulation:
         report = run_simulation(cfg, log)
         # every test-period request either hit or was fetched upstream
         assert report.per_edge_fetches[0] > 0
+
+
+def barrier_crossing_log():
+    """Edge 0 has requests on every 12 h barrier (two on 24 h), edge 1 has
+    none, and edge 2 is silent from 10 h to 30 h, across two barriers."""
+    rng = np.random.default_rng(41)
+    stamps = {
+        0: np.concatenate((np.floor(rng.uniform(0.0, 72.0, 60) * 2) / 2, [12.0, 24.0, 24.0, 36.0, 48.0, 60.0])),
+        2: np.concatenate((rng.uniform(0.0, 10.0, 12), [10.0, 30.0, 48.0], rng.uniform(30.0, 72.0, 25))),
+    }
+    events = [
+        trace.RequestEvent(edge, int(rng.integers(0, 3)), int(rng.integers(0, 12)), float(t))
+        for edge, times in stamps.items()
+        for t in times
+    ]
+    return trace.EventLog.from_events(events, catalog_size=12, edge_count=3, horizon=73.0)
+
+
+class TestBarrierSwitch:
+    """Each edge switches to the next fitted parameters when a request
+    reaches that barrier. The hashes were recorded with every edge driven in
+    lock-step to each barrier, so the one-pass replay must match them."""
+
+    EXPECTED = {
+        "ppvf": "5558b71041133544c6a2bb40a79a27029c0dbd4fb319c12bed057abc9ce6c92c",
+        "sage": "156e3a26d8995f8a291d146f30c664f912ab244fa328f1fc8cdd44b57e65a23a",
+        "bestfit": "d35bbb22e76e82537681beb00dee76bb11914bc20eeb612674f414e799f241d6",
+        "mav": "040de8e9e462c82854cb31175eeccf072c2608ada35ef363ff51d8a4f03d23fa",
+    }
+
+    @staticmethod
+    def _cfg(policy):
+        return SimConfig(
+            policy=policy,
+            init_horizon=6.0,
+            test_horizon=73.0,
+            cache_fraction=0.25,
+            latent_dim=2,
+            seed=4,
+            train=TrainConfig(max_iters=3, update_interval_hours=12.0),
+        )
+
+    @pytest.mark.parametrize("policy", sorted(EXPECTED))
+    def test_report_csvs_unchanged(self, policy, tmp_path):
+        cfg = self._cfg(policy)
+        report = run_simulation(cfg, barrier_crossing_log())
+        digest = hashlib.sha256()
+        for name in sim.write_reports(tmp_path, [(policy, cfg.cache_fraction, report)], "c", cfg.cache_fraction):
+            digest.update(name.encode() + (tmp_path / name).read_bytes())
+        assert digest.hexdigest() == self.EXPECTED[policy]
+
+    def test_requests_fold_under_their_stamps_epoch(self, monkeypatch):
+        # Every fold uses the parameters of the epoch its requests were
+        # stamped in, and each edge's correlation state ends in the epoch of
+        # its last request: barriers after it, or in a gap, are all counted.
+        cfg = self._cfg("ppvf")
+        barriers = sim.barrier_times(cfg, cfg.test_horizon)
+        params_list = [ModelParams.constant(12, 2, 1.0 + 0.1 * e, cfg.decay) for e in range(len(barriers) + 1)]
+        folds = []
+        real_advance = sim.advance_state
+
+        def spy(params, state, to_time, *args, **kwargs):
+            folds.append((params, to_time))
+            return real_advance(params, state, to_time, *args, **kwargs)
+
+        monkeypatch.setattr(sim, "advance_state", spy)
+        for edge_id, edge_log in enumerate(trace.partition_by_edge(barrier_crossing_log())):
+            folds.clear()
+            rt = sim._EdgeRuntime(edge_id, edge_log, cfg, cdp.epoch_table(params_list), 3)
+            rt.run(barriers, params_list)
+            for params, stamp in folds:
+                assert params is params_list[bisect.bisect_right(barriers, stamp)]
+            # Each stamp folds once, when the next one arrives; nothing reads the last.
+            assert [stamp for _, stamp in folds] == sorted(set(edge_log.timestamps.tolist()))[:-1]
+            last = edge_log.timestamps[-1] if len(edge_log) else 0.0
+            assert len(rt.corr.epochs) == 1 + bisect.bisect_right(barriers, last)

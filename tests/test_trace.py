@@ -108,6 +108,20 @@ def test_load_rejects_unrepresentable_fields_with_line_number(tmp_path, record):
         trace.load_trace(path)
 
 
+@pytest.mark.parametrize("field", [0, 2])
+def test_load_accepts_ids_up_to_their_limit_only(tmp_path, field):
+    limit = trace.MAX_EDGE_ID if field == 0 else trace.MAX_VIDEO_ID
+    ok, bad = (["0", "0", "0", "1.0"] for _ in range(2))
+    ok[field], bad[field] = str(limit), str(limit + 1)
+    path = tmp_path / "t.csv"
+    path.write_text(",".join(ok) + "\n")
+    log = trace.load_trace(path)
+    assert (log.edge_count if field == 0 else log.catalog_size) == limit + 1
+    path.write_text("0,0,0,0\n" + ",".join(bad) + "\n")
+    with pytest.raises(trace.TraceFormatError, match=f"line 2: {'edge' if field == 0 else 'video'} id"):
+        trace.load_trace(path)
+
+
 def test_load_rejects_stamp_that_overflows_its_slot(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("0,0,0,1e300\n")
