@@ -27,6 +27,8 @@ class EdgeCache:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.scores: dict[int, float] = {}
+        # The weakest resident as (score, video); None once any score changes.
+        self._weakest: tuple[float, int] | None = None
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -42,6 +44,7 @@ class EdgeCache:
         """Re-score residents from the latest utility sweep."""
         for video in self.scores:
             self.scores[video] = float(utilities[video])
+        self._weakest = None
 
     def admit(self, incoming) -> list[int]:
         """Admit scored videos, evicting the weakest resident when full.
@@ -51,19 +54,21 @@ class EdgeCache:
         favor the incumbent. Returns the evicted videos.
         """
         evicted: list[int] = []
+        scores = self.scores
         for video, score in incoming:
             score = float(score)
-            if video in self.scores:
-                self.scores[video] = score
+            if video in scores or len(scores) < self.capacity:
+                scores[video] = score
+                self._weakest = None
                 continue
-            if len(self.scores) < self.capacity:
-                self.scores[video] = score
-                continue
-            weakest = min(self.scores, key=lambda v: (self.scores[v], v))
-            if score > self.scores[weakest]:
-                del self.scores[weakest]
+            if self._weakest is None:
+                self._weakest = min((s, v) for v, s in scores.items())
+            if score > self._weakest[0]:
+                weakest = self._weakest[1]
+                del scores[weakest]
                 evicted.append(weakest)
-                self.scores[video] = score
+                scores[video] = score
+                self._weakest = None
         return evicted
 
 

@@ -223,6 +223,9 @@ def cmd_gen_trace(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else int(cfg["seed"])
     _print_config(cfg, {"seed": seed})
+    # Ids past these limits would make a trace that load_trace rejects.
+    if int(cfg["catalog_size"]) > trace.MAX_VIDEO_ID + 1 or int(cfg["edges"]) > trace.MAX_EDGE_ID + 1:
+        raise UsageError(f"need catalog_size <= {trace.MAX_VIDEO_ID + 1} and edges <= {trace.MAX_EDGE_ID + 1}")
     try:
         spec = trace.SyntheticSpec(
             catalog_size=int(cfg["catalog_size"]),
@@ -262,6 +265,11 @@ def cmd_fit(args) -> int:
             raise TraceFormatError(
                 f"checkpoint {args.init_params} covers {params.catalog_size} videos; "
                 f"the trace requests video {log.catalog_size - 1}"
+            )
+        if (params.dim, params.decay) != (settings.latent_dim, settings.decay):
+            raise TraceFormatError(
+                f"checkpoint {args.init_params} has latent_dim {params.dim} and delta {params.decay}, "
+                f"not the config's {settings.latent_dim} and {settings.decay}"
             )
     out_dir = args.out or "fit_out"
     os.makedirs(out_dir, exist_ok=True)

@@ -104,7 +104,7 @@ def _merge_plan(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, i
         where[stray], free = free, where[stray]
 
 
-def _sorted_sum(arrays: list[np.ndarray]) -> np.ndarray:
+def _sorted_sum(arrays: list[np.ndarray], scratch: dict | None = None) -> np.ndarray:
     """Sum of the arrays with each entry's addends sorted ascending first.
 
     Sorting makes the reduction exactly permutation-invariant. A merge
@@ -116,9 +116,15 @@ def _sorted_sum(arrays: list[np.ndarray]) -> np.ndarray:
     and the smaller input's row becomes the next spare: two numpy calls per
     comparator instead of a third to copy the minimum back. At most
     ``len(arrays) + 1`` row copies then restore rank order for the sum.
+    A ``scratch`` dict keeps one buffer per block shape across calls,
+    grown when a call stacks more arrays than it holds.
     """
-    pairs, moves = _merge_plan(len(arrays))
-    buf = np.empty((len(arrays) + 1,) + arrays[0].shape)
+    n, shape = len(arrays), arrays[0].shape
+    pairs, moves = _merge_plan(n)
+    scratch = {} if scratch is None else scratch
+    if len(scratch.get(shape, ())) <= n:
+        scratch[shape] = np.empty((n + 1,) + shape)
+    buf = scratch[shape][: n + 1]
     np.stack(arrays, out=buf[:-1])
     rows = list(buf)
     spare = rows.pop()
@@ -149,21 +155,22 @@ def global_loss(params: ModelParams, lls: list[float], cfg: TrainConfig) -> floa
 # Non-finite gradients are reported below, naming their edge, so numpy's
 # warnings about the NaNs they make would only repeat it.
 @np.errstate(invalid="ignore")
-def sum_gradients(grads: list[GradientBundle]) -> GradientBundle:
+def sum_gradients(grads: list[GradientBundle], scratch: dict | None = None) -> GradientBundle:
     """The edges' likelihood gradients, summed block by block in an
     order-independent way.
 
     A NaN or infinite addend always makes its entry's sum non-finite, so
     only a non-finite sum needs the edges scanned: the first edge holding a
     non-finite entry is named in an :class:`AggregationError`. When every
-    addend is finite, an overflowed sum is returned as it is.
+    addend is finite, an overflowed sum is returned as it is. ``scratch``
+    keeps :func:`_sorted_sum`'s stacking buffers between calls.
     """
     if not grads:
         raise AggregationError("no gradients to sum")
     summed = GradientBundle(
-        base_rate=_sorted_sum([g.base_rate for g in grads]),
-        target_factors=_sorted_sum([g.target_factors for g in grads]),
-        source_factors=_sorted_sum([g.source_factors for g in grads]),
+        base_rate=_sorted_sum([g.base_rate for g in grads], scratch),
+        target_factors=_sorted_sum([g.target_factors for g in grads], scratch),
+        source_factors=_sorted_sum([g.source_factors for g in grads], scratch),
     )
     if not summed.is_finite():
         for idx, g in enumerate(grads):
@@ -177,20 +184,20 @@ def aggregate_and_step(
 ) -> ModelParams:
     """One coordinator update from the summed gradients: regularize, descend, clamp."""
     eta = cfg.learning_rate if learning_rate is None else learning_rate
+
     # d(loss)/d(theta) = rho * theta - sum of likelihood gradients; the
-    # descent step projects back onto the positive orthant.
+    # descent step projects back onto the positive orthant, in one buffer.
+    def step(theta: np.ndarray, rho: float, grad: np.ndarray) -> np.ndarray:
+        out = np.multiply(theta, rho)
+        out -= grad
+        out *= eta
+        np.subtract(theta, out, out=out)
+        return np.maximum(out, PARAM_FLOOR, out=out)
+
     return ModelParams(
-        base_rate=np.maximum(
-            params.base_rate - eta * (cfg.rho_base * params.base_rate - summed.base_rate), PARAM_FLOOR
-        ),
-        target_factors=np.maximum(
-            params.target_factors - eta * (cfg.rho_target * params.target_factors - summed.target_factors),
-            PARAM_FLOOR,
-        ),
-        source_factors=np.maximum(
-            params.source_factors - eta * (cfg.rho_source * params.source_factors - summed.source_factors),
-            PARAM_FLOOR,
-        ),
+        base_rate=step(params.base_rate, cfg.rho_base, summed.base_rate),
+        target_factors=step(params.target_factors, cfg.rho_target, summed.target_factors),
+        source_factors=step(params.source_factors, cfg.rho_source, summed.source_factors),
         decay=params.decay,
     )
 
@@ -226,8 +233,9 @@ def run_fit_round(edge_logs, params: ModelParams, window: TrainWindow, cfg: Trai
     loss = loss_at(params)
     losses = [loss]
     eta = cfg.learning_rate
+    scratch: dict = {}
     for _ in range(cfg.max_iters):
-        summed = sum_gradients([window_gradients(params, None, window, stats=st) for st in stats])
+        summed = sum_gradients([window_gradients(params, None, window, stats=st) for st in stats], scratch)
         for _backtrack in range(60):
             candidate = aggregate_and_step(params, summed, cfg, learning_rate=eta)
             cand_loss = loss_at(candidate)

@@ -197,6 +197,8 @@ class _EdgeRuntime:
         self.hits = 0
         self.exposed: set[int] = set()
         self.hit_sequence: list[bool] = []
+        # (stamp, params, left-limit state, sweep) of the last fitted-policy miss.
+        self._last_sweep: tuple = (None, None, None, None)
 
     # -- kernel bookkeeping ------------------------------------------------
 
@@ -269,9 +271,16 @@ class _EdgeRuntime:
 
     def _on_miss(self, params: ModelParams, video: int, ts: float, in_test: bool) -> None:
         cfg = self.cfg
+        refresh = True
         if self.mav is None:
-            state = self._left_limit_state(params, ts)
-            lam = intensity_sweep(params, state)
+            # Requests at one stamp fold together after it, so a miss at the
+            # last miss's stamp and parameters sees the same left limit, and
+            # every resident already holds its score from that sweep.
+            refresh = self._last_sweep[0] != ts or self._last_sweep[1] is not params
+            if refresh:
+                state = self._left_limit_state(params, ts)
+                self._last_sweep = (ts, params, state, intensity_sweep(params, state))
+            _, _, state, lam = self._last_sweep
             self.corr.update(lam, state.source_mix)
         else:
             # mav scores carry no excitation history: every sensitivity is 0.
@@ -300,7 +309,8 @@ class _EdgeRuntime:
                 # The fetch sent upstream: the viewed video, then the prefetches.
                 fetched += [v for v in prefetched if v != video]
             self.exposed.update(fetched)
-        self.cache.refresh_scores(lam)
+        if refresh:
+            self.cache.refresh_scores(lam)
         self.cache.admit([(v, lam[v]) for v in fetched])
 
     def _select_candidates(self, lam: np.ndarray, ratios: np.ndarray) -> scheduler.CandidateSet:

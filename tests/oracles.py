@@ -5,7 +5,8 @@ numeric quadrature, finite differences, sequential budget walks over exact
 fractions, an evaluate-everything fitting loop, the window likelihood and
 gradients with every parameter reduction redone, per-draw ``rng.choice``
 sampling, Ogata thinning with per-video counts, per-event trace writing,
-per-epoch correlation lists) and deliberately avoids the machinery under
+per-epoch correlation lists, out-of-place coordinator steps, a cache
+that scans its residents for each eviction) and deliberately avoids the machinery under
 test. The test-only helpers that follow the oracles wrap
 production code for single-value queries.
 """
@@ -192,6 +193,47 @@ def sort_then_sum(arrays) -> np.ndarray:
     return np.sum(np.sort(np.stack(arrays), axis=0), axis=0)
 
 
+def aggregate_and_step_out_of_place(
+    params: ModelParams, summed: GradientBundle, cfg: TrainConfig, learning_rate: float | None = None
+) -> ModelParams:
+    """The coordinator step with each block's arithmetic written out as one expression."""
+    eta = cfg.learning_rate if learning_rate is None else learning_rate
+    return ModelParams(
+        base_rate=np.maximum(
+            params.base_rate - eta * (cfg.rho_base * params.base_rate - summed.base_rate), PARAM_FLOOR
+        ),
+        target_factors=np.maximum(
+            params.target_factors - eta * (cfg.rho_target * params.target_factors - summed.target_factors),
+            PARAM_FLOOR,
+        ),
+        source_factors=np.maximum(
+            params.source_factors - eta * (cfg.rho_source * params.source_factors - summed.source_factors),
+            PARAM_FLOOR,
+        ),
+        decay=params.decay,
+    )
+
+
+def admit_by_scan(scores: dict, capacity: int, incoming) -> list:
+    """``EdgeCache.admit`` on a plain ``scores`` dict, finding the weakest
+    resident by a keyed scan of every resident for each full-cache arrival."""
+    evicted = []
+    for video, score in incoming:
+        score = float(score)
+        if video in scores:
+            scores[video] = score
+            continue
+        if len(scores) < capacity:
+            scores[video] = score
+            continue
+        weakest = min(scores, key=lambda v: (scores[v], v))
+        if score > scores[weakest]:
+            del scores[weakest]
+            evicted.append(weakest)
+            scores[video] = score
+    return evicted
+
+
 def fit_round_evaluating_everything(edge_logs, params: ModelParams, window: TrainWindow, cfg: TrainConfig) -> FitResult:
     """Backtracking fit that computes likelihood and gradients at every point,
     rejected candidates and the final point included."""
@@ -251,7 +293,8 @@ def window_log_likelihood_reference(params: ModelParams, window: TrainWindow, st
 
 def window_gradients_reference(params: ModelParams, window: TrainWindow, stats) -> GradientBundle:
     """The window gradients as computed before parameter-only terms were
-    cached, with the integral term from ``np.outer``."""
+    cached, with the integral term from ``np.outer``: every row starts at
+    0.0, takes its event terms and then subtracts its integral terms."""
     I, D = params.catalog_size, params.dim
     g_base = np.full(I, -window.length)
     g_tgt = np.zeros((I, D))

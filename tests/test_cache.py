@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import admit_by_scan
 from ppvf import cache
 from ppvf.cache import (
     EdgeCache,
@@ -15,6 +16,29 @@ from ppvf.cache import (
     select_candidates_random,
 )
 from ppvf.scheduler import PrivacyLedger
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_admit_matches_scanning_oracle(seed):
+    # Few distinct scores (ties), few videos (re-admitted residents), and
+    # refreshes between admits, against a cache that scans for each eviction.
+    rng = np.random.default_rng(seed)
+    capacity = int(rng.integers(1, 9))
+    cached, scores = EdgeCache(capacity), {}
+    evictions = 0
+    for _ in range(80):
+        if rng.random() < 0.2:
+            utilities = rng.integers(0, 4, 12).astype(float)
+            cached.refresh_scores(utilities)
+            scores.update((v, float(utilities[v])) for v in scores)
+            continue
+        size = int(rng.integers(1, 6))
+        incoming = list(zip(rng.integers(0, 12, size).tolist(), rng.integers(0, 4, size).astype(float)))
+        evicted = cached.admit(incoming)
+        assert evicted == admit_by_scan(scores, capacity, incoming)
+        assert list(cached.scores.items()) == list(scores.items())
+        evictions += len(evicted)
+    assert evictions
 
 
 class TestLookup:

@@ -70,6 +70,20 @@ class TestGenTrace:
         assert log.catalog_size <= 50
         assert log.edge_count == 5
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"catalog_size": trace.MAX_VIDEO_ID + 2}, {"edges": trace.MAX_EDGE_ID + 2}],
+        ids=["catalog-past-video-ids", "edges-past-edge-ids"],
+    )
+    def test_ids_past_trace_limits_usage_error(self, tmp_path, capsys, setting):
+        cfg = write_config(tmp_path, **setting)
+        out = tmp_path / "t.csv"
+        capsys.readouterr()
+        assert cli.main(["gen-trace", "--config", cfg, "--seed", "3", "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:")
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_single_policy_one_row(self, tiny_trace, tmp_path):
@@ -461,6 +475,24 @@ class TestFitAndReport:
         large = str(tmp_path / "large.json")
         ModelParams.constant(catalog + 5, 2).save(large)
         assert cli.main(["fit", "--config", cfg, "--trace", tr, "--out", str(tmp_path / "fit2"), "--init-params", large]) == 0
+
+    @pytest.mark.parametrize(
+        "setting, checkpoint",
+        [({"latent_dim": 5}, {"dim": 2}), ({"delta": 0.01}, {"dim": 2, "decay": 0.05})],
+        ids=["latent-dim", "decay"],
+    )
+    def test_checkpoint_disagreeing_with_config_data_error(self, tiny_trace, tmp_path, capsys, setting, checkpoint):
+        _, tr = tiny_trace
+        cfg = write_config(tmp_path, **setting)
+        path = str(tmp_path / "ckpt.json")
+        ModelParams.constant(trace.load_trace(tr).catalog_size, **checkpoint).save(path)
+        out = tmp_path / "fit"
+        capsys.readouterr()
+        code = cli.main(["fit", "--config", cfg, "--trace", tr, "--out", str(out), "--init-params", path])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert not (out / "params.json").exists()
 
     def test_diverging_fit_data_error(self, tiny_trace, tmp_path, capsys):
         cfg, tr = tiny_trace

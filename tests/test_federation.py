@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import fit_round_evaluating_everything, sort_then_sum
+from oracles import aggregate_and_step_out_of_place, fit_round_evaluating_everything, sort_then_sum
 
 from ppvf import federation, predictor, trace
 from ppvf.federation import (
@@ -179,6 +179,43 @@ class TestAggregateAndStep:
         new = aggregate_and_step(params, grads, TrainConfig(learning_rate=1.0))
         assert new.base_rate[0] == predictor.PARAM_FLOOR
         assert new.target_factors[0, 0] == predictor.PARAM_FLOOR
+
+
+@pytest.mark.parametrize("rho", [0.0, 1e-4, 3.0])
+def test_aggregate_and_step_matches_out_of_place_oracle(rho):
+    rng = np.random.default_rng(int(rho * 10) + 1)
+    cfg = TrainConfig(rho_base=rho, rho_target=rho / 2, rho_source=rho, learning_rate=0.05)
+    clamped = 0
+    for _ in range(20):
+        params = ModelParams(
+            rng.uniform(0.0, 2.0, 40), rng.uniform(0.0, 2.0, (40, 3)), rng.uniform(0.0, 2.0, (40, 3)), 0.01
+        )
+        # Gradients from -1e3 to 1e3, with signed zeros: some steps clamp.
+        scale = 10.0 ** rng.integers(-3, 4)
+        signed_zeros = np.zeros((40, 3)) * rng.choice([-1.0, 1.0], (40, 3))
+        summed = GradientBundle(rng.normal(0.0, scale, 40), rng.normal(0.0, scale, (40, 3)), signed_zeros)
+        for eta in (None, 1.0, 1e-9):
+            got = aggregate_and_step(params, summed, cfg, learning_rate=eta)
+            want = aggregate_and_step_out_of_place(params, summed, cfg, learning_rate=eta)
+            for block in ("base_rate", "target_factors", "source_factors"):
+                assert getattr(got, block).tobytes() == getattr(want, block).tobytes(), block
+            clamped += int(np.count_nonzero(got.base_rate == predictor.PARAM_FLOOR))
+    assert clamped
+
+
+def test_sorted_sum_reuses_one_buffer_across_edge_counts():
+    rng = np.random.default_rng(12)
+    scratch: dict = {}
+    buffers = []
+    for count in (3, 1, 4, 2, 5, 5, 3):
+        arrays = [rng.choice([-0.0, 0.0, 1.0, -2.5, 1e9], size=(6, 2)) for _ in range(count)]
+        got = federation._sorted_sum(arrays, scratch)
+        assert got.view(np.int64).tolist() == sort_then_sum(arrays).view(np.int64).tolist()
+        assert list(scratch) == [(6, 2)]
+        buffers.append(scratch[(6, 2)])
+    # Grown only when a call needs more rows (one per array plus a spare), then kept.
+    assert [len(b) for b in buffers] == [4, 4, 5, 5, 6, 6, 6]
+    assert buffers[0] is buffers[1] and buffers[4] is buffers[5] is buffers[6]
 
 
 # Ties, signed zeros, and magnitudes from 1e-9 to 1e9 side by side.

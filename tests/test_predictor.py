@@ -323,6 +323,36 @@ class TestWindowBitsMatchReference:
                     assert getattr(g, block).tobytes() == getattr(g_ref, block).tobytes(), block
 
 
+    @pytest.mark.parametrize(
+        "case", ["no-window-events", "zero-integral-videos", "empty-history", "overflowing-target-sums"]
+    )
+    def test_sparse_logs_gradients_bitwise(self, case):
+        # Rows without window events and rows of zero integral weight take
+        # shortcuts in window_gradients; the reference computes every row.
+        rng = np.random.default_rng(5)
+        catalog, window = 20, TrainWindow(end=100.0, length=48.0)
+        params = random_params(rng, catalog=catalog, dim=3)
+        times = np.sort(rng.uniform(0.0, 99.0, 30))
+        vids = rng.choice([1, 3, 4], size=30)
+        if case == "no-window-events":
+            times, vids = times[times < window.start], vids[times < window.start]
+        elif case == "empty-history":
+            times, vids = times[:0], vids[:0]
+        elif case == "overflowing-target-sums":
+            # target_sums overflows, so 0 * target_sums is NaN on every row.
+            tgt = params.target_factors.copy()
+            tgt[[0, 5]] = 1e308
+            params = ModelParams(params.base_rate, tgt, params.source_factors, params.decay)
+        stats = window_stats(params, make_log(times, vids, catalog, 100.0), window)
+        assert (stats.n_events == 0) == (case in ("no-window-events", "empty-history"))
+        assert len(stats.integral_rows) == np.count_nonzero(stats.integral_weights) < catalog / 4
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = window_gradients(params, None, window, stats=stats)
+            want = window_gradients_reference(params, window, stats)
+        for block in ("base_rate", "target_factors", "source_factors"):
+            assert getattr(got, block).tobytes() == getattr(want, block).tobytes(), block
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         params = random_params(np.random.default_rng(17))

@@ -1,6 +1,7 @@
 import bisect
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -270,6 +271,55 @@ class TestRunSimulation:
         report = run_simulation(cfg, log)
         # every test-period request either hit or was fetched upstream
         assert report.per_edge_fetches[0] > 0
+
+
+class TestSharedStampSweep:
+    """Misses at one edge, stamp and parameter epoch share one utility sweep."""
+
+    @staticmethod
+    def _run(policy, share=True):
+        log = synthetic_log(catalog=30, edges=2, horizon=120.0, seed=4)
+        hourly = trace.EventLog(
+            log.edge_ids, log.user_ids, log.video_ids, np.floor(log.timestamps),
+            log.catalog_size, log.edge_count, log.horizon,
+        )
+        sweeps, misses = Counter(), Counter()
+        real_sweep, real_on_miss = sim.intensity_sweep, sim._EdgeRuntime._on_miss
+        calls = []
+
+        def sweep_spy(params, state):
+            calls.append(params)
+            return real_sweep(params, state)
+
+        def on_miss_spy(self, params, video, ts, in_test):
+            if not share:
+                self._last_sweep = (None, None, None, None)  # forget the last sweep
+            before = len(calls)
+            real_on_miss(self, params, video, ts, in_test)
+            key = (self.edge_id, ts, id(params))
+            sweeps[key] += len(calls) - before
+            misses[key] += 1
+
+        cfg = SimConfig(
+            policy=policy, init_horizon=24.0, test_horizon=121.0, cache_fraction=0.1, latent_dim=2, seed=9,
+            train=TrainConfig(max_iters=3, update_interval_hours=48.0),
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "intensity_sweep", sweep_spy)
+            mp.setattr(sim._EdgeRuntime, "_on_miss", on_miss_spy)
+            return run_simulation(cfg, hourly), sweeps, misses
+
+    @pytest.mark.parametrize("policy", ["ppvf", "sage", "bestfit"])
+    def test_one_sweep_per_miss_stamp(self, policy):
+        report, sweeps, misses = self._run(policy)
+        assert set(sweeps.values()) == {1}
+        assert sum(misses.values()) > len(misses)  # some misses share a stamp
+        # Sweeping every miss afresh, and refreshing every score, changes nothing.
+        fresh, fresh_sweeps, _ = self._run(policy, share=False)
+        assert sum(fresh_sweeps.values()) == sum(misses.values())
+        assert report.hit_sequence == fresh.hit_sequence
+        assert report.per_user_js == fresh.per_user_js
+        assert report.residual_fractions == fresh.residual_fractions
 
 
 def barrier_crossing_log():
