@@ -20,7 +20,12 @@ from .scheduler import CandidateSet, PrivacyLedger, admit_in_order, admit_picked
 
 
 class EdgeCache:
-    """Fixed-capacity, utility-scored video cache for one edge."""
+    """Fixed-capacity, utility-scored video cache for one edge.
+
+    ``scores`` is read-only outside the class: :meth:`admit` keeps the
+    weakest resident between calls and only its own writes and
+    :meth:`refresh_scores` reset it.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:

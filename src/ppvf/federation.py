@@ -116,15 +116,15 @@ def _sorted_sum(arrays: list[np.ndarray], scratch: dict | None = None) -> np.nda
     and the smaller input's row becomes the next spare: two numpy calls per
     comparator instead of a third to copy the minimum back. At most
     ``len(arrays) + 1`` row copies then restore rank order for the sum.
-    A ``scratch`` dict keeps one buffer per block shape across calls,
-    grown when a call stacks more arrays than it holds.
+    A ``scratch`` dict keeps one buffer per array count and shape across
+    calls.
     """
     n, shape = len(arrays), arrays[0].shape
     pairs, moves = _merge_plan(n)
     scratch = {} if scratch is None else scratch
-    if len(scratch.get(shape, ())) <= n:
-        scratch[shape] = np.empty((n + 1,) + shape)
-    buf = scratch[shape][: n + 1]
+    if (n, shape) not in scratch:
+        scratch[n, shape] = np.empty((n + 1,) + shape)
+    buf = scratch[n, shape]
     np.stack(arrays, out=buf[:-1])
     rows = list(buf)
     spare = rows.pop()

@@ -184,7 +184,7 @@ def advance_state(
     if times.shape != vids.shape:
         raise ValueError("event_times and event_videos must have equal length")
     if len(times):
-        if len(times) > 1 and (times[1:] < times[:-1]).any():
+        if (times[1:] < times[:-1]).any():
             raise ValueError("new events must be sorted by time")
         if times[0] <= state.last_update or times[-1] > to_time:
             raise ValueError("new events must lie in (last_update, to_time]")
@@ -286,10 +286,6 @@ class WindowStats:
         self.event_group = inverse
         self.counts_at = counts_at
         self.integral_weights = integral_w
-        # The rows of non-zero integral weight, or all rows once they make up
-        # a quarter of the catalog: then one full-width product is cheaper.
-        rows = np.flatnonzero(integral_w)
-        self.integral_rows = rows if 4 * len(rows) < catalog_size else slice(None)
         self.n_events = len(in_t)
         self._last_terms: tuple[ModelParams, tuple] | None = None
 
@@ -353,10 +349,7 @@ def window_gradients(params: ModelParams, log, window: TrainWindow, stats: Windo
     """Gradients of :func:`window_log_likelihood` in the same parameterization.
 
     Event terms accumulate 1/rate weights; integral terms reuse the
-    closed-form per-source weights, shared across all target rows. Each
-    entry is ``(0.0 + event terms) - integral term``, but rows of zero
-    integral weight may skip the subtraction: ``0 * target_sums`` is a
-    signed zero while the sums are finite.
+    closed-form per-source weights, shared across all target rows.
     """
     if stats is None:
         stats = window_stats(params, log, window)
@@ -378,6 +371,5 @@ def window_gradients(params: ModelParams, log, window: TrainWindow, stats: Windo
         g_src = np.zeros((I, D))
 
     g_tgt -= source_total
-    rows = stats.integral_rows if np.isfinite(params.target_sums).all() else slice(None)
-    g_src[rows] -= stats.integral_weights[rows, None] * params.target_sums
+    g_src -= stats.integral_weights[:, None] * params.target_sums
     return GradientBundle(g_base, g_tgt, g_src)

@@ -197,8 +197,8 @@ class _EdgeRuntime:
         self.hits = 0
         self.exposed: set[int] = set()
         self.hit_sequence: list[bool] = []
-        # (stamp, params, left-limit state, sweep) of the last fitted-policy miss.
-        self._last_sweep: tuple = (None, None, None, None)
+        # (stamp, left-limit state, sweep) of the last fitted-policy miss.
+        self._last_sweep: tuple = (None, None, None)
 
     # -- kernel bookkeeping ------------------------------------------------
 
@@ -273,14 +273,15 @@ class _EdgeRuntime:
         cfg = self.cfg
         refresh = True
         if self.mav is None:
-            # Requests at one stamp fold together after it, so a miss at the
-            # last miss's stamp and parameters sees the same left limit, and
-            # every resident already holds its score from that sweep.
-            refresh = self._last_sweep[0] != ts or self._last_sweep[1] is not params
+            # Requests at one stamp fold together after it, and parameters
+            # change only before a stamp's first request, so a miss at the
+            # last miss's stamp sees the same left limit, and every resident
+            # already holds its score from that sweep.
+            refresh = self._last_sweep[0] != ts
             if refresh:
                 state = self._left_limit_state(params, ts)
-                self._last_sweep = (ts, params, state, intensity_sweep(params, state))
-            _, _, state, lam = self._last_sweep
+                self._last_sweep = (ts, state, intensity_sweep(params, state))
+            _, state, lam = self._last_sweep
             self.corr.update(lam, state.source_mix)
         else:
             # mav scores carry no excitation history: every sensitivity is 0.

@@ -203,19 +203,19 @@ def test_aggregate_and_step_matches_out_of_place_oracle(rho):
     assert clamped
 
 
-def test_sorted_sum_reuses_one_buffer_across_edge_counts():
+def test_sorted_sum_reuses_scratch_across_edge_counts():
     rng = np.random.default_rng(12)
     scratch: dict = {}
-    buffers = []
-    for count in (3, 1, 4, 2, 5, 5, 3):
+    buffers = {}
+    for count in (3, 1, 4, 2, 5, 5, 3, 1):
         arrays = [rng.choice([-0.0, 0.0, 1.0, -2.5, 1e9], size=(6, 2)) for _ in range(count)]
         got = federation._sorted_sum(arrays, scratch)
         assert got.view(np.int64).tolist() == sort_then_sum(arrays).view(np.int64).tolist()
-        assert list(scratch) == [(6, 2)]
-        buffers.append(scratch[(6, 2)])
-    # Grown only when a call needs more rows (one per array plus a spare), then kept.
-    assert [len(b) for b in buffers] == [4, 4, 5, 5, 6, 6, 6]
-    assert buffers[0] is buffers[1] and buffers[4] is buffers[5] is buffers[6]
+        buf = scratch[count, (6, 2)]
+        # One row per array plus a spare, allocated on an edge count's first call only.
+        assert buf.shape == (count + 1, 6, 2)
+        assert buffers.setdefault(count, buf) is buf
+    assert sorted(scratch) == [(count, (6, 2)) for count in (1, 2, 3, 4, 5)]
 
 
 # Ties, signed zeros, and magnitudes from 1e-9 to 1e9 side by side.

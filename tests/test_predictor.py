@@ -327,8 +327,8 @@ class TestWindowBitsMatchReference:
         "case", ["no-window-events", "zero-integral-videos", "empty-history", "overflowing-target-sums"]
     )
     def test_sparse_logs_gradients_bitwise(self, case):
-        # Rows without window events and rows of zero integral weight take
-        # shortcuts in window_gradients; the reference computes every row.
+        # window_gradients takes the source gradient straight from the event
+        # product; the reference adds it to zeros first, on every row.
         rng = np.random.default_rng(5)
         catalog, window = 20, TrainWindow(end=100.0, length=48.0)
         params = random_params(rng, catalog=catalog, dim=3)
@@ -345,7 +345,7 @@ class TestWindowBitsMatchReference:
             params = ModelParams(params.base_rate, tgt, params.source_factors, params.decay)
         stats = window_stats(params, make_log(times, vids, catalog, 100.0), window)
         assert (stats.n_events == 0) == (case in ("no-window-events", "empty-history"))
-        assert len(stats.integral_rows) == np.count_nonzero(stats.integral_weights) < catalog / 4
+        assert np.count_nonzero(stats.integral_weights) < catalog
         with np.errstate(over="ignore", invalid="ignore"):
             got = window_gradients(params, None, window, stats=stats)
             want = window_gradients_reference(params, window, stats)

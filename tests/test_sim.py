@@ -293,7 +293,7 @@ class TestSharedStampSweep:
 
         def on_miss_spy(self, params, video, ts, in_test):
             if not share:
-                self._last_sweep = (None, None, None, None)  # forget the last sweep
+                self._last_sweep = (None, None, None)  # forget the last sweep
             before = len(calls)
             real_on_miss(self, params, video, ts, in_test)
             key = (self.edge_id, ts, id(params))
