@@ -152,69 +152,25 @@ def global_sensitivity(per_video: dict[int, float]) -> float:
     return max(per_video.values())
 
 
-def em_weights(utilities: np.ndarray, eps_step: float, sensitivity: float) -> np.ndarray:
-    """Normalized exponential-mechanism probabilities for a single draw."""
-    lam = np.asarray(utilities, dtype=np.float64)
-    if sensitivity < 0:
-        raise ValueError("sensitivity must be non-negative")
-    if sensitivity == 0.0 or eps_step == 0.0:
-        # No usable signal: the uniform draw is the privacy-safe limit.
-        return np.full(lam.shape, 1.0 / lam.shape[0])
-    scores = eps_step * lam / (2.0 * sensitivity)
-    scores -= scores.max()
-    w = np.exp(scores)
-    return w / w.sum()
-
-
 @functools.lru_cache(maxsize=64)
 def _uniform_cdf(n: int) -> tuple[float, ...]:
-    """The normalized cumulative sum ``rng.choice`` searches for ``em_weights``' uniform limit."""
+    """The normalized cumulative sum ``rng.choice`` searches for a uniform ``p`` over ``n``."""
     cdf = np.full(n, 1.0 / n).cumsum()
     return tuple((cdf / cdf[-1]).tolist())
 
 
 def pairwise_sum(values) -> float:
-    """``np.add.reduce`` of a float64 vector, bit for bit, in Python floats.
+    """``np.add.reduce`` of a float64 vector, bit for bit.
 
-    numpy adds from +0.0 and, within one contiguous run, sums fewer than 8
-    terms in order, up to 128 terms in eight interleaved lanes combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` plus the leftover terms in
-    order, and longer runs as two halves split at a multiple of 8
-    (Higham 1993's pairwise summation).
+    numpy sums fewer than 8 terms in order from +0.0, which a Python loop
+    repeats without building an array; longer vectors go to numpy itself.
     """
     if len(values) < 8:
         total = 0.0
         for v in values:
             total += v
         return total
-    return 0.0 + _pairwise(values, 0, len(values))
-
-
-def _pairwise(a, lo: int, n: int) -> float:
-    if n < 8:
-        total = 0.0
-        for v in a[lo : lo + n]:
-            total += v
-        return total
-    if n <= 128:
-        r0, r1, r2, r3, r4, r5, r6, r7 = a[lo : lo + 8]
-        end = lo + n - n % 8
-        for i in range(lo + 8, end, 8):
-            r0 += a[i]
-            r1 += a[i + 1]
-            r2 += a[i + 2]
-            r3 += a[i + 3]
-            r4 += a[i + 4]
-            r5 += a[i + 5]
-            r6 += a[i + 6]
-            r7 += a[i + 7]
-        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for v in a[end : lo + n]:
-            total += v
-        return total
-    half = n // 2
-    half -= half % 8
-    return _pairwise(a, lo, half) + _pairwise(a, lo + half, n - half)
+    return float(np.add.reduce(np.array(values)))
 
 
 def em_sample(
@@ -231,15 +187,17 @@ def em_sample(
     the accounted cost of the step is draws * eps_step under composition. An
     empty candidate set yields an empty tuple.
 
-    Draw for draw, this is ``rng.choice(len(pool), p=em_weights(...))`` over
-    the remaining pool, bit for bit and with the same random stream:
-    ``choice`` searches the normalized cumulative sum of ``p`` for one
-    ``rng.random()`` (``side="right"``), and ``rng.random(k)`` yields k such
-    values at once. A score minus the pool maximum does not depend on the
-    rest of the pool, so one ``np.exp`` call weighs the pool against each
-    maximum it can reach, and each draw reads its survivors' weights from
-    the row of the current maximum. Everything else is Python float
-    arithmetic in numpy's order: the survivors' total is
+    Draw for draw, this is ``rng.choice(len(pool), p=w / w.sum())`` over
+    the remaining pool, bit for bit and with the same random stream, where
+    ``w = np.exp(scores - scores.max())`` (uniform when the sensitivity or
+    ``eps_step`` is 0) and ``scores = eps_step * utilities / (2 *
+    sensitivity)``. ``choice`` searches the normalized cumulative sum of
+    ``p`` for one ``rng.random()`` (``side="right"``), and ``rng.random(k)``
+    yields k such values at once. A score minus the pool maximum does not
+    depend on the rest of the pool, so one ``np.exp`` call weighs the pool
+    against each maximum it can reach, and each draw reads its survivors'
+    weights from the row of the current maximum. Everything else is Python
+    float arithmetic in numpy's order: the survivors' total is
     :func:`pairwise_sum`, the cumulative sum runs left to right, and the
     search is ``bisect_right``.
     """
@@ -287,29 +245,3 @@ def em_sample(
         last = cdf[-1]
         chosen.append(pool[left.pop(bisect.bisect_right([c / last for c in cdf], u))])
     return tuple(chosen)
-
-
-def dp_ratio_check(
-    candidates: CandidateSet,
-    utilities: np.ndarray,
-    adjacent_utilities: np.ndarray,
-    eps_step: float,
-    sensitivity: float,
-) -> float:
-    """Worst log-probability ratio of one draw under adjacent utility vectors.
-
-    The premise is that the vectors differ by at most the sensitivity per
-    entry; the returned ratio is then guaranteed at most ``eps_step``.
-    """
-    lam = np.asarray(utilities, dtype=np.float64)
-    adj = np.asarray(adjacent_utilities, dtype=np.float64)
-    if lam.shape != adj.shape or lam.shape[0] != len(candidates):
-        raise ValueError("utility vectors must match the candidate set")
-    if sensitivity <= 0:
-        raise ValueError("sensitivity must be positive for the ratio premise")
-    if np.any(np.abs(lam - adj) > sensitivity * (1 + 1e-12)):
-        raise ValueError("adjacent utilities differ by more than the sensitivity")
-    p = em_weights(lam, eps_step, sensitivity)
-    p_adj = em_weights(adj, eps_step, sensitivity)
-    ratios = np.abs(np.log(p) - np.log(p_adj))
-    return float(ratios.max())

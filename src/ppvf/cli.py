@@ -232,7 +232,6 @@ def cmd_gen_trace(args) -> int:
             edge_count=int(cfg["edges"]),
             horizon=float(cfg["horizon"]),
             ground_truth=random_ground_truth(cfg, seed),
-            base_rate_scale=1.0,
             rng_seed=seed,
             users_per_edge=int(cfg["users_per_edge"]),
         )

@@ -228,14 +228,14 @@ def run_fit_round(edge_logs, params: ModelParams, window: TrainWindow, cfg: Trai
         return FitResult(params=params)
 
     def loss_at(p: ModelParams) -> float:
-        return global_loss(p, [window_log_likelihood(p, None, window, stats=st) for st in stats], cfg)
+        return global_loss(p, [window_log_likelihood(p, st) for st in stats], cfg)
 
     loss = loss_at(params)
     losses = [loss]
     eta = cfg.learning_rate
     scratch: dict = {}
     for _ in range(cfg.max_iters):
-        summed = sum_gradients([window_gradients(params, None, window, stats=st) for st in stats], scratch)
+        summed = sum_gradients([window_gradients(params, st) for st in stats], scratch)
         for _backtrack in range(60):
             candidate = aggregate_and_step(params, summed, cfg, learning_rate=eta)
             cand_loss = loss_at(candidate)

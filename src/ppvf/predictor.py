@@ -156,9 +156,6 @@ class KernelState:
         # in through the strict (last_update, to_time] contract.
         return cls(np.zeros(catalog_size), np.zeros(dim), at_time)
 
-    def copy(self) -> "KernelState":
-        return KernelState(self.decayed_counts.copy(), self.source_mix.copy(), self.last_update)
-
     def rebuild_mix(self, params: ModelParams) -> None:
         self.source_mix = params.source_factors.T @ self.decayed_counts
 
@@ -169,16 +166,14 @@ def advance_state(
     to_time: float,
     event_times=(),
     event_videos=(),
-    in_place: bool = False,
 ) -> KernelState:
-    """Decay the state to ``to_time`` and fold in new events.
+    """The state decayed to ``to_time`` with new events folded in, as a new state.
 
     Events must be sorted, lie in ``(last_update, to_time]``, and an event at
     exactly ``to_time`` contributes kernel weight 1 (zero lag).
     """
     if to_time < state.last_update:
         raise ValueError("cannot advance state backwards in time")
-    out = state if in_place else state.copy()
     times = np.asarray(event_times, dtype=np.float64)
     vids = np.asarray(event_videos, dtype=np.int64)
     if times.shape != vids.shape:
@@ -188,17 +183,14 @@ def advance_state(
             raise ValueError("new events must be sorted by time")
         if times[0] <= state.last_update or times[-1] > to_time:
             raise ValueError("new events must lie in (last_update, to_time]")
+    fade = math.exp(-params.decay * (to_time - state.last_update))
+    counts = state.decayed_counts * fade
+    mix = state.source_mix * fade
+    if len(times):
         weights = np.exp(-params.decay * (to_time - times))
-        out.decayed_counts *= math.exp(-params.decay * (to_time - state.last_update))
-        np.add.at(out.decayed_counts, vids, weights)
-        out.source_mix *= math.exp(-params.decay * (to_time - state.last_update))
-        out.source_mix += params.source_factors[vids].T @ weights
-    else:
-        fade = math.exp(-params.decay * (to_time - state.last_update))
-        out.decayed_counts *= fade
-        out.source_mix *= fade
-    out.last_update = to_time
-    return out
+        np.add.at(counts, vids, weights)
+        mix += params.source_factors[vids].T @ weights
+    return KernelState(counts, mix, to_time)
 
 
 def intensity_sweep(params: ModelParams, state: KernelState) -> np.ndarray:
@@ -313,19 +305,17 @@ def window_stats(params: ModelParams, log, window: TrainWindow) -> WindowStats:
     return WindowStats(log.timestamps, log.video_ids, params.catalog_size, params.decay, window)
 
 
-def window_log_likelihood(params: ModelParams, log, window: TrainWindow, stats: WindowStats | None = None) -> float:
+def window_log_likelihood(params: ModelParams, stats: WindowStats) -> float:
     """Log-likelihood of the in-window events given the full history.
 
     Sum over window events of log rate, minus the integral of the total rate
-    over the window (closed form via the exponential kernel).
+    over ``stats.window`` (closed form via the exponential kernel).
     """
-    if stats is None:
-        stats = window_stats(params, log, window)
     _, _, lam, source_total = stats._event_terms(params)
     if (lam <= 0).any():
         raise LikelihoodError("non-positive intensity at an event; parameters or state corrupted")
     event_term = math.fsum(np.log(lam).tolist())
-    integral = window.length * params.base_total + float(params.target_sums @ source_total)
+    integral = stats.window.length * params.base_total + float(params.target_sums @ source_total)
     return event_term - integral
 
 
@@ -345,17 +335,15 @@ class GradientBundle:
         )
 
 
-def window_gradients(params: ModelParams, log, window: TrainWindow, stats: WindowStats | None = None) -> GradientBundle:
+def window_gradients(params: ModelParams, stats: WindowStats) -> GradientBundle:
     """Gradients of :func:`window_log_likelihood` in the same parameterization.
 
     Event terms accumulate 1/rate weights; integral terms reuse the
     closed-form per-source weights, shared across all target rows.
     """
-    if stats is None:
-        stats = window_stats(params, log, window)
     I, D = params.catalog_size, params.dim
     mix_ev, tgt_ev, lam, source_total = stats._event_terms(params)
-    g_base = np.full(I, -window.length)
+    g_base = np.full(I, -stats.window.length)
     g_tgt = np.zeros((I, D))
 
     if stats.n_events:

@@ -21,7 +21,7 @@ import numpy as np
 
 
 class InstanceTooLarge(ValueError):
-    """Offline oracle guard; use :func:`offline_lp_bound` for bigger instances."""
+    """An instance past :func:`offline_optimum`'s exact-search guard."""
 
 
 class CompetitiveRatioViolation(AssertionError):
@@ -266,8 +266,7 @@ def offline_optimum(utilities_per_step: np.ndarray, ledger_template: PrivacyLedg
         raise ValueError("utility matrix width must match the ledger catalog")
     if steps * n_videos > 24:
         raise InstanceTooLarge(
-            f"{steps * n_videos} binary variables exceed the exact-search guard of 24; "
-            "use offline_lp_bound for an upper bound"
+            f"{steps * n_videos} binary variables exceed the exact-search guard of 24"
         )
     if np.any(util < 0):
         raise ValueError("utilities must be non-negative")
@@ -316,37 +315,6 @@ def offline_optimum(utilities_per_step: np.ndarray, ledger_template: PrivacyLedg
 
     search(0, 0.0)
     return best
-
-
-def offline_lp_bound(utilities_per_step: np.ndarray, ledger_template: PrivacyLedger) -> float:
-    """LP relaxation of the offline problem; an upper bound on the optimum."""
-    from scipy.optimize import linprog
-
-    util = np.asarray(utilities_per_step, dtype=np.float64)
-    steps, n_videos = util.shape
-    n = steps * n_videos
-    # Variables x[k, i] flattened row-major; maximize sum(util * x).
-    a_rows, b_vals = [], []
-    for k in range(steps):
-        row = np.zeros(n)
-        row[k * n_videos : (k + 1) * n_videos] = 1.0
-        a_rows.append(row)
-        b_vals.append(float(ledger_template.prefetch_cap))
-    for i in range(n_videos):
-        row = np.zeros(n)
-        row[i::n_videos] = float(ledger_template.cost)
-        a_rows.append(row)
-        b_vals.append(float(ledger_template.total_budget))
-    res = linprog(
-        c=-util.ravel(),
-        A_ub=np.array(a_rows),
-        b_ub=np.array(b_vals),
-        bounds=[(0.0, 1.0)] * n,
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"LP relaxation failed: {res.message}")
-    return float(-res.fun)
 
 
 @dataclass(frozen=True)

@@ -171,9 +171,11 @@ class _EdgeRuntime:
         self.ledger = scheduler.PrivacyLedger.uniform(
             catalog_size, cfg.total_budget, cfg.unit_cost, cfg.prefetch_cap
         )
-        # The exponential mechanism's per-draw budget for each candidate count.
+        # The exponential mechanism's per-draw budget for each candidate
+        # count; a candidate set never holds more videos than the catalog.
         self.eps_steps = [
-            float(k * self.ledger.cost / cfg.prefetch_cap) for k in range(cfg.prefetch_cap + 1)
+            float(k * self.ledger.cost / cfg.prefetch_cap)
+            for k in range(min(cfg.prefetch_cap, catalog_size) + 1)
         ]
         self.corr = cdp.CorrelationState(table)
         self.bounds = _BoundTracker(cfg.bounds)
@@ -211,7 +213,7 @@ class _EdgeRuntime:
             return
         times = self.log.timestamps[self.folded : self.cursor]
         videos = self.log.video_ids[self.folded : self.cursor]
-        advance_state(params, self.kernel, float(times[0]), times, videos, in_place=True)
+        self.kernel = advance_state(params, self.kernel, float(times[0]), times, videos)
         self.folded = self.cursor
 
     def _left_limit_state(self, params: ModelParams, at_time: float) -> KernelState:

@@ -9,8 +9,8 @@ can recover known ground-truth parameters without an external dataset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -108,41 +108,20 @@ class EventLog:
             horizon=t,
         )
 
-    @classmethod
-    def from_events(
-        cls,
-        events: Sequence[RequestEvent],
-        catalog_size: int | None = None,
-        edge_count: int | None = None,
-        horizon: float | None = None,
-    ) -> "EventLog":
-        evs = sorted(events, key=lambda ev: ev.timestamp)
-        edge = np.array([ev.edge_id for ev in evs], dtype=np.int64)
-        user = np.array([ev.user_id for ev in evs], dtype=np.int64)
-        vid = np.array([ev.video_id for ev in evs], dtype=np.int64)
-        ts = np.array([ev.timestamp for ev in evs], dtype=np.float64)
-        if catalog_size is None:
-            catalog_size = int(vid.max()) + 1 if len(evs) else 1
-        if edge_count is None:
-            edge_count = int(edge.max()) + 1 if len(evs) else 1
-        if horizon is None:
-            horizon = float(ts[-1]) + 1.0 if len(evs) else 1.0
-        return cls(edge, user, vid, ts, catalog_size, edge_count, horizon)
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Ground-truth configuration for synthetic trace generation.
 
     ``users_per_edge`` controls how many synthetic user identities each edge
-    draws events for; user ids are globally unique (edge * users_per_edge + k).
+    draws events for; user ids are globally unique (edge * users_per_edge + k),
+    so every id fits in int64 only while edge_count * users_per_edge <= 2**63.
     """
 
     catalog_size: int
     edge_count: int
     horizon: float
     ground_truth: ModelParams
-    base_rate_scale: float = 1.0
     rng_seed: int = 0
     users_per_edge: int = 8
 
@@ -151,26 +130,21 @@ class SyntheticSpec:
             raise ValueError("catalog_size and edge_count must be >= 1")
         if not 0 < self.horizon < math.inf:
             raise ValueError("horizon must be positive and finite")
-        if self.base_rate_scale < 0:
-            raise ValueError("base_rate_scale must be non-negative")
         if self.users_per_edge < 1:
             raise ValueError("users_per_edge must be >= 1")
+        if self.edge_count * self.users_per_edge > 2**63:
+            raise ValueError("edge_count * users_per_edge must be at most 2**63, so user ids fit in int64")
         if self.ground_truth.catalog_size != self.catalog_size:
             raise ValueError("ground_truth catalog size mismatch")
 
 
-def load_trace(
-    path,
-    quantize_hours: float = 1.0,
-    catalog_size: int | None = None,
-) -> EventLog:
+def load_trace(path, quantize_hours: float = 1.0) -> EventLog:
     """Parse a line-delimited ``edge_id,user_id,video_id,timestamp`` file.
 
     Timestamps are floored to multiples of ``quantize_hours``. Lines starting
     with ``#`` and blank lines are skipped. Duplicate records are preserved:
     request multiplicity carries signal for frequency-based policies and for
-    the likelihood. The catalog defaults to ``1 + max(video_id)`` unless
-    overridden.
+    the likelihood. The catalog is ``1 + max(video_id)``.
     """
     if not 0 < quantize_hours < math.inf:
         raise ValueError("quantize_hours must be positive and finite")
@@ -217,13 +191,6 @@ def load_trace(
         ts = np.floor(ts / quantize_hours + 1e-9) * quantize_hours
     order = np.argsort(ts, kind="stable")
 
-    inferred = int(vid_arr.max()) + 1
-    if catalog_size is None:
-        catalog_size = inferred
-    elif catalog_size < inferred:
-        raise TraceFormatError(
-            f"catalog_size override {catalog_size} smaller than 1 + max video id {inferred - 1}"
-        )
     # The horizon is one slot past the last stamp, so that stamp needs a
     # slot that ends at a larger finite time.
     last = int(ts.argmax())
@@ -237,7 +204,7 @@ def load_trace(
         user_ids=user_arr[order],
         video_ids=vid_arr[order],
         timestamps=ts[order],
-        catalog_size=catalog_size,
+        catalog_size=int(vid_arr.max()) + 1,
         edge_count=int(edge_arr.max()) + 1,
         horizon=horizon,
     )
@@ -293,8 +260,7 @@ def _edge_rng(spec: SyntheticSpec, edge: int) -> np.random.Generator:
 
 def _thin_one_edge(spec: SyntheticSpec, edge: int, rng: np.random.Generator):
     gt = spec.ground_truth
-    base = spec.base_rate_scale * gt.base_rate
-    tgt, src, decay = gt.target_factors, gt.source_factors, gt.decay
+    base, tgt, src, decay = gt.base_rate, gt.target_factors, gt.source_factors, gt.decay
     base_total, tgt_totals = base.sum(), tgt.sum(axis=0)
 
     times: list[float] = []

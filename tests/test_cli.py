@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -72,8 +74,13 @@ class TestGenTrace:
 
     @pytest.mark.parametrize(
         "setting",
-        [{"catalog_size": trace.MAX_VIDEO_ID + 2}, {"edges": trace.MAX_EDGE_ID + 2}],
-        ids=["catalog-past-video-ids", "edges-past-edge-ids"],
+        [
+            {"catalog_size": trace.MAX_VIDEO_ID + 2},
+            {"edges": trace.MAX_EDGE_ID + 2},
+            {"edges": 3, "users_per_edge": 2**62},
+            {"edges": 1, "users_per_edge": 10**23},
+        ],
+        ids=["catalog-past-video-ids", "edges-past-edge-ids", "user-ids-past-int64", "users-per-edge-past-int64"],
     )
     def test_ids_past_trace_limits_usage_error(self, tmp_path, capsys, setting):
         cfg = write_config(tmp_path, **setting)
@@ -549,3 +556,34 @@ class TestFitAndReport:
         with open(os.path.join(out, "chr.csv"), "a") as fh:
             fh.write("tampered,0,0\n")
         assert cli.main(["report", "--out", out]) == cli.EXIT_DATA
+
+
+# Runs each argv list through cli.main with scipy unimportable.
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from ppvf import cli
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    if code != cli.EXIT_OK:
+        sys.exit(f"ppvf {argv[0]} exited {code}")
+"""
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    cfg = write_config(tmp_path, cr_instances=10)
+    tr, fit_out, sim_out = (str(tmp_path / name) for name in ("trace.csv", "fit_out", "sim_out"))
+    runs = [
+        ["gen-trace", "--config", cfg, "--seed", "5", "--out", tr],
+        ["fit", "--config", cfg, "--trace", tr, "--out", fit_out],
+        ["simulate", "--config", cfg, "--trace", tr, "--policy", ",".join(sim.POLICIES), "--out", sim_out],
+        ["eval-cr", "--config", cfg, "--seed", "2"],
+        ["report", "--out", sim_out],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(runs)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.load(open(os.path.join(sim_out, "manifest.json")))["outputs"]

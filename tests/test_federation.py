@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import aggregate_and_step_out_of_place, fit_round_evaluating_everything, sort_then_sum
+from oracles import (
+    aggregate_and_step_out_of_place,
+    fit_round_evaluating_everything,
+    gradients,
+    log_likelihood,
+    sort_then_sum,
+)
 
 from ppvf import federation, predictor, trace
 from ppvf.federation import (
@@ -59,8 +65,8 @@ class TestLocalRound:
         params = random_params(np.random.default_rng(0))
         window = TrainWindow(end=50.0, length=20.0)
         log = make_log([], [], 4, 50.0)
-        ll = predictor.window_log_likelihood(params, log, window)
-        grads = predictor.window_gradients(params, log, window)
+        ll = log_likelihood(params, log, window)
+        grads = gradients(params, log, window)
         assert ll == pytest.approx(-20.0 * float(np.sum(params.base_rate)))
         assert np.allclose(grads.base_rate, -20.0)
         assert np.allclose(grads.target_factors, 0.0)
@@ -77,7 +83,7 @@ class TestLocalRound:
         window = TrainWindow(end=20.0, length=15.0)
 
         def ll(t, v):
-            return predictor.window_log_likelihood(params, make_log(t, v, 2, 20.0), window)
+            return log_likelihood(params, make_log(t, v, 2, 20.0), window)
 
         assert ll(times[:5], vids[:5]) + ll(times[5:], vids[5:]) != pytest.approx(ll(times, vids), rel=1e-12)
 
@@ -271,7 +277,7 @@ class TestRunFitRound:
         params = ModelParams.constant(4, 2, 1.0, 0.01)
         cfg = TrainConfig(learning_rate=1e-4, max_iters=1)
         result = run_fit_round(parts[:1], params, window, cfg)
-        grads = predictor.window_gradients(params, parts[0], window)
+        grads = gradients(params, parts[0], window)
         stepped = aggregate_and_step(params, sum_gradients([grads]), cfg)
         assert np.allclose(result.params.base_rate, stepped.base_rate, atol=1e-15)
         assert np.allclose(result.params.target_factors, stepped.target_factors, atol=1e-15)

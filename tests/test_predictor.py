@@ -8,9 +8,11 @@ from oracles import (
     assert_gradients_close,
     brute_intensity_all,
     fd_gradients,
+    gradients,
     intensity,
     intensity_sweep_at,
     kernel_integral,
+    log_likelihood,
     quadrature_ll,
     rebuild_state,
     window_gradients_reference,
@@ -182,7 +184,7 @@ class TestWindowLikelihood:
         window = TrainWindow(end=100.0, length=48.0)
         log = make_log([], [], 5, 100.0)
         expected = -window.length * float(np.sum(params.base_rate))
-        assert window_log_likelihood(params, log, window) == pytest.approx(expected, rel=1e-12)
+        assert log_likelihood(params, log, window) == pytest.approx(expected, rel=1e-12)
 
     def test_single_event_poisson_reduction(self):
         catalog = 4
@@ -195,7 +197,7 @@ class TestWindowLikelihood:
         window = TrainWindow(end=50.0, length=20.0)
         log = make_log([40.0], [2], catalog, 50.0)
         expected = math.log(0.4) - 20.0 * float(np.sum(params.base_rate))
-        assert window_log_likelihood(params, log, window) == pytest.approx(expected, rel=1e-12)
+        assert log_likelihood(params, log, window) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_quadrature_oracle(self):
         rng = np.random.default_rng(11)
@@ -203,7 +205,7 @@ class TestWindowLikelihood:
         times, vids = random_events(rng, 5, 100.0, 30)
         window = TrainWindow(end=100.0, length=40.0)
         log = make_log(times, vids, 5, 100.0)
-        closed = window_log_likelihood(params, log, window)
+        closed = log_likelihood(params, log, window)
         numeric = quadrature_ll(params, times, vids, window)
         assert closed == pytest.approx(numeric, rel=1e-6)
 
@@ -218,14 +220,14 @@ class TestWindowLikelihood:
         window = TrainWindow(end=10.0, length=5.0)
         log = make_log([7.0], [0], catalog, 10.0)
         with pytest.raises(predictor.LikelihoodError):
-            window_log_likelihood(params, log, window)
+            log_likelihood(params, log, window)
 
     def test_event_outside_window_end_rejected(self):
         params = random_params(np.random.default_rng(12))
         window = TrainWindow(end=10.0, length=5.0)
         log = make_log([10.0], [0], 5, 20.0)
         with pytest.raises(ValueError):
-            window_log_likelihood(params, log, window)
+            log_likelihood(params, log, window)
 
 
 class TestWindowGradients:
@@ -233,7 +235,7 @@ class TestWindowGradients:
         params = random_params(np.random.default_rng(13))
         window = TrainWindow(end=60.0, length=24.0)
         log = make_log([], [], 5, 60.0)
-        g = window_gradients(params, log, window)
+        g = gradients(params, log, window)
         assert np.allclose(g.base_rate, -24.0)
         assert np.allclose(g.target_factors, 0.0)
         assert np.allclose(g.source_factors, 0.0)
@@ -241,8 +243,8 @@ class TestWindowGradients:
     def test_doubling_empty_window_doubles_base_gradient(self):
         params = random_params(np.random.default_rng(14))
         log = make_log([], [], 5, 100.0)
-        g1 = window_gradients(params, log, TrainWindow(end=100.0, length=10.0))
-        g2 = window_gradients(params, log, TrainWindow(end=100.0, length=20.0))
+        g1 = gradients(params, log, TrainWindow(end=100.0, length=10.0))
+        g2 = gradients(params, log, TrainWindow(end=100.0, length=20.0))
         assert np.allclose(np.abs(g2.base_rate), 2 * np.abs(g1.base_rate))
 
     def test_matches_finite_differences(self):
@@ -251,7 +253,7 @@ class TestWindowGradients:
         times, vids = random_events(rng, 4, 60.0, 18)
         window = TrainWindow(end=60.0, length=25.0)
         log = make_log(times, vids, 4, 60.0)
-        analytic = window_gradients(params, log, window)
+        analytic = gradients(params, log, window)
         numeric = fd_gradients(params, log, window)
         assert_gradients_close(analytic, numeric)
 
@@ -262,7 +264,7 @@ class TestWindowGradients:
         vids = np.array([0, 1, 2, 0, 1, 2, 0, 1])
         window = TrainWindow(end=48.0, length=12.0)
         log = make_log(times, vids, 3, 48.0)
-        analytic = window_gradients(params, log, window)
+        analytic = gradients(params, log, window)
         numeric = fd_gradients(params, log, window)
         assert_gradients_close(analytic, numeric)
 
@@ -313,11 +315,11 @@ class TestWindowBitsMatchReference:
                 ll_ref = window_log_likelihood_reference(params, window, stats)
                 g_ref = window_gradients_reference(params, window, stats)
                 if likelihood_first:
-                    ll = window_log_likelihood(params, None, window, stats=stats)
-                    g = window_gradients(params, None, window, stats=stats)
+                    ll = window_log_likelihood(params, stats)
+                    g = window_gradients(params, stats)
                 else:
-                    g = window_gradients(params, None, window, stats=stats)
-                    ll = window_log_likelihood(params, log, window)
+                    g = window_gradients(params, stats)
+                    ll = window_log_likelihood(params, stats)
                 assert np.float64(ll).tobytes() == np.float64(ll_ref).tobytes()
                 for block in ("base_rate", "target_factors", "source_factors"):
                     assert getattr(g, block).tobytes() == getattr(g_ref, block).tobytes(), block
@@ -347,7 +349,7 @@ class TestWindowBitsMatchReference:
         assert (stats.n_events == 0) == (case in ("no-window-events", "empty-history"))
         assert np.count_nonzero(stats.integral_weights) < catalog
         with np.errstate(over="ignore", invalid="ignore"):
-            got = window_gradients(params, None, window, stats=stats)
+            got = window_gradients(params, stats)
             want = window_gradients_reference(params, window, stats)
         for block in ("base_rate", "target_factors", "source_factors"):
             assert getattr(got, block).tobytes() == getattr(want, block).tobytes(), block

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FractionLedger, walk_best_utility, walk_random, walk_threshold
+from oracles import FractionLedger, offline_lp_bound, walk_best_utility, walk_random, walk_threshold
 from ppvf import scheduler
 from ppvf.cache import select_candidates_best_utility, select_candidates_random
 from ppvf.scheduler import (
@@ -17,7 +17,6 @@ from ppvf.scheduler import (
     PrivacyLedger,
     ThresholdConfig,
     empirical_cr,
-    offline_lp_bound,
     offline_optimum,
     random_cr_instances,
     run_online_allocation,

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import rebuild_state
+from oracles import event_log_from_events, rebuild_state
 from ppvf import cdp, predictor, sim, trace
 from ppvf.federation import TrainConfig
 from ppvf.predictor import ModelParams
@@ -136,7 +136,7 @@ class TestBarrierTimes:
 
 def repeated_video_log(n, spacing=0.5):
     events = [trace.RequestEvent(0, 0, 0, i * spacing) for i in range(n)]
-    return trace.EventLog.from_events(events, catalog_size=1, edge_count=1, horizon=n * spacing + 1)
+    return event_log_from_events(events, catalog_size=1, edge_count=1, horizon=n * spacing + 1)
 
 
 class TestRunSimulation:
@@ -335,7 +335,7 @@ def barrier_crossing_log():
         for edge, times in stamps.items()
         for t in times
     ]
-    return trace.EventLog.from_events(events, catalog_size=12, edge_count=3, horizon=73.0)
+    return event_log_from_events(events, catalog_size=12, edge_count=3, horizon=73.0)
 
 
 class TestBarrierSwitch:
@@ -396,3 +396,13 @@ class TestBarrierSwitch:
             assert [stamp for _, stamp in folds] == sorted(set(edge_log.timestamps.tolist()))[:-1]
             last = edge_log.timestamps[-1] if len(edge_log) else 0.0
             assert len(rt.corr.epochs) == 1 + bisect.bisect_right(barriers, last)
+
+
+def test_eps_steps_stop_at_the_catalog():
+    # A candidate set never holds more videos than the catalog, so a prefetch
+    # cap past it adds no reachable candidate count to the per-draw budgets.
+    cfg = SimConfig(prefetch_cap=10**5, init_horizon=6.0, test_horizon=73.0, latent_dim=2)
+    edge_log = trace.partition_by_edge(barrier_crossing_log())[0]
+    rt = sim._EdgeRuntime(0, edge_log, cfg, cdp.epoch_table([ModelParams.constant(12, 2)]), 3)
+    assert len(rt.eps_steps) == 13
+    assert rt.eps_steps == [float(k * rt.ledger.cost / cfg.prefetch_cap) for k in range(13)]

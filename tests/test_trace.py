@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from ppvf import predictor, trace
 
-from oracles import thin_one_edge_with_choice, write_trace_per_event
+from oracles import event_log_from_events, thin_one_edge_with_choice, write_trace_per_event
 
 
 def _flat_params(catalog, base=0.0, factor=0.0, dim=2, decay=0.01):
@@ -42,7 +43,7 @@ def test_event_log_rejects_negative_ids(field):
     # numpy indexing would wrap -1 silently to the last video or edge.
     video, edge = (-1, 0) if field == "video" else (0, -1)
     with pytest.raises(ValueError, match=f"{field} id outside"):
-        trace.EventLog.from_events([trace.RequestEvent(edge, 0, video, 1.0)], catalog_size=3, edge_count=2, horizon=5.0)
+        event_log_from_events([trace.RequestEvent(edge, 0, video, 1.0)], catalog_size=3, edge_count=2, horizon=5.0)
 
 
 def test_load_hundred_line_fixture_sorted_against_reference(tmp_path):
@@ -129,13 +130,6 @@ def test_load_rejects_stamp_that_overflows_its_slot(tmp_path):
         trace.load_trace(path, quantize_hours=1e-10)
 
 
-def test_load_rejects_small_catalog_override(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text("0,1,5,1.0\n")
-    with pytest.raises(trace.TraceFormatError):
-        trace.load_trace(path, catalog_size=3)
-
-
 def test_quantization_idempotent(tmp_path):
     path = tmp_path / "a.csv"
     path.write_text("0,0,0,7.25\n0,0,1,3.5\n")
@@ -212,9 +206,19 @@ class TestSynthetic:
 
     def test_base_rate_scale_multiplies_activity(self):
         gt = _flat_params(2, base=0.1)
-        lo = trace.generate_synthetic(trace.SyntheticSpec(2, 1, 400.0, gt, base_rate_scale=1.0, rng_seed=3))
-        hi = trace.generate_synthetic(trace.SyntheticSpec(2, 1, 400.0, gt, base_rate_scale=4.0, rng_seed=3))
+        scaled = dataclasses.replace(gt, base_rate=4.0 * gt.base_rate)
+        lo = trace.generate_synthetic(trace.SyntheticSpec(2, 1, 400.0, gt, rng_seed=3))
+        hi = trace.generate_synthetic(trace.SyntheticSpec(2, 1, 400.0, scaled, rng_seed=3))
         assert len(hi) > 2 * len(lo)
+
+    def test_user_ids_fit_in_int64_up_to_the_bound(self):
+        # User ids run up to edge_count * users_per_edge - 1.
+        gt = _flat_params(2, base=0.5)
+        for edges, users in ((1, 2**63), (2, 2**62)):
+            log = trace.generate_synthetic(trace.SyntheticSpec(2, edges, 20.0, gt, rng_seed=1, users_per_edge=users))
+            assert len(log) and log.user_ids.min() >= 0 and log.user_ids.dtype == np.int64
+        with pytest.raises(ValueError, match="int64"):
+            trace.SyntheticSpec(2, 1, 20.0, gt, users_per_edge=2**63 + 1)
 
 
 def _stable_params(seed, catalog, dim, branching, decay):
@@ -243,9 +247,8 @@ class TestThinningOracle:
         self, tmp_path_factory, catalog, edges, dim, branching, decay, base_rate_scale, horizon, seed
     ):
         gt = _stable_params(seed, catalog, dim, branching, decay)
-        spec = trace.SyntheticSpec(
-            catalog, edges, horizon, gt, base_rate_scale=base_rate_scale, rng_seed=seed, users_per_edge=3
-        )
+        gt = dataclasses.replace(gt, base_rate=base_rate_scale * gt.base_rate)
+        spec = trace.SyntheticSpec(catalog, edges, horizon, gt, rng_seed=seed, users_per_edge=3)
         for edge in range(edges):
             lean_rng, oracle_rng = trace._edge_rng(spec, edge), trace._edge_rng(spec, edge)
             lean = trace._thin_one_edge(spec, edge, lean_rng)
@@ -277,11 +280,12 @@ class TestThinningOracle:
             assert got.tobytes() == want.tobytes()
         assert lean_rng.random() == oracle_rng.random()
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
     def test_rejects_what_choice_rejects(self):
-        # An infinite base-rate scale makes the total intensity infinite.
+        # Base rates at the float maximum overflow the total intensity to infinity.
         gt = _stable_params(4, 5, 2, 0.3, 0.5)
-        spec = trace.SyntheticSpec(5, 1, 10.0, gt, base_rate_scale=math.inf, rng_seed=4)
+        gt = dataclasses.replace(gt, base_rate=np.full(5, np.finfo(np.float64).max))
+        spec = trace.SyntheticSpec(5, 1, 10.0, gt, rng_seed=4)
         with pytest.raises(ValueError):
             thin_one_edge_with_choice(spec, 0, trace._edge_rng(spec, 0))
         with pytest.raises(ValueError):
@@ -305,7 +309,7 @@ class TestPartition:
         assert sum(len(p) for p in parts) == len(log)
 
     def test_empty_log_gives_empty_parts(self):
-        log = trace.EventLog.from_events([], catalog_size=3, edge_count=4, horizon=10.0)
+        log = event_log_from_events([], catalog_size=3, edge_count=4, horizon=10.0)
         parts = trace.partition_by_edge(log)
         assert len(parts) == 4
         assert all(len(p) == 0 for p in parts)
@@ -317,7 +321,7 @@ class TestPartition:
             for _ in range(n):
                 events.append(trace.RequestEvent(edge, 0, 0, t))
                 t += 1.0
-        log = trace.EventLog.from_events(events, catalog_size=1, edge_count=3, horizon=t + 1)
+        log = event_log_from_events(events, catalog_size=1, edge_count=3, horizon=t + 1)
         sizes = [len(p) for p in trace.partition_by_edge(log)]
         assert sizes == [3, 5, 2]
 
@@ -335,7 +339,7 @@ class TestPartition:
     )
     def test_partition_is_a_bijection(self, rows):
         events = [trace.RequestEvent(e, u, v, t) for e, u, v, t in rows]
-        log = trace.EventLog.from_events(events, catalog_size=7, edge_count=4, horizon=100.0)
+        log = event_log_from_events(events, catalog_size=7, edge_count=4, horizon=100.0)
         parts = trace.partition_by_edge(log)
         original = sorted((ev.edge_id, ev.user_id, ev.video_id, ev.timestamp) for ev in log)
         recombined = sorted(
@@ -348,7 +352,7 @@ class TestPartition:
 
     def test_before_keeps_strictly_earlier_requests(self):
         events = [trace.RequestEvent(0, 0, v, t) for v, t in enumerate((0.0, 1.0, 2.0, 2.0, 3.0))]
-        log = trace.EventLog.from_events(events, catalog_size=5, edge_count=1, horizon=4.0)
+        log = event_log_from_events(events, catalog_size=5, edge_count=1, horizon=4.0)
         prefix = log.before(2.0)
         assert prefix.video_ids.tolist() == [0, 1]
         assert prefix.horizon == 2.0
