@@ -242,16 +242,8 @@ class BaselineStep:
     evicted: tuple[int, ...]
 
 
-def baseline_step(policy: str, cache, video: int) -> BaselineStep:
+def baseline_step(cache: LruCache | LfuCache, video: int) -> BaselineStep:
     """One eviction-only baseline access (LRU or LFU): fetch only on miss."""
-    if policy == "lru":
-        if not isinstance(cache, LruCache):
-            raise ValueError("lru policy requires an LruCache")
-    elif policy == "lfu":
-        if not isinstance(cache, LfuCache):
-            raise ValueError("lfu policy requires an LfuCache")
-    else:
-        raise ValueError(f"unknown eviction-only policy {policy!r}")
     hit, evicted = cache.access(video)
     fetched = () if hit else (video,)
     return BaselineStep(hit=hit, fetched=fetched, evicted=tuple(evicted))

@@ -117,11 +117,16 @@ def _parse_value(key: str, raw: str):
         raise UsageError(f"config key {key!r}: cannot parse {raw!r}") from None
 
 
-def _sim_config(cfg: dict, policy: str, seed: int) -> SimConfig:
+def _bounds(cfg: dict) -> tuple[float, float] | None:
+    """The configured ``(lower, upper)`` ratio bounds, or None when both are 0."""
     lower, upper = float(cfg["lower"]), float(cfg["upper"])
     if (lower == 0) != (upper == 0):
-        raise UsageError("set both lower and upper, or leave both at 0 to estimate them during warmup")
-    bounds = (lower, upper) if lower else None
+        raise UsageError("set both lower and upper, or leave both at 0")
+    return (lower, upper) if lower else None
+
+
+def _sim_config(cfg: dict, policy: str, seed: int) -> SimConfig:
+    bounds = _bounds(cfg)
     rho = float(cfg["rho"])
     try:
         return SimConfig(
@@ -366,7 +371,7 @@ def cmd_eval_cr(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else int(cfg["seed"])
     _print_config(cfg, {"seed": seed})
-    lower, upper = float(cfg["lower"]) or 1.0, float(cfg["upper"]) or 10.0
+    lower, upper = _bounds(cfg) or (1.0, 10.0)
     if upper < lower:
         raise UsageError("upper bound must be at least the lower bound")
     # Instances charge unit costs, and the bound assumes unit_cost <= budget / 20.

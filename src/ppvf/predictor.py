@@ -167,7 +167,7 @@ def advance_state(
     event_times=(),
     event_videos=(),
 ) -> KernelState:
-    """The state decayed to ``to_time`` with new events folded in, as a new state.
+    """The state decayed to ``to_time`` with new events added, as a new state.
 
     Events must be sorted, lie in ``(last_update, to_time]``, and an event at
     exactly ``to_time`` contributes kernel weight 1 (zero lag).

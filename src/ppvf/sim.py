@@ -14,10 +14,12 @@ run first fits the whole barrier sequence (:func:`fit_barriers`, which
 ``ppvf fit`` runs too): each barrier's fit reads the requests stamped
 before it from the edge logs, so the fitted sequence depends on the trace
 and the settings alone. Then each edge replays its whole log in one pass,
-on its own and in edge order, switching to the next fitted parameters when
-a request reaches that barrier, and is folded into the report before the
-next edge starts. All randomness flows from per-edge seeded streams and
-all reductions are order-independent, so reports depend on the seed alone.
+on its own and in edge order, stamp by stamp: a stamp that reaches a
+barrier switches to the next fitted parameters, and the stamp's requests
+fold into the kernel after the stamp. Each edge's results join the report
+before the next edge starts. All randomness flows from per-edge seeded
+streams and all reductions are order-independent, so reports depend on the
+seed alone.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ class SimConfig:
     truncation: float = math.exp(-0.48)
     train: TrainConfig = field(default_factory=TrainConfig)
     slot_hours: float = 1.0
-    mav_weight: float = 0.9
     seed: int = 0
     workers: int | None = None  # accepted for compatibility; execution is sequential
 
@@ -84,8 +85,6 @@ class SimConfig:
             raise ValueError("decay must be positive")
         if self.slot_hours <= 0:
             raise ValueError("slot_hours must be positive")
-        if not 0 <= self.mav_weight < 1:
-            raise ValueError("mav_weight must lie in [0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.policy in _MEP_POLICIES:
@@ -154,10 +153,9 @@ class _BoundTracker:
 class _EdgeRuntime:
     """All mutable per-edge state, driven by one pass over that edge's log.
 
-    ``cursor`` indexes the next request to replay. Fitted policies fold
-    requests into the kernel one timestamp at a time: ``[folded, cursor)``
-    are replayed requests that share one stamp and are not folded yet, so a
-    sweep at that stamp sees only the strictly earlier past (left limit).
+    The log is replayed stamp by stamp. Requests that share a stamp see
+    only the strictly earlier past (the left limit), so fitted policies
+    fold a stamp's requests into the kernel after the stamp.
     """
 
     def __init__(self, edge_id: int, log: EventLog, cfg: SimConfig, table: np.ndarray, capacity: int):
@@ -165,8 +163,6 @@ class _EdgeRuntime:
         self.edge_id = edge_id
         self.log = log
         self.cfg = cfg
-        self.cursor = 0
-        self.folded = 0
         self.kernel = KernelState.empty(catalog_size, cfg.latent_dim)
         self.ledger = scheduler.PrivacyLedger.uniform(
             catalog_size, cfg.total_budget, cfg.unit_cost, cfg.prefetch_cap
@@ -186,7 +182,7 @@ class _EdgeRuntime:
         else:
             self.cache = cache_mod.EdgeCache(capacity)
         self.mav = (
-            cache_mod.MavState(catalog_size, cfg.slot_hours, cfg.mav_weight)
+            cache_mod.MavState(catalog_size, cfg.slot_hours)
             if cfg.policy == "mav"
             else None
         )
@@ -199,68 +195,47 @@ class _EdgeRuntime:
         self.hits = 0
         self.exposed: set[int] = set()
         self.hit_sequence: list[bool] = []
-        # (stamp, left-limit state, sweep) of the last fitted-policy miss.
-        self._last_sweep: tuple = (None, None, None)
-
-    # -- kernel bookkeeping ------------------------------------------------
-
-    def fold(self, params: ModelParams, before: float = math.inf) -> None:
-        """Fold the replayed requests ``[folded, cursor)`` if stamped before ``before``.
-
-        They share one stamp, so they fold together or not at all.
-        """
-        if self.folded == self.cursor or self.log.timestamps[self.folded] >= before:
-            return
-        times = self.log.timestamps[self.folded : self.cursor]
-        videos = self.log.video_ids[self.folded : self.cursor]
-        self.kernel = advance_state(params, self.kernel, float(times[0]), times, videos)
-        self.folded = self.cursor
-
-    def _left_limit_state(self, params: ModelParams, at_time: float) -> KernelState:
-        """Kernel state at ``at_time`` excluding any event at exactly that instant."""
-        fade = math.exp(-params.decay * (at_time - self.kernel.last_update))
-        return KernelState(
-            self.kernel.decayed_counts * fade, self.kernel.source_mix * fade, at_time
-        )
-
-    # -- event processing ----------------------------------------------------
+        # (left-limit state, sweep) of the current stamp's first fitted-policy miss.
+        self.stamp_sweep: tuple | None = None
 
     def run(self, barriers: list[float], params_list: list[ModelParams]) -> None:
         """Replay the whole log; ``params_list[e]`` holds from ``barriers[e - 1]`` on.
 
-        A request stamped at or after the next barrier first folds the
-        pending requests under the old parameters, then moves the kernel
-        and the correlation state to the epoch it falls in. Barriers after
-        the last request need nothing: no later read sees them.
+        A stamp at or after the next barrier first moves the kernel and the
+        correlation state to the epoch it falls in. Fitted policies then fold
+        the stamp's requests under that epoch's parameters once the stamp is
+        replayed; the last stamp's fold is never read, so it is skipped.
+        Barriers after the last request need nothing: no later read sees them.
         """
+        stamps, starts = np.unique(self.log.timestamps, return_index=True)
+        epochs = np.searchsorted(barriers, stamps, side="right").tolist()
+        groups = np.split(self.log.video_ids, starts[1:])
+        fitted = self.cfg.policy in _MEP_POLICIES
         epoch = 0
-        params = params_list[0]
-        upcoming = barriers + [math.inf]
-        videos = self.log.video_ids.tolist()
-        for video, ts in zip(videos, self.log.timestamps.tolist()):
-            if ts >= upcoming[epoch]:
-                self.fold(params)
-                while ts >= upcoming[epoch]:
-                    epoch += 1
+        for ts, stamp_epoch, videos in zip(stamps.tolist(), epochs, groups):
+            params = params_list[stamp_epoch]
+            if stamp_epoch > epoch:
+                for _ in range(stamp_epoch - epoch):
                     self.corr.next_epoch()
-                params = params_list[epoch]
+                epoch = stamp_epoch
                 self.kernel.rebuild_mix(params)
-            self.process(params, video, ts)
-            self.cursor += 1
+            self.stamp_sweep = None
+            for video in videos.tolist():
+                self.process(params, video, ts)
+            if fitted and ts < stamps[-1]:
+                self.kernel = advance_state(params, self.kernel, ts, [ts] * len(videos), videos)
 
     def process(self, params: ModelParams, video: int, ts: float) -> None:
         cfg = self.cfg
         in_test = ts >= cfg.init_horizon
         if cfg.policy in ("lru", "lfu"):
-            step = cache_mod.baseline_step(cfg.policy, self.cache, video)
+            step = cache_mod.baseline_step(self.cache, video)
             if in_test:
                 self.hits += int(step.hit)
                 self.hit_sequence.append(step.hit)
                 self.exposed.update(step.fetched)
             return
 
-        if cfg.policy in _MEP_POLICIES:
-            self.fold(params, before=ts)
         hit = self.cache.lookup(video)
         if in_test:
             self.hits += int(hit)
@@ -275,15 +250,13 @@ class _EdgeRuntime:
         cfg = self.cfg
         refresh = True
         if self.mav is None:
-            # Requests at one stamp fold together after it, and parameters
-            # change only before a stamp's first request, so a miss at the
-            # last miss's stamp sees the same left limit, and every resident
-            # already holds its score from that sweep.
-            refresh = self._last_sweep[0] != ts
+            # Every miss at one stamp sees the same left limit, and every
+            # resident already holds its score from that stamp's sweep.
+            refresh = self.stamp_sweep is None
             if refresh:
-                state = self._left_limit_state(params, ts)
-                self._last_sweep = (ts, state, intensity_sweep(params, state))
-            _, state, lam = self._last_sweep
+                state = advance_state(params, self.kernel, ts)
+                self.stamp_sweep = (state, intensity_sweep(params, state))
+            state, lam = self.stamp_sweep
             self.corr.update(lam, state.source_mix)
         else:
             # mav scores carry no excitation history: every sensitivity is 0.

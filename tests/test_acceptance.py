@@ -11,10 +11,8 @@ import os
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
-import pytest
 from scipy.stats import spearmanr
 
 from oracles import (

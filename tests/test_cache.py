@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from oracles import admit_by_scan
-from ppvf import cache
 from ppvf.cache import (
     EdgeCache,
     LfuCache,
@@ -232,15 +231,7 @@ class TestBestFit:
 class TestBaselineStep:
     def test_lru_fetches_only_on_miss(self):
         c = LruCache(2)
-        step = baseline_step("lru", c, 4)
+        step = baseline_step(c, 4)
         assert not step.hit and step.fetched == (4,)
-        step = baseline_step("lru", c, 4)
+        step = baseline_step(c, 4)
         assert step.hit and step.fetched == ()
-
-    def test_policy_cache_type_mismatch(self):
-        with pytest.raises(ValueError):
-            baseline_step("lru", LfuCache(2), 1)
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            baseline_step("mystery", LruCache(2), 1)

@@ -249,18 +249,21 @@ class TestUsage:
             ("fit", {"upper": 5}),
             ("simulate", {"seed": -1}),
             ("fit", {"seed": -1}),
+            ("eval-cr", {"lower": 5}),
+            ("eval-cr", {"upper": 0.5}),
         ],
         ids=[
             "phi_th", "delta", "quantize", "edges", "latent_dim",
             "horizon-inf", "gen-trace-horizon-inf", "xi-nan", "epsilon-inf", "lower-above-upper", "eta-inf",
             "lower-alone", "fit-upper-alone", "negative-seed", "fit-negative-seed",
+            "eval-cr-lower-alone", "eval-cr-upper-alone",
         ],
     )
     def test_out_of_range_setting_usage_error(self, tiny_trace, tmp_path, capsys, command, setting):
         _, tr = tiny_trace
         cfg = write_config(tmp_path, **setting)
         argv = [command, "--config", cfg, "--out", str(tmp_path / "x")]
-        if command != "gen-trace":
+        if command in ("fit", "simulate"):
             argv += ["--trace", tr]
         assert cli.main(argv) == cli.EXIT_USAGE
         err = capsys.readouterr().err.splitlines()

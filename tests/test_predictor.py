@@ -21,7 +21,6 @@ from oracles import (
 from ppvf import predictor, trace
 from ppvf.federation import TrainConfig, run_fit_round
 from ppvf.predictor import (
-    GradientBundle,
     KernelState,
     ModelParams,
     TrainWindow,

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import FractionLedger, offline_lp_bound, walk_best_utility, walk_random, walk_threshold
-from ppvf import scheduler
 from ppvf.cache import select_candidates_best_utility, select_candidates_random
 from ppvf.scheduler import (
     CandidateSet,

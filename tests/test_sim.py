@@ -1,6 +1,5 @@
 import bisect
 import hashlib
-import math
 from collections import Counter
 
 import numpy as np
@@ -293,7 +292,7 @@ class TestSharedStampSweep:
 
         def on_miss_spy(self, params, video, ts, in_test):
             if not share:
-                self._last_sweep = (None, None, None)  # forget the last sweep
+                self.stamp_sweep = None  # forget the stamp's sweep
             before = len(calls)
             real_on_miss(self, params, video, ts, in_test)
             key = (self.edge_id, ts, id(params))
@@ -378,22 +377,26 @@ class TestBarrierSwitch:
         cfg = self._cfg("ppvf")
         barriers = sim.barrier_times(cfg, cfg.test_horizon)
         params_list = [ModelParams.constant(12, 2, 1.0 + 0.1 * e, cfg.decay) for e in range(len(barriers) + 1)]
-        folds = []
+        folds, limits = [], []
         real_advance = sim.advance_state
 
         def spy(params, state, to_time, *args, **kwargs):
-            folds.append((params, to_time))
+            # A call that passes events folds them; one without is a left limit.
+            (folds if args or kwargs else limits).append((params, to_time))
             return real_advance(params, state, to_time, *args, **kwargs)
 
         monkeypatch.setattr(sim, "advance_state", spy)
         for edge_id, edge_log in enumerate(trace.partition_by_edge(barrier_crossing_log())):
             folds.clear()
+            limits.clear()
             rt = sim._EdgeRuntime(edge_id, edge_log, cfg, cdp.epoch_table(params_list), 3)
             rt.run(barriers, params_list)
-            for params, stamp in folds:
+            for params, stamp in folds + limits:
                 assert params is params_list[bisect.bisect_right(barriers, stamp)]
-            # Each stamp folds once, when the next one arrives; nothing reads the last.
+            # Each stamp folds once, after it; nothing reads the last.
             assert [stamp for _, stamp in folds] == sorted(set(edge_log.timestamps.tolist()))[:-1]
+            # At most one left limit per stamp.
+            assert len({stamp for _, stamp in limits}) == len(limits)
             last = edge_log.timestamps[-1] if len(edge_log) else 0.0
             assert len(rt.corr.epochs) == 1 + bisect.bisect_right(barriers, last)
 
