@@ -125,7 +125,7 @@ def candidate_sensitivities(
     kernel_state: KernelState,
     corr: CorrelationState,
     candidates: CandidateSet,
-) -> dict[int, float]:
+) -> np.ndarray:
     """Correlation-weighted utility shift from deleting any co-candidate's history.
 
     Deleting all of video ``j``'s requests removes exactly its excitation
@@ -133,23 +133,17 @@ def candidate_sensitivities(
     ``(target_factors[i] . source_factors[j]) * decayed_counts[j]``.
     Correlation magnitudes weight the terms: anti-correlation still implies
     exposure, and the scale must stay non-negative. One k x k correlation
-    block serves all k candidates.
+    block serves all k candidates; entry ``k`` of the result belongs to the
+    ``k``-th candidate, and the largest entry scales the exponential
+    mechanism.
     """
     if corr.steps < 2:
         # Correlation is undefined this early; zero sensitivity makes the
         # sampler fall back to its uniform, budget-charging limit.
-        return dict.fromkeys(candidates, 0.0)
+        return np.zeros(len(candidates))
     c = np.asarray(candidates.videos, dtype=np.intp)
     deletion = (params.target_factors[c] @ params.source_factors[c].T) * kernel_state.decayed_counts[c]
-    sens = (np.abs(correlation_block(corr, c)) * deletion).sum(axis=1)
-    return dict(zip(candidates, sens.tolist()))
-
-
-def global_sensitivity(per_video: dict[int, float]) -> float:
-    """Worst candidate sensitivity; scales the exponential mechanism."""
-    if not per_video:
-        raise ValueError("candidate set must be non-empty")
-    return max(per_video.values())
+    return (np.abs(correlation_block(corr, c)) * deletion).sum(axis=1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -193,13 +187,11 @@ def em_sample(
     ``eps_step`` is 0) and ``scores = eps_step * utilities / (2 *
     sensitivity)``. ``choice`` searches the normalized cumulative sum of
     ``p`` for one ``rng.random()`` (``side="right"``), and ``rng.random(k)``
-    yields k such values at once. A score minus the pool maximum does not
-    depend on the rest of the pool, so one ``np.exp`` call weighs the pool
-    against each maximum it can reach, and each draw reads its survivors'
-    weights from the row of the current maximum. Everything else is Python
-    float arithmetic in numpy's order: the survivors' total is
-    :func:`pairwise_sum`, the cumulative sum runs left to right, and the
-    search is ``bisect_right``.
+    yields k such values at once. Each draw takes one ``np.exp`` over its
+    survivors' scores minus their maximum (``math.exp``'s last bit differs
+    on some inputs); the rest is Python float arithmetic in numpy's order:
+    the survivors' total is :func:`pairwise_sum`, the cumulative sum runs
+    left to right, and the search is ``bisect_right``.
     """
     pool = list(candidates)
     lam = np.asarray(utilities, dtype=np.float64)
@@ -218,28 +210,19 @@ def em_sample(
         return tuple(chosen)
     scores = eps_step * lam / (2.0 * sensitivity)
     listed = scores.tolist()
-    if any(map(math.isnan, listed)):
+    finite = sum(map(math.isfinite, listed))
+    if finite < draws or finite + listed.count(-math.inf) < len(pool):
+        # A NaN or +inf score, or a pool left with only -inf scores before
+        # the last draw, makes NaN probabilities. Zero-weight -inf scores
+        # are never drawn while a finite one survives.
         raise ValueError("exponential-mechanism scores must be finite for every draw")
-    tops = sorted(listed, reverse=True)[:draws]
-    if not (tops[0] < math.inf and tops[-1] > -math.inf):
-        # A +inf score, or a pool left with only -inf scores before the
-        # last draw, makes NaN probabilities.
-        raise ValueError("exponential-mechanism scores must be finite for every draw")
-    # Every pool maximum is one of the top ``draws`` scores: one weight row
-    # per candidate maximum, from np.exp (math.exp's last bit differs on
-    # some inputs). Drawn entries may lie above a later maximum; capping
-    # them at 0 keeps their unread weights from overflowing.
-    rows = np.exp(np.minimum(scores - np.array(tops)[:, None], 0.0)).tolist()
     left = list(range(len(pool)))  # undrawn pool positions, in pool order
     for u in rng.random(draws).tolist():
-        if len(left) == 1:
-            # One survivor: its normalised cumulative sum is [1.0] and u < 1.
-            chosen.append(pool[left.pop()])
-            break
         # What ``w / w.sum()``, ``cumsum``, ``cdf /= cdf[-1]`` and
         # ``searchsorted(u, side="right")`` compute on the survivors' weights.
-        row = rows[tops.index(max([listed[i] for i in left]))]
-        w = [row[i] for i in left]
+        survivors = [listed[i] for i in left]
+        top = max(survivors)
+        w = np.exp(np.array([s - top for s in survivors])).tolist()
         total = pairwise_sum(w)
         cdf = list(itertools.accumulate([x / total for x in w]))
         last = cdf[-1]

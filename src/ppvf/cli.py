@@ -41,6 +41,7 @@ class UsageError(ValueError):
     pass
 
 
+# A config file's value parses to the type of its key's default.
 DEFAULTS: dict[str, object] = {
     # model
     "delta": 0.01,
@@ -79,12 +80,6 @@ DEFAULTS: dict[str, object] = {
     "cr_budget_units": 20,
 }
 
-_INT_KEYS = {
-    "latent_dim", "max_iters", "f", "catalog_size", "edges", "users_per_edge",
-    "seed", "cr_instances", "cr_videos", "cr_steps", "cr_cap", "cr_budget_units",
-}
-_STR_KEYS = {"policy"}
-
 
 def load_config(path: str | None) -> dict:
     cfg = dict(DEFAULTS)
@@ -109,10 +104,9 @@ def load_config(path: str | None) -> dict:
 
 
 def _parse_value(key: str, raw: str):
-    if key in _STR_KEYS:
-        return raw
+    """``raw`` as the type of ``DEFAULTS[key]``."""
     try:
-        return int(raw) if key in _INT_KEYS else float(raw)
+        return type(DEFAULTS[key])(raw)
     except ValueError:
         raise UsageError(f"config key {key!r}: cannot parse {raw!r}") from None
 

@@ -143,7 +143,7 @@ def global_loss(params: ModelParams, lls: list[float], cfg: TrainConfig) -> floa
     for idx, ll in enumerate(lls):
         if not math.isfinite(ll):
             raise AggregationError(f"non-finite likelihood from edge index {idx}")
-    ll_sum = math.fsum(sorted(lls))
+    ll_sum = math.fsum(lls)
     reg = (
         0.5 * cfg.rho_base * float(params.base_rate @ params.base_rate)
         + 0.5 * cfg.rho_target * float(np.sum(params.target_factors**2))

@@ -1,13 +1,13 @@
 """Trace-driven simulation of privacy-preserving prefetching at the edge.
 
-Every request first probes its edge's cache. A miss triggers one utility
-sweep shared by candidate selection, sensitivity calibration, noisy
-prefetch sampling, and cache scoring; the fetch sent upstream is the viewed
-video plus the sampled prefetches, and that union is all the content
-provider ever observes. Model parameters refresh on a fixed schedule
-through federated fitting over the edges' private logs. The warmup period
-exercises caches and state but spends no privacy budget and counts toward
-no metric.
+Every request first probes its edge's cache. A miss reads its stamp's
+utility sweep, which the stamp's first miss computes; one sweep serves
+candidate selection, sensitivity calibration, noisy prefetch sampling, and
+cache scoring. The fetch sent upstream is the viewed video plus the
+sampled prefetches, and that union is all the content provider ever
+observes. Model parameters refresh on a fixed schedule through federated
+fitting over the edges' private logs. The warmup period exercises caches
+and state but spends no privacy budget and counts toward no metric.
 
 The trace is the only record of requests. It is split by edge once. A
 run first fits the whole barrier sequence (:func:`fit_barriers`, which
@@ -125,28 +125,31 @@ def jaccard_similarity(profile_a: set, profile_b: set) -> float:
 class _BoundTracker:
     """Running utility/cost ratio extremes during warmup, frozen at test time."""
 
-    def __init__(self, fixed: tuple[float, float] | None):
+    def __init__(self, fixed: tuple[float, float] | None, unit_cost: float):
         self.lo = math.inf
         self.hi = 0.0
+        self.unit_cost = unit_cost
         self.cfg = (
             scheduler.ThresholdConfig(lower=fixed[0], upper=fixed[1]) if fixed else None
         )
 
-    def observe(self, ratios: np.ndarray) -> None:
+    def observe(self, utilities: np.ndarray) -> None:
         if self.cfg is not None:
             return
+        ratios = utilities / self.unit_cost
         positive = ratios[ratios > 0]
         if positive.size:
             self.lo = min(self.lo, float(positive.min()))
             self.hi = max(self.hi, float(positive.max()))
 
-    def frozen(self, fallback_ratios: np.ndarray) -> scheduler.ThresholdConfig:
+    def frozen(self, fallback_utilities: np.ndarray) -> scheduler.ThresholdConfig:
+        """The bounds seen in warmup, else those of ``fallback_utilities``, else (1, 1)."""
         if self.cfg is None:
             if self.hi <= 0.0:
-                self.observe(fallback_ratios)
+                self.observe(fallback_utilities)
             if self.hi <= 0.0:
                 self.lo = self.hi = 1.0
-            self.cfg = scheduler.ThresholdConfig(lower=min(self.lo, self.hi), upper=self.hi)
+            self.cfg = scheduler.ThresholdConfig(lower=self.lo, upper=self.hi)
         return self.cfg
 
 
@@ -154,8 +157,10 @@ class _EdgeRuntime:
     """All mutable per-edge state, driven by one pass over that edge's log.
 
     The log is replayed stamp by stamp. Requests that share a stamp see
-    only the strictly earlier past (the left limit), so fitted policies
-    fold a stamp's requests into the kernel after the stamp.
+    only the strictly earlier past (the left limit): fitted policies fold a
+    stamp's requests into the kernel after the stamp, and mav's requests
+    enter its average only at the next slot boundary. So every miss at one
+    stamp reads the same utilities, and ``stamp_sweep`` keeps them.
     """
 
     def __init__(self, edge_id: int, log: EventLog, cfg: SimConfig, table: np.ndarray, capacity: int):
@@ -174,7 +179,7 @@ class _EdgeRuntime:
             for k in range(min(cfg.prefetch_cap, catalog_size) + 1)
         ]
         self.corr = cdp.CorrelationState(table)
-        self.bounds = _BoundTracker(cfg.bounds)
+        self.bounds = _BoundTracker(cfg.bounds, cfg.unit_cost)
         if cfg.policy == "lru":
             self.cache = cache_mod.LruCache(capacity)
         elif cfg.policy == "lfu":
@@ -195,22 +200,28 @@ class _EdgeRuntime:
         self.hits = 0
         self.exposed: set[int] = set()
         self.hit_sequence: list[bool] = []
-        # (left-limit state, sweep) of the current stamp's first fitted-policy miss.
+        # (left-limit state or None for mav, utilities) of the current
+        # stamp's first miss.
         self.stamp_sweep: tuple | None = None
 
     def run(self, barriers: list[float], params_list: list[ModelParams]) -> None:
         """Replay the whole log; ``params_list[e]`` holds from ``barriers[e - 1]`` on.
 
         A stamp at or after the next barrier first moves the kernel and the
-        correlation state to the epoch it falls in. Fitted policies then fold
-        the stamp's requests under that epoch's parameters once the stamp is
-        replayed; the last stamp's fold is never read, so it is skipped.
-        Barriers after the last request need nothing: no later read sees them.
+        correlation state to the epoch it falls in. Each request is then
+        served: lru and lfu through :func:`cache.baseline_step`, the scored
+        policies by a lookup and, on a miss, :meth:`_on_miss`. Test-period
+        hits and upstream fetches are recorded here for all six policies.
+        Fitted policies fold the stamp's requests under that epoch's
+        parameters once the stamp is replayed; the last stamp's fold is never
+        read, so it is skipped. Barriers after the last request need nothing:
+        no later read sees them.
         """
         stamps, starts = np.unique(self.log.timestamps, return_index=True)
         epochs = np.searchsorted(barriers, stamps, side="right").tolist()
         groups = np.split(self.log.video_ids, starts[1:])
         fitted = self.cfg.policy in _MEP_POLICIES
+        baseline = self.cfg.policy in ("lru", "lfu")
         epoch = 0
         for ts, stamp_epoch, videos in zip(stamps.tolist(), epochs, groups):
             params = params_list[stamp_epoch]
@@ -220,60 +231,56 @@ class _EdgeRuntime:
                 epoch = stamp_epoch
                 self.kernel.rebuild_mix(params)
             self.stamp_sweep = None
+            in_test = ts >= self.cfg.init_horizon
             for video in videos.tolist():
-                self.process(params, video, ts)
+                if baseline:
+                    step = cache_mod.baseline_step(self.cache, video)
+                    hit, fetched = step.hit, step.fetched
+                else:
+                    hit = self.cache.lookup(video)
+                    fetched = () if hit else self._on_miss(params, video, ts, in_test)
+                    if self.mav is not None:
+                        self.mav.record(video, ts)
+                if in_test:
+                    self.hits += hit
+                    self.hit_sequence.append(hit)
+                    self.exposed.update(fetched)
             if fitted and ts < stamps[-1]:
                 self.kernel = advance_state(params, self.kernel, ts, [ts] * len(videos), videos)
 
-    def process(self, params: ModelParams, video: int, ts: float) -> None:
-        cfg = self.cfg
-        in_test = ts >= cfg.init_horizon
-        if cfg.policy in ("lru", "lfu"):
-            step = cache_mod.baseline_step(self.cache, video)
-            if in_test:
-                self.hits += int(step.hit)
-                self.hit_sequence.append(step.hit)
-                self.exposed.update(step.fetched)
-            return
+    def _on_miss(self, params: ModelParams, video: int, ts: float, in_test: bool) -> list[int]:
+        """Serve a scored-policy miss and return the fetch sent upstream.
 
-        hit = self.cache.lookup(video)
-        if in_test:
-            self.hits += int(hit)
-            self.hit_sequence.append(hit)
-        if not hit:
-            self._on_miss(params, video, ts, in_test)
-
-        if self.mav is not None:
-            self.mav.record(video, ts)
-
-    def _on_miss(self, params: ModelParams, video: int, ts: float, in_test: bool) -> None:
-        cfg = self.cfg
-        refresh = True
-        if self.mav is None:
-            # Every miss at one stamp sees the same left limit, and every
-            # resident already holds its score from that stamp's sweep.
-            refresh = self.stamp_sweep is None
-            if refresh:
+        The stamp's first miss computes its utilities and re-scores the
+        residents; later misses at the stamp reuse both. Every fitted-policy
+        miss folds the utilities into the correlation state. A warmup miss
+        widens the ratio bounds and fetches the viewed video alone; a test
+        miss also selects candidates and draws its prefetches from them.
+        The fetched videos are then offered to the cache.
+        """
+        if self.stamp_sweep is None:
+            if self.mav is None:
                 state = advance_state(params, self.kernel, ts)
                 self.stamp_sweep = (state, intensity_sweep(params, state))
-            state, lam = self.stamp_sweep
+            else:
+                # mav scores carry no excitation history: every sensitivity is 0.
+                self.stamp_sweep = (None, self.mav.scores(ts))
+            self.cache.refresh_scores(self.stamp_sweep[1])
+        state, lam = self.stamp_sweep
+        if state is not None:
             self.corr.update(lam, state.source_mix)
-        else:
-            # mav scores carry no excitation history: every sensitivity is 0.
-            lam = self.mav.scores(ts)
-        ratios = lam / cfg.unit_cost
 
+        # The fetch sent upstream: the viewed video, then the prefetches.
         fetched = [video]
         if not in_test:
             # Warmup exercises the cache and state only; no budget is spent.
-            self.bounds.observe(ratios)
+            self.bounds.observe(lam)
         else:
-            candidates = self._select_candidates(lam, ratios)
+            candidates = self._select_candidates(lam)
             if len(candidates):
                 worst = 0.0
-                if self.mav is None:
-                    sens = cdp.candidate_sensitivities(params, state, self.corr, candidates)
-                    worst = cdp.global_sensitivity(sens)
+                if state is not None:
+                    worst = max(cdp.candidate_sensitivities(params, state, self.corr, candidates).tolist())
                 prefetched = cdp.em_sample(
                     candidates,
                     lam[list(candidates)],
@@ -282,22 +289,18 @@ class _EdgeRuntime:
                     self.ledger.prefetch_cap,
                     self.rng_em,
                 )
-                # The fetch sent upstream: the viewed video, then the prefetches.
                 fetched += [v for v in prefetched if v != video]
-            self.exposed.update(fetched)
-        if refresh:
-            self.cache.refresh_scores(lam)
         self.cache.admit([(v, lam[v]) for v in fetched])
+        return fetched
 
-    def _select_candidates(self, lam: np.ndarray, ratios: np.ndarray) -> scheduler.CandidateSet:
+    def _select_candidates(self, lam: np.ndarray) -> scheduler.CandidateSet:
         cfg = self.cfg
         if cfg.policy == "bestfit":
             cands, _ = cache_mod.select_candidates_best_utility(lam, self.ledger)
         elif cfg.policy == "sage":
             cands, _ = cache_mod.select_candidates_random(lam, self.ledger, self.rng_sched)
         else:  # ppvf, mav: threshold rule
-            tc = self.bounds.frozen(ratios)
-            cands, _ = scheduler.select_candidates(lam, self.ledger, tc, self.rng_sched)
+            cands, _ = scheduler.select_candidates(lam, self.ledger, self.bounds.frozen(lam), self.rng_sched)
         return cands
 
 

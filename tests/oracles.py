@@ -591,4 +591,4 @@ def video_sensitivity(
     """One candidate's entry of ``candidate_sensitivities``."""
     if video not in candidates:
         raise ValueError("sensitivity is defined for candidate videos only")
-    return candidate_sensitivities(params, kernel_state, corr, candidates)[video]
+    return float(candidate_sensitivities(params, kernel_state, corr, candidates)[candidates.videos.index(video)])

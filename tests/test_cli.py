@@ -207,6 +207,14 @@ class TestUsage:
         path.write_text("xi = lots\n")
         assert cli.main(["eval-cr", "--config", str(path)]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("key", sorted(cli.DEFAULTS))
+    def test_config_value_loads_with_its_defaults_type(self, tmp_path, key):
+        default = cli.DEFAULTS[key]
+        path = tmp_path / "one.cfg"
+        path.write_text(f"{key} = {default}\n")
+        value = cli.load_config(str(path))[key]
+        assert type(value) is type(default) and value == default
+
     def test_bad_sweep_spec(self, tiny_trace, tmp_path):
         cfg, tr = tiny_trace
         code = cli.main(["simulate", "--config", cfg, "--trace", tr, "--sweep", "q=1,2", "--out", str(tmp_path / "x")])

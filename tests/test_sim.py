@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import event_log_from_events, rebuild_state
+from ppvf import cache as cache_mod
 from ppvf import cdp, predictor, sim, trace
 from ppvf.federation import TrainConfig
 from ppvf.predictor import ModelParams
@@ -273,7 +274,8 @@ class TestRunSimulation:
 
 
 class TestSharedStampSweep:
-    """Misses at one edge, stamp and parameter epoch share one utility sweep."""
+    """Misses at one edge, stamp and parameter epoch share one utility sweep
+    (mav: one read of its average) and one re-scoring of the residents."""
 
     @staticmethod
     def _run(policy, share=True):
@@ -282,40 +284,47 @@ class TestSharedStampSweep:
             log.edge_ids, log.user_ids, log.video_ids, np.floor(log.timestamps),
             log.catalog_size, log.edge_count, log.horizon,
         )
-        sweeps, misses = Counter(), Counter()
-        real_sweep, real_on_miss = sim.intensity_sweep, sim._EdgeRuntime._on_miss
         calls = []
+        sweeps, refreshes, misses = Counter(), Counter(), Counter()
+        real_on_miss = sim._EdgeRuntime._on_miss
 
-        def sweep_spy(params, state):
-            calls.append(params)
-            return real_sweep(params, state)
+        def spy(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapped
 
         def on_miss_spy(self, params, video, ts, in_test):
             if not share:
-                self.stamp_sweep = None  # forget the stamp's sweep
+                self.stamp_sweep = None  # forget the stamp's utilities
             before = len(calls)
-            real_on_miss(self, params, video, ts, in_test)
+            fetched = real_on_miss(self, params, video, ts, in_test)
             key = (self.edge_id, ts, id(params))
-            sweeps[key] += len(calls) - before
+            for name in calls[before:]:
+                (sweeps if name == "sweep" else refreshes)[key] += 1
             misses[key] += 1
+            return fetched
 
         cfg = SimConfig(
             policy=policy, init_horizon=24.0, test_horizon=121.0, cache_fraction=0.1, latent_dim=2, seed=9,
             train=TrainConfig(max_iters=3, update_interval_hours=48.0),
         )
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim, "intensity_sweep", sweep_spy)
+            mp.setattr(sim, "intensity_sweep", spy("sweep", sim.intensity_sweep))
+            mp.setattr(cache_mod.MavState, "scores", spy("sweep", cache_mod.MavState.scores))
+            mp.setattr(cache_mod.EdgeCache, "refresh_scores", spy("refresh", cache_mod.EdgeCache.refresh_scores))
             mp.setattr(sim._EdgeRuntime, "_on_miss", on_miss_spy)
-            return run_simulation(cfg, hourly), sweeps, misses
+            return run_simulation(cfg, hourly), sweeps, refreshes, misses
 
-    @pytest.mark.parametrize("policy", ["ppvf", "sage", "bestfit"])
+    @pytest.mark.parametrize("policy", ["ppvf", "sage", "bestfit", "mav"])
     def test_one_sweep_per_miss_stamp(self, policy):
-        report, sweeps, misses = self._run(policy)
-        assert set(sweeps.values()) == {1}
+        report, sweeps, refreshes, misses = self._run(policy)
+        assert sweeps == refreshes == Counter(dict.fromkeys(misses, 1))
         assert sum(misses.values()) > len(misses)  # some misses share a stamp
         # Sweeping every miss afresh, and refreshing every score, changes nothing.
-        fresh, fresh_sweeps, _ = self._run(policy, share=False)
-        assert sum(fresh_sweeps.values()) == sum(misses.values())
+        fresh, fresh_sweeps, fresh_refreshes, _ = self._run(policy, share=False)
+        assert sum(fresh_sweeps.values()) == sum(fresh_refreshes.values()) == sum(misses.values())
         assert report.hit_sequence == fresh.hit_sequence
         assert report.per_user_js == fresh.per_user_js
         assert report.residual_fractions == fresh.residual_fractions
