@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--seed", type=int, help="master seed (overrides config)")
         p.add_argument("--out", help="output file or directory")
-        p.add_argument("--threads", type=int, default=None, help="accepted for compatibility; runs are sequential")
+        p.add_argument("--threads", type=int, default=None, help="any positive value; runs are sequential")
         if trace_arg:
             p.add_argument("--trace", required=True, help="input trace file")
 
@@ -483,6 +483,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads is not None and args.threads < 1:
+            raise UsageError(f"--threads must be a positive thread count, got {args.threads}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

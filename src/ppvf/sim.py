@@ -1,13 +1,15 @@
 """Trace-driven simulation of privacy-preserving prefetching at the edge.
 
-Every request first probes its edge's cache. A miss reads its stamp's
-utility sweep, which the stamp's first miss computes; one sweep serves
-candidate selection, sensitivity calibration, noisy prefetch sampling, and
-cache scoring. The fetch sent upstream is the viewed video plus the
-sampled prefetches, and that union is all the content provider ever
-observes. Model parameters refresh on a fixed schedule through federated
-fitting over the edges' private logs. The warmup period exercises caches
-and state but spends no privacy budget and counts toward no metric.
+Every request first probes its edge's cache; lru and lfu fetch only the
+missed video. A miss of the scored policies (ppvf, sage, bestfit, mav)
+reads its stamp's utilities, which the stamp's first miss computes, for
+candidate selection, sensitivity calibration, noisy prefetch sampling and
+cache scoring; the fetch sent upstream, the viewed video plus the sampled
+prefetches, is all the content provider ever observes. mav's utilities are
+moving averages. The fitted policies (ppvf, sage, bestfit) alone keep a
+kernel and a correlation state, and refit on a fixed schedule over the
+edges' private logs. The warmup period exercises caches and state but
+spends no privacy budget and counts toward no metric.
 
 The trace is the only record of requests. It is split by edge once. A
 run first fits the whole barrier sequence (:func:`fit_barriers`, which
@@ -61,7 +63,7 @@ class SimConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     slot_hours: float = 1.0
     seed: int = 0
-    workers: int | None = None  # accepted for compatibility; execution is sequential
+    workers: int | None = None  # any positive value, or None; execution is sequential
 
     def __post_init__(self):
         if self.policy not in POLICIES:
@@ -87,6 +89,8 @@ class SimConfig:
             raise ValueError("slot_hours must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be a positive thread count")
         if self.policy in _MEP_POLICIES:
             barrier_times(self, self.test_horizon)
 
@@ -156,6 +160,13 @@ class _BoundTracker:
 class _EdgeRuntime:
     """All mutable per-edge state, driven by one pass over that edge's log.
 
+    Only the constructor reads the policy; it builds what the policy reads
+    and leaves the rest ``None``. All keep the cache, the test-period
+    records and the ledger (lru and lfu never charge it). The scored
+    policies add ``eps_steps``, ``rng_em``, ``stamp_sweep`` and ``select``;
+    mav adds ``mav``, the fitted policies ``kernel`` and ``corr``, and the
+    threshold rule (ppvf, mav) ``bounds``.
+
     The log is replayed stamp by stamp. Requests that share a stamp see
     only the strictly earlier past (the left limit): fitted policies fold a
     stamp's requests into the kernel after the stamp, and mav's requests
@@ -163,65 +174,65 @@ class _EdgeRuntime:
     stamp reads the same utilities, and ``stamp_sweep`` keeps them.
     """
 
+    kernel = corr = mav = bounds = None
+
     def __init__(self, edge_id: int, log: EventLog, cfg: SimConfig, table: np.ndarray, capacity: int):
         catalog_size = log.catalog_size
+        policy = cfg.policy
         self.edge_id = edge_id
         self.log = log
         self.cfg = cfg
-        self.kernel = KernelState.empty(catalog_size, cfg.latent_dim)
-        self.ledger = scheduler.PrivacyLedger.uniform(
-            catalog_size, cfg.total_budget, cfg.unit_cost, cfg.prefetch_cap
-        )
-        # The exponential mechanism's per-draw budget for each candidate
-        # count; a candidate set never holds more videos than the catalog.
-        self.eps_steps = [
-            float(k * self.ledger.cost / cfg.prefetch_cap)
-            for k in range(min(cfg.prefetch_cap, catalog_size) + 1)
-        ]
-        self.corr = cdp.CorrelationState(table)
-        self.bounds = _BoundTracker(cfg.bounds, cfg.unit_cost)
-        if cfg.policy == "lru":
-            self.cache = cache_mod.LruCache(capacity)
-        elif cfg.policy == "lfu":
-            self.cache = cache_mod.LfuCache(capacity)
-        else:
-            self.cache = cache_mod.EdgeCache(capacity)
-        self.mav = (
-            cache_mod.MavState(catalog_size, cfg.slot_hours)
-            if cfg.policy == "mav"
-            else None
-        )
-        self.rng_sched = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(edge_id, 0))
-        )
-        self.rng_em = np.random.default_rng(
-            np.random.SeedSequence(cfg.seed, spawn_key=(edge_id, 1))
-        )
         self.hits = 0
         self.exposed: set[int] = set()
         self.hit_sequence: list[bool] = []
-        # (left-limit state or None for mav, utilities) of the current
-        # stamp's first miss.
-        self.stamp_sweep: tuple | None = None
+        self.ledger = ledger = scheduler.PrivacyLedger.uniform(
+            catalog_size, cfg.total_budget, cfg.unit_cost, cfg.prefetch_cap
+        )
+        if policy in ("lru", "lfu"):
+            self.cache = (cache_mod.LruCache if policy == "lru" else cache_mod.LfuCache)(capacity)
+            return
+        self.cache = cache_mod.EdgeCache(capacity)
+        # The exponential mechanism's per-draw budget for each candidate
+        # count; a candidate set never holds more videos than the catalog.
+        self.eps_steps = [
+            float(k * ledger.cost / cfg.prefetch_cap)
+            for k in range(min(cfg.prefetch_cap, catalog_size) + 1)
+        ]
+        self.rng_em = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(edge_id, 1)))
+        self.stamp_sweep: tuple | None = None  # (left-limit state or None, utilities) of the stamp
+        if policy == "mav":
+            self.mav = cache_mod.MavState(catalog_size, cfg.slot_hours)
+        else:
+            self.kernel = KernelState.empty(catalog_size, cfg.latent_dim)
+            self.corr = cdp.CorrelationState(table)
+        # Each call looks its selector up in the module, so a patch sees it.
+        if policy == "bestfit":
+            self.select = lambda lam: cache_mod.select_candidates_best_utility(lam, ledger)[0]
+            return
+        rng_sched = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(edge_id, 0)))
+        if policy == "sage":
+            self.select = lambda lam: cache_mod.select_candidates_random(lam, ledger, rng_sched)[0]
+        else:  # ppvf, mav: the threshold rule
+            self.bounds = bounds = _BoundTracker(cfg.bounds, cfg.unit_cost)
+            self.select = lambda lam: scheduler.select_candidates(lam, ledger, bounds.frozen(lam), rng_sched)[0]
 
     def run(self, barriers: list[float], params_list: list[ModelParams]) -> None:
         """Replay the whole log; ``params_list[e]`` holds from ``barriers[e - 1]`` on.
 
-        A stamp at or after the next barrier first moves the kernel and the
-        correlation state to the epoch it falls in. Each request is then
-        served: lru and lfu through :func:`cache.baseline_step`, the scored
-        policies by a lookup and, on a miss, :meth:`_on_miss`. Test-period
-        hits and upstream fetches are recorded here for all six policies.
-        Fitted policies fold the stamp's requests under that epoch's
-        parameters once the stamp is replayed; the last stamp's fold is never
-        read, so it is skipped. Barriers after the last request need nothing:
-        no later read sees them.
+        Only fitted runs have barriers: a stamp at or after the next one
+        first moves the kernel and the correlation state to the epoch it
+        falls in. Each request is then served: lru and lfu through
+        :func:`cache.baseline_step`, the scored policies by a lookup and, on
+        a miss, :meth:`_on_miss`. Test-period hits and upstream fetches are
+        recorded here for all six policies. Fitted policies fold the stamp's
+        requests under that epoch's parameters once the stamp is replayed;
+        the last stamp's fold is never read, so it is skipped. Barriers after
+        the last request need nothing: no later read sees them.
         """
         stamps, starts = np.unique(self.log.timestamps, return_index=True)
         epochs = np.searchsorted(barriers, stamps, side="right").tolist()
         groups = np.split(self.log.video_ids, starts[1:])
-        fitted = self.cfg.policy in _MEP_POLICIES
-        baseline = self.cfg.policy in ("lru", "lfu")
+        baseline = not isinstance(self.cache, cache_mod.EdgeCache)
         epoch = 0
         for ts, stamp_epoch, videos in zip(stamps.tolist(), epochs, groups):
             params = params_list[stamp_epoch]
@@ -245,7 +256,7 @@ class _EdgeRuntime:
                     self.hits += hit
                     self.hit_sequence.append(hit)
                     self.exposed.update(fetched)
-            if fitted and ts < stamps[-1]:
+            if self.kernel is not None and ts < stamps[-1]:
                 self.kernel = advance_state(params, self.kernel, ts, [ts] * len(videos), videos)
 
     def _on_miss(self, params: ModelParams, video: int, ts: float, in_test: bool) -> list[int]:
@@ -253,10 +264,11 @@ class _EdgeRuntime:
 
         The stamp's first miss computes its utilities and re-scores the
         residents; later misses at the stamp reuse both. Every fitted-policy
-        miss folds the utilities into the correlation state. A warmup miss
-        widens the ratio bounds and fetches the viewed video alone; a test
-        miss also selects candidates and draws its prefetches from them.
-        The fetched videos are then offered to the cache.
+        miss folds the utilities into the correlation state. A test miss
+        selects candidates and draws its prefetches from them; a warmup miss
+        fetches the viewed video alone, spends no budget and, under the
+        threshold rule, widens the ratio bounds. The fetched videos are then
+        offered to the cache.
         """
         if self.stamp_sweep is None:
             if self.mav is None:
@@ -272,11 +284,8 @@ class _EdgeRuntime:
 
         # The fetch sent upstream: the viewed video, then the prefetches.
         fetched = [video]
-        if not in_test:
-            # Warmup exercises the cache and state only; no budget is spent.
-            self.bounds.observe(lam)
-        else:
-            candidates = self._select_candidates(lam)
+        if in_test:
+            candidates = self.select(lam)
             if len(candidates):
                 worst = 0.0
                 if state is not None:
@@ -290,18 +299,10 @@ class _EdgeRuntime:
                     self.rng_em,
                 )
                 fetched += [v for v in prefetched if v != video]
+        elif self.bounds is not None:
+            self.bounds.observe(lam)
         self.cache.admit([(v, lam[v]) for v in fetched])
         return fetched
-
-    def _select_candidates(self, lam: np.ndarray) -> scheduler.CandidateSet:
-        cfg = self.cfg
-        if cfg.policy == "bestfit":
-            cands, _ = cache_mod.select_candidates_best_utility(lam, self.ledger)
-        elif cfg.policy == "sage":
-            cands, _ = cache_mod.select_candidates_random(lam, self.ledger, self.rng_sched)
-        else:  # ppvf, mav: threshold rule
-            cands, _ = scheduler.select_candidates(lam, self.ledger, self.bounds.frozen(lam), self.rng_sched)
-        return cands
 
 
 def fit_barriers(edge_logs, params: ModelParams, cfg: SimConfig, horizon: float):

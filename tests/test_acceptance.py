@@ -11,6 +11,7 @@ import os
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from scipy.stats import spearmanr
@@ -352,7 +353,7 @@ def test_directional_experiment_reproduction():
 
 
 def _sha(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def test_simulation_determinism_across_thread_counts(tmp_path):
@@ -376,7 +377,7 @@ def test_simulation_determinism_across_thread_counts(tmp_path):
                 ]
             )
             assert code == 0
-            manifest = json.load(open(os.path.join(out, "manifest.json")))
+            manifest = json.loads(Path(out, "manifest.json").read_text())
             digests.append(
                 {name: _sha(os.path.join(out, name)) for name in manifest["outputs"]}
             )

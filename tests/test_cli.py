@@ -8,6 +8,7 @@ import sys
 import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,7 +19,7 @@ from ppvf.predictor import ModelParams
 
 
 def sha(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def write_config(tmp_path, **overrides):
@@ -97,7 +98,7 @@ class TestSimulate:
         cfg, tr = tiny_trace
         out = str(tmp_path / "out_lru")
         assert cli.main(["simulate", "--config", cfg, "--trace", tr, "--policy", "lru", "--out", out]) == 0
-        rows = open(os.path.join(out, "chr.csv")).read().splitlines()
+        rows = Path(out, "chr.csv").read_text().splitlines()
         assert rows[0] == "policy,capacity,chr"
         assert len(rows) == 2
         assert rows[1].startswith("lru,")
@@ -112,14 +113,14 @@ class TestSimulate:
             ]
         )
         assert code == 0
-        rows = open(os.path.join(out, "chr.csv")).read().splitlines()
+        rows = Path(out, "chr.csv").read_text().splitlines()
         assert len(rows) == 1 + 2 * 3
 
     def test_manifest_lists_hashes(self, tiny_trace, tmp_path):
         cfg, tr = tiny_trace
         out = str(tmp_path / "out_manifest")
         assert cli.main(["simulate", "--config", cfg, "--trace", tr, "--policy", "ppvf", "--out", out]) == 0
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["command"] == "simulate"
         assert set(manifest["outputs"]) >= {"chr.csv", "js.csv", "budget_cdf.csv", "fl_loss.csv"}
         for name, digest in manifest["outputs"].items():
@@ -149,7 +150,7 @@ class TestSimulate:
                 ]
             ) == 0
             outs.append(out)
-        for name in json.load(open(os.path.join(outs[0], "manifest.json")))["outputs"]:
+        for name in json.loads(Path(outs[0], "manifest.json").read_text())["outputs"]:
             assert sha(os.path.join(outs[0], name)) == sha(os.path.join(outs[1], name)), name
 
 
@@ -222,6 +223,16 @@ class TestUsage:
 
     def test_unknown_flag(self):
         assert cli.main(["simulate", "--nonsense"]) == cli.EXIT_USAGE
+
+    def test_thread_count_below_one_usage_error(self, tiny_trace, tmp_path, capsys):
+        cfg, tr = tiny_trace
+        out = tmp_path / "x"
+        capsys.readouterr()
+        argv = ["simulate", "--config", cfg, "--trace", tr, "--policy", "lru", "--threads", "-4", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:") and "--threads" in err[0]
+        assert not out.exists()
 
     def test_out_of_range_cache_fraction_usage_error(self, tiny_trace, tmp_path, capsys):
         _, tr = tiny_trace
@@ -440,9 +451,9 @@ class TestFitAndReport:
         cfg, tr = tiny_trace
         out = str(tmp_path / "fit_out")
         assert cli.main(["fit", "--config", cfg, "--trace", tr, "--out", out]) == 0
-        params_doc = json.load(open(os.path.join(out, "params.json")))
+        params_doc = json.loads(Path(out, "params.json").read_text())
         assert set(params_doc) == {"beta", "p", "q", "delta", "D"}
-        records = json.load(open(os.path.join(out, "fit_log.json")))
+        records = json.loads(Path(out, "fit_log.json").read_text())
         assert records and {"round", "t_theta", "loss"} <= set(records[0])
 
     def test_fit_resume_from_checkpoint(self, tiny_trace, tmp_path):
@@ -461,7 +472,7 @@ class TestFitAndReport:
         first = str(tmp_path / "fit1")
         assert cli.main(["fit", "--config", cfg, "--trace", tr, "--out", first]) == 0
         path = os.path.join(first, "params.json")
-        text = open(path).read()
+        text = Path(path).read_text()
         doc = json.loads(text)
         if corruption == "malformed-json":
             text = text[: len(text) // 2]
@@ -533,7 +544,7 @@ class TestFitAndReport:
         cfg, tr = tiny_trace
         out = str(tmp_path / "fit_out")
         assert cli.main(["fit", "--config", cfg, "--trace", tr, "--out", out]) == 0
-        records = json.load(open(os.path.join(out, "fit_log.json")))
+        records = json.loads(Path(out, "fit_log.json").read_text())
         fitted = [(r["t_theta"], r["round"], r["loss"]) for r in records]
         assert {t for t, _, _ in fitted} == {48.0, 96.0}
         settings = cli.load_config(cfg)
@@ -597,4 +608,4 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
         [sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(runs)], env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
-    assert json.load(open(os.path.join(sim_out, "manifest.json")))["outputs"]
+    assert json.loads(Path(sim_out, "manifest.json").read_text())["outputs"]

@@ -115,6 +115,11 @@ class TestSimConfig:
         # A policy that never fits has no schedule to bound.
         assert SimConfig(policy="lru", test_horizon=1e17).test_horizon == 1e17
 
+    @pytest.mark.parametrize("workers", [0, -4])
+    def test_thread_count_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            SimConfig(workers=workers)
+
 
 class TestBarrierTimes:
     def test_values_are_repeated_sums(self):
@@ -273,6 +278,62 @@ class TestRunSimulation:
         assert report.per_edge_fetches[0] > 0
 
 
+class TestPolicyShapedRuntime:
+    """Each policy's edge runtime builds and calls only the state it reads."""
+
+    # policy: (builds kernel and correlation state, observes ratio bounds, seeded stream keys)
+    SHAPES = {
+        "ppvf": (True, True, {0, 1}),
+        "sage": (True, False, {0, 1}),
+        "bestfit": (True, False, {1}),
+        "mav": (False, True, {0, 1}),
+        "lru": (False, False, set()),
+        "lfu": (False, False, set()),
+    }
+
+    @pytest.mark.parametrize("policy", sim.POLICIES)
+    def test_builds_only_what_the_policy_reads(self, policy):
+        log = synthetic_log(catalog=20, edges=2, horizon=120.0, seed=3)
+        built = Counter()
+        streams = []
+        real_empty = predictor.KernelState.empty.__func__
+        real_corr_init = cdp.CorrelationState.__init__
+        real_observe = sim._BoundTracker.observe
+        real_seed_sequence = np.random.SeedSequence
+
+        def empty(cls, *args, **kwargs):
+            built["kernel"] += 1
+            return real_empty(cls, *args, **kwargs)
+
+        def corr_init(self, *args):
+            built["corr"] += 1
+            real_corr_init(self, *args)
+
+        def observe(self, *args):
+            built["observe"] += 1
+            real_observe(self, *args)
+
+        def seed_sequence(*args, spawn_key=()):
+            streams.append(spawn_key)
+            return real_seed_sequence(*args, spawn_key=spawn_key)
+
+        cfg = SimConfig(
+            policy=policy, init_horizon=24.0, test_horizon=121.0, cache_fraction=0.2, latent_dim=2, seed=9,
+            train=TrainConfig(max_iters=3, update_interval_hours=48.0),
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(predictor.KernelState, "empty", classmethod(empty))
+            mp.setattr(cdp.CorrelationState, "__init__", corr_init)
+            mp.setattr(sim._BoundTracker, "observe", observe)
+            mp.setattr(np.random, "SeedSequence", seed_sequence)
+            report = run_simulation(cfg, log)
+        fitted, observes, keys = self.SHAPES[policy]
+        assert report.requests > 0
+        assert built["kernel"] == built["corr"] == (log.edge_count if fitted else 0)
+        assert (built["observe"] > 0) == observes
+        assert sorted(streams) == sorted((edge, key) for edge in range(log.edge_count) for key in keys)
+
+
 class TestSharedStampSweep:
     """Misses at one edge, stamp and parameter epoch share one utility sweep
     (mav: one read of its average) and one re-scoring of the residents."""
@@ -349,13 +410,16 @@ def barrier_crossing_log():
 class TestBarrierSwitch:
     """Each edge switches to the next fitted parameters when a request
     reaches that barrier. The hashes were recorded with every edge driven in
-    lock-step to each barrier, so the one-pass replay must match them."""
+    lock-step to each barrier, so the one-pass replay must match them; lru
+    and lfu, which read no barrier, pin the bytes of their runtime too."""
 
     EXPECTED = {
         "ppvf": "5558b71041133544c6a2bb40a79a27029c0dbd4fb319c12bed057abc9ce6c92c",
         "sage": "156e3a26d8995f8a291d146f30c664f912ab244fa328f1fc8cdd44b57e65a23a",
         "bestfit": "d35bbb22e76e82537681beb00dee76bb11914bc20eeb612674f414e799f241d6",
         "mav": "040de8e9e462c82854cb31175eeccf072c2608ada35ef363ff51d8a4f03d23fa",
+        "lru": "d711d0add809d00bf3df328a243bf26ef78ff08b85938831653f2549c7e2a96d",
+        "lfu": "c8f9424dd8b7d6a080c9531e849bdac7eee5737424d9f87b362ec218f3a08f05",
     }
 
     @staticmethod
