@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, scheduler, trace
 from .federation import AggregationError, TrainConfig
 from .predictor import LikelihoodError, ModelParams
-from .sim import POLICIES, SimConfig, barrier_times, fit_barriers, run_simulation, write_reports
+from .sim import FITTED_POLICIES, POLICIES, SimConfig, barrier_times, fit_schedule, run_simulation, write_reports
 from .trace import StabilityError, TraceFormatError
 
 EXIT_OK = 0
@@ -251,22 +251,22 @@ def cmd_fit(args) -> int:
     # The simulator's settings validate every model and trace key fit reads.
     settings = _sim_config(cfg, str(cfg["policy"]), seed)
     log = trace.load_trace(args.trace, quantize_hours=settings.slot_hours)
-    params = ModelParams.constant(log.catalog_size, settings.latent_dim, 1.0, settings.decay)
+    start = None
     if args.init_params:
         try:
-            params = ModelParams.load(args.init_params)
+            start = ModelParams.load(args.init_params)
         except (KeyError, TypeError, ValueError) as exc:
             raise TraceFormatError(f"bad checkpoint {args.init_params}: {type(exc).__name__}: {exc}") from None
         # The trace's catalog is 1 + its largest video id, so only a smaller
         # checkpoint is certain to miss videos the trace requests.
-        if params.catalog_size < log.catalog_size:
+        if start.catalog_size < log.catalog_size:
             raise TraceFormatError(
-                f"checkpoint {args.init_params} covers {params.catalog_size} videos; "
+                f"checkpoint {args.init_params} covers {start.catalog_size} videos; "
                 f"the trace requests video {log.catalog_size - 1}"
             )
-        if (params.dim, params.decay) != (settings.latent_dim, settings.decay):
+        if (start.dim, start.decay) != (settings.latent_dim, settings.decay):
             raise TraceFormatError(
-                f"checkpoint {args.init_params} has latent_dim {params.dim} and delta {params.decay}, "
+                f"checkpoint {args.init_params} has latent_dim {start.dim} and delta {start.decay}, "
                 f"not the config's {settings.latent_dim} and {settings.decay}"
             )
     out_dir = args.out or "fit_out"
@@ -279,12 +279,9 @@ def cmd_fit(args) -> int:
     except ValueError as exc:
         raise TraceFormatError(f"trace spans {log.horizon} h: {exc}") from None
     started = time.perf_counter()
-    records = []
-    for t_theta, result in fit_barriers(trace.partition_by_edge(log), params, settings, log.horizon):
-        params = result.params
-        records.extend({"round": idx, "t_theta": t_theta, "loss": loss} for idx, loss in enumerate(result.losses))
-
-    params.save(os.path.join(out_dir, "params.json"))
+    schedule = fit_schedule(settings, log, log.horizon, start, keep_all=False)
+    records = [{"round": idx, "t_theta": t_theta, "loss": loss} for t_theta, idx, loss in schedule.losses]
+    schedule.params[-1].save(os.path.join(out_dir, "params.json"))
     with open(os.path.join(out_dir, "fit_log.json"), "w", encoding="utf-8") as fh:
         json.dump(records, fh, indent=2)
         fh.write("\n")
@@ -346,10 +343,13 @@ def cmd_simulate(args) -> int:
     out_dir = args.out or "sim_out"
     os.makedirs(out_dir, exist_ok=True)
 
+    # Runs differ only in policy, f, xi or c, which no fit reads: one schedule serves all.
     started = time.perf_counter()
+    schedule = next((fit_schedule(c, log, c.test_horizon) for _, _, c in planned if c.policy in FITTED_POLICIES), None)
+    fit_s = time.perf_counter() - started
     runs = []
     for policy, value, sim_cfg in planned:
-        report = run_simulation(sim_cfg, log)
+        report = run_simulation(sim_cfg, log, schedule)
         runs.append((policy, float(value), report))
         print(
             f"policy={policy} {sweep_name or 'run'}={value}: "
@@ -357,7 +357,7 @@ def cmd_simulate(args) -> int:
             f"requests={report.requests}"
         )
     outputs = write_reports(out_dir, runs, sweep_name or "value", float(cfg["c"]))
-    write_manifest(out_dir, "simulate", cfg, outputs, {"simulate": time.perf_counter() - started})
+    write_manifest(out_dir, "simulate", cfg, outputs, {"fit": fit_s, "simulate": time.perf_counter() - started - fit_s})
     return EXIT_OK
 
 

@@ -11,11 +11,11 @@ kernel and a correlation state, and refit on a fixed schedule over the
 edges' private logs. The warmup period exercises caches and state but
 spends no privacy budget and counts toward no metric.
 
-The trace is the only record of requests. It is split by edge once. A
-run first fits the whole barrier sequence (:func:`fit_barriers`, which
-``ppvf fit`` runs too): each barrier's fit reads the requests stamped
-before it from the edge logs, so the fitted sequence depends on the trace
-and the settings alone. Then each edge replays its whole log in one pass,
+The trace is the only record of requests. The fit is a stage of its own
+(:func:`fit_schedule`, which ``ppvf fit`` runs too): each barrier's fit
+reads the requests stamped before it, so a :class:`FitSchedule` depends on
+the trace and the fit settings alone and every fitted run under them can
+replay it. Then each edge replays its whole log in one pass,
 on its own and in edge order, stamp by stamp: a stamp that reaches a
 barrier switches to the next fitted parameters, and the stamp's requests
 fold into the kernel after the stamp. Each edge's results join the report
@@ -39,7 +39,7 @@ from .predictor import KernelState, ModelParams, TrainWindow, advance_state, int
 from .trace import EventLog, partition_by_edge
 
 POLICIES = ("ppvf", "sage", "bestfit", "mav", "lru", "lfu")
-_MEP_POLICIES = {"ppvf", "sage", "bestfit"}
+FITTED_POLICIES = {"ppvf", "sage", "bestfit"}
 # The most fitting barriers one schedule may hold: 55 years at the default
 # 48 h interval. Each barrier is a federated fit, one more kept parameter
 # set (catalog x (1 + 2 * latent_dim) floats) and one more epoch in the
@@ -91,7 +91,7 @@ class SimConfig:
             raise ValueError("seed must be non-negative")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be a positive thread count")
-        if self.policy in _MEP_POLICIES:
+        if self.policy in FITTED_POLICIES:
             barrier_times(self, self.test_horizon)
 
 
@@ -176,7 +176,7 @@ class _EdgeRuntime:
 
     kernel = corr = mav = bounds = None
 
-    def __init__(self, edge_id: int, log: EventLog, cfg: SimConfig, table: np.ndarray, capacity: int):
+    def __init__(self, edge_id: int, log: EventLog, cfg: SimConfig, table: np.ndarray | None, capacity: int):
         catalog_size = log.catalog_size
         policy = cfg.policy
         self.edge_id = edge_id
@@ -216,7 +216,7 @@ class _EdgeRuntime:
             self.bounds = bounds = _BoundTracker(cfg.bounds, cfg.unit_cost)
             self.select = lambda lam: scheduler.select_candidates(lam, ledger, bounds.frozen(lam), rng_sched)[0]
 
-    def run(self, barriers: list[float], params_list: list[ModelParams]) -> None:
+    def run(self, barriers: list[float], params_list: list[ModelParams | None]) -> None:
         """Replay the whole log; ``params_list[e]`` holds from ``barriers[e - 1]`` on.
 
         Only fitted runs have barriers: a stamp at or after the next one
@@ -305,18 +305,36 @@ class _EdgeRuntime:
         return fetched
 
 
-def fit_barriers(edge_logs, params: ModelParams, cfg: SimConfig, horizon: float):
-    """Yield ``(barrier, FitResult)`` for each federated refit before ``horizon``.
+@dataclass(frozen=True)
+class FitSchedule:
+    """One trace's fit: ``params[e]`` holds from ``barriers[e - 1]`` on, ``params[0]`` is the start."""
 
-    Barriers fall every ``cfg.train.update_interval_hours``. The fit at a
-    barrier reads each edge's requests stamped before it and starts from the
-    previous fit's parameters, so no replay state enters the sequence.
-    """
-    for barrier in barrier_times(cfg, horizon):
+    settings: tuple  # the fit's fit_settings
+    barriers: list[float]
+    params: list[ModelParams]
+    losses: list[tuple[float, int, float]]  # (barrier, iteration, loss) rows
+
+
+def fit_settings(cfg: SimConfig, catalog_size: int, horizon: float) -> tuple:
+    """All a fit reads besides the trace and its start."""
+    return (catalog_size, cfg.latent_dim, cfg.decay, cfg.truncation, cfg.train, horizon)
+
+
+def fit_schedule(cfg: SimConfig, log: EventLog, horizon: float, start=None, keep_all=True) -> FitSchedule:
+    """Fit ``log`` at every barrier before ``horizon``, first from ``start`` (else every
+    parameter at 1.0), then each fit from the last; each reads the requests stamped
+    before its barrier. Unless ``keep_all``, ``params`` keeps the last fit alone."""
+    params = [ModelParams.constant(log.catalog_size, cfg.latent_dim, 1.0, cfg.decay) if start is None else start]
+    schedule = FitSchedule(fit_settings(cfg, params[0].catalog_size, horizon), barrier_times(cfg, horizon), params, [])
+    edge_logs = partition_by_edge(log)
+    for barrier in schedule.barriers:
         window = TrainWindow.from_truncation(barrier, cfg.truncation, cfg.decay)
-        result = run_fit_round([el.before(barrier) for el in edge_logs], params, window, cfg.train)
-        yield barrier, result
-        params = result.params
+        result = run_fit_round([el.before(barrier) for el in edge_logs], params[-1], window, cfg.train)
+        params.append(result.params)
+        if not keep_all:
+            del params[0]
+        schedule.losses.extend((barrier, idx, loss) for idx, loss in enumerate(result.losses))
+    return schedule
 
 
 def barrier_times(cfg: SimConfig, horizon: float) -> list[float]:
@@ -340,21 +358,23 @@ def barrier_times(cfg: SimConfig, horizon: float) -> list[float]:
     return times
 
 
-def run_simulation(cfg: SimConfig, log: EventLog) -> SimReport:
+def run_simulation(cfg: SimConfig, log: EventLog, schedule: FitSchedule | None = None) -> SimReport:
+    """A fitted policy replays ``schedule``, else fits its own; a schedule of other
+    :func:`fit_settings`, or one that kept only its last fit, raises ``ValueError``."""
     if log.horizon > cfg.test_horizon:
         raise ValueError("log horizon extends past the configured test horizon")
+    fitted = cfg.policy in FITTED_POLICIES
+    if schedule is None and fitted:
+        schedule = fit_schedule(cfg, log, cfg.test_horizon)
+    wanted = fit_settings(cfg, log.catalog_size, cfg.test_horizon)
+    if schedule is not None and (schedule.settings != wanted or len(schedule.params) != 1 + len(schedule.barriers)):
+        raise ValueError(f"a schedule fitted under {schedule.settings} cannot replay a run under {wanted}")
     capacity = max(1, round(cfg.cache_fraction * log.catalog_size))
-    edge_logs = partition_by_edge(log)
-    report = SimReport(policy=cfg.policy, cache_capacity=capacity)
-    barriers: list[float] = []
-    params_list = [ModelParams.constant(log.catalog_size, cfg.latent_dim, 1.0, cfg.decay)]
-    if cfg.policy in _MEP_POLICIES:
-        for barrier, result in fit_barriers(edge_logs, params_list[0], cfg, cfg.test_horizon):
-            barriers.append(barrier)
-            params_list.append(result.params)
-            report.fl_losses.extend((barrier, idx, loss) for idx, loss in enumerate(result.losses))
-    table = cdp.epoch_table(params_list)
-    for edge_id, edge_log in enumerate(edge_logs):
+    report = SimReport(policy=cfg.policy, cache_capacity=capacity, fl_losses=list(schedule.losses) if fitted else [])
+    barriers, params_list, table = [], [None], None  # unfitted policies read no parameters
+    if fitted:
+        barriers, params_list, table = schedule.barriers, schedule.params, cdp.epoch_table(schedule.params)
+    for edge_id, edge_log in enumerate(partition_by_edge(log)):
         rt = _EdgeRuntime(edge_id, edge_log, cfg, table, capacity)
         rt.run(barriers, params_list)
         _fold_edge(report, rt)

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -122,9 +123,26 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfg, "--trace", tr, "--policy", "ppvf", "--out", out]) == 0
         manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["command"] == "simulate"
+        assert set(manifest["timings_seconds"]) == {"fit", "simulate"}
         assert set(manifest["outputs"]) >= {"chr.csv", "js.csv", "budget_cdf.csv", "fl_loss.csv"}
         for name, digest in manifest["outputs"].items():
             assert sha(os.path.join(out, name)) == digest
+
+    def test_sweep_over_fitted_policies_fits_each_barrier_once(self, tiny_trace, tmp_path, monkeypatch):
+        # No fit reads the policy, f, xi or c, so the nine runs of a
+        # three-value sweep over the fitted policies replay one schedule.
+        cfg, tr = tiny_trace
+        fits = Counter()
+        real_fit_round = sim.run_fit_round
+
+        def spy(edge_logs, params, window, train):
+            fits[window.end] += 1
+            return real_fit_round(edge_logs, params, window, train)
+
+        monkeypatch.setattr(sim, "run_fit_round", spy)
+        argv = ["simulate", "--config", cfg, "--trace", tr, "--policy", "ppvf,sage,bestfit", "--sweep", "c=0.05,0.1,0.2"]
+        assert cli.main(argv + ["--out", str(tmp_path / "out_fit_once")]) == 0
+        assert fits == {48.0: 1, 96.0: 1}
 
     def test_invalid_policy_usage_error(self, tiny_trace, tmp_path):
         cfg, tr = tiny_trace
@@ -552,6 +570,15 @@ class TestFitAndReport:
         for policy in ("ppvf", "sage", "bestfit"):
             report = sim.run_simulation(cli._sim_config(settings, policy, 0), log)
             assert report.fl_losses == fitted, policy
+        # Under other f, xi or c, replaying one shared schedule reports what
+        # fitting for itself does.
+        shared = cli._sim_config(settings, "ppvf", 0)
+        schedule = sim.fit_schedule(shared, log, shared.test_horizon)
+        assert schedule.losses == fitted
+        for policy in ("ppvf", "sage", "bestfit"):
+            for change in ({"f": 2}, {"xi": 3.0}, {"c": 0.2}):
+                run_cfg = cli._sim_config({**settings, **change}, policy, 0)
+                assert sim.run_simulation(run_cfg, log, schedule) == sim.run_simulation(run_cfg, log), (policy, change)
 
     @pytest.mark.parametrize(
         "content",
@@ -598,7 +625,8 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     runs = [
         ["gen-trace", "--config", cfg, "--seed", "5", "--out", tr],
         ["fit", "--config", cfg, "--trace", tr, "--out", fit_out],
-        ["simulate", "--config", cfg, "--trace", tr, "--policy", ",".join(sim.POLICIES), "--out", sim_out],
+        ["simulate", "--config", cfg, "--trace", tr, "--policy", ",".join(sim.POLICIES), "--sweep", "c=0.05,0.1",
+         "--out", sim_out],
         ["eval-cr", "--config", cfg, "--seed", "2"],
         ["report", "--out", sim_out],
     ]

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import hashlib
 from collections import Counter
 
@@ -300,6 +301,8 @@ class TestPolicyShapedRuntime:
         real_corr_init = cdp.CorrelationState.__init__
         real_observe = sim._BoundTracker.observe
         real_seed_sequence = np.random.SeedSequence
+        real_epoch_table = cdp.epoch_table
+        real_constant = ModelParams.constant.__func__
 
         def empty(cls, *args, **kwargs):
             built["kernel"] += 1
@@ -312,6 +315,14 @@ class TestPolicyShapedRuntime:
         def observe(self, *args):
             built["observe"] += 1
             real_observe(self, *args)
+
+        def epoch_table(*args):
+            built["epoch_table"] += 1
+            return real_epoch_table(*args)
+
+        def constant(cls, *args, **kwargs):
+            built["constant"] += 1
+            return real_constant(cls, *args, **kwargs)
 
         def seed_sequence(*args, spawn_key=()):
             streams.append(spawn_key)
@@ -326,12 +337,58 @@ class TestPolicyShapedRuntime:
             mp.setattr(cdp.CorrelationState, "__init__", corr_init)
             mp.setattr(sim._BoundTracker, "observe", observe)
             mp.setattr(np.random, "SeedSequence", seed_sequence)
+            mp.setattr(cdp, "epoch_table", epoch_table)
+            mp.setattr(ModelParams, "constant", classmethod(constant))
             report = run_simulation(cfg, log)
         fitted, observes, keys = self.SHAPES[policy]
         assert report.requests > 0
         assert built["kernel"] == built["corr"] == (log.edge_count if fitted else 0)
+        # Only a fit starts from constant parameters and only fitted runs read an epoch table.
+        assert built["constant"] == built["epoch_table"] == (1 if fitted else 0)
         assert (built["observe"] > 0) == observes
         assert sorted(streams) == sorted((edge, key) for edge in range(log.edge_count) for key in keys)
+
+
+class TestFitSchedule:
+    """A run replays a schedule only if it was fitted under the run's fit settings."""
+
+    CFG = SimConfig(
+        init_horizon=24.0, test_horizon=121.0, latent_dim=2,
+        train=TrainConfig(max_iters=2, update_interval_hours=48.0),
+    )
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"latent_dim": 3},
+            {"decay": 0.02},
+            {"truncation": 0.5},
+            {"train": TrainConfig(max_iters=3, update_interval_hours=48.0)},
+            {"test_horizon": 150.0},
+            {"catalog": 25},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_replay_rejects_a_schedule_of_other_fit_settings(self, change):
+        log = synthetic_log(catalog=20)
+        schedule = sim.fit_schedule(self.CFG, log, self.CFG.test_horizon)
+        change = dict(change)
+        other_log = synthetic_log(catalog=change.pop("catalog", 20))
+        if not change:  # the other catalog is the only difference
+            assert other_log.catalog_size != log.catalog_size
+        for policy in sim.POLICIES:
+            with pytest.raises(ValueError, match="schedule fitted under"):
+                run_simulation(dataclasses.replace(self.CFG, policy=policy, **change), other_log, schedule)
+
+    def test_replay_rejects_a_schedule_that_kept_only_its_last_fit(self):
+        log = synthetic_log(catalog=20)
+        full = sim.fit_schedule(self.CFG, log, self.CFG.test_horizon)
+        last = sim.fit_schedule(self.CFG, log, self.CFG.test_horizon, keep_all=False)
+        assert len(full.params) == 1 + len(full.barriers) == 3 and len(last.params) == 1
+        np.testing.assert_array_equal(last.params[0].base_rate, full.params[-1].base_rate)
+        assert (last.settings, last.barriers, last.losses) == (full.settings, full.barriers, full.losses)
+        with pytest.raises(ValueError, match="schedule fitted under"):
+            run_simulation(self.CFG, log, last)
 
 
 class TestSharedStampSweep:
