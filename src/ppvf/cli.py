@@ -7,9 +7,10 @@ output directory). Configuration is a flat ``key = value`` file overridden
 by flags; every command is deterministic under a fixed seed and prints its
 effective configuration. Exit codes: 0 success, 1 usage, 2 data error,
 3 property violation. A data error is an input that cannot be read or used:
-a missing or malformed file, a trace longer than the configured horizon, a
-trace whose fit would need more than ``sim.MAX_BARRIERS`` refits, or a fit
-whose likelihood or aggregated gradients are not finite.
+a missing or malformed file, a trace longer than the configured horizon or
+with no request after ``init_horizon``, a trace whose fit would need no
+refit or more than ``sim.MAX_BARRIERS``, a fit whose likelihood or
+aggregated gradients are not finite, or a manifest naming a file elsewhere.
 """
 
 from __future__ import annotations
@@ -269,15 +270,16 @@ def cmd_fit(args) -> int:
                 f"checkpoint {args.init_params} has latent_dim {start.dim} and delta {start.decay}, "
                 f"not the config's {settings.latent_dim} and {settings.decay}"
             )
-    out_dir = args.out or "fit_out"
-    os.makedirs(out_dir, exist_ok=True)
-
     # The fit runs to the trace's own horizon, so a schedule too long to
-    # fit is a property of the trace.
+    # fit, or one with nothing to fit, is a property of the trace.
     try:
-        barrier_times(settings, log.horizon)
+        barriers = barrier_times(settings, log.horizon)
     except ValueError as exc:
         raise TraceFormatError(f"trace spans {log.horizon} h: {exc}") from None
+    if not barriers:
+        raise TraceFormatError(f"trace spans {log.horizon} h, too short for a refit barrier at {cfg['t_theta']} h")
+    out_dir = args.out or "fit_out"
+    os.makedirs(out_dir, exist_ok=True)
     started = time.perf_counter()
     schedule = fit_schedule(settings, log, log.horizon, start, keep_all=False)
     records = [{"round": idx, "t_theta": t_theta, "loss": loss} for t_theta, idx, loss in schedule.losses]
@@ -332,6 +334,8 @@ def cmd_simulate(args) -> int:
     planned = []
     for policy in policies:
         for value in sweep_values or [float(cfg[sweep_name or "c"])]:
+            if any((policy, value) == (p, v) for p, v, _ in planned):
+                raise UsageError(f"run policy={policy} {sweep_name or 'run'}={value} is listed twice")
             run_cfg = dict(cfg)
             if sweep_name:
                 run_cfg[sweep_name] = int(value) if sweep_name == "f" else float(value)
@@ -340,6 +344,9 @@ def cmd_simulate(args) -> int:
     log = trace.load_trace(args.trace, quantize_hours=float(cfg["quantize"]))
     if log.horizon > float(cfg["horizon"]):
         raise TraceFormatError(f"trace spans {log.horizon} h, past the configured horizon {cfg['horizon']} h")
+    last, init = float(log.timestamps[-1]), float(cfg["init_horizon"])
+    if last < init:
+        raise TraceFormatError(f"no request to score: the last stamp {last} h is before init_horizon {init} h")
     out_dir = args.out or "sim_out"
     os.makedirs(out_dir, exist_ok=True)
 
@@ -415,6 +422,9 @@ def cmd_report(args) -> int:
         raise TraceFormatError(f"cannot read manifest: {exc}") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("outputs", {}), dict):
         raise TraceFormatError(f"{manifest_path} is not a manifest object")
+    for name in manifest.get("outputs", {}):
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise TraceFormatError(f"manifest output {name!r} is not a file name inside {out_dir}")
     print(f"command: {manifest.get('command')}  version: {manifest.get('version')}")
     bad = []
     for name, digest in sorted(manifest.get("outputs", {}).items()):

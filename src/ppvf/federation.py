@@ -1,9 +1,11 @@
 """Federated fitting of the excitation model.
 
 Edges compute window log-likelihoods and gradients on their private logs;
-the coordinator only ever sees those summaries, sums them with a
-permutation-invariant reduction, applies L2 regularization, and takes
-projected gradient steps. Raw events never cross the edge boundary: each
+the coordinator only ever sees those summaries. Each edge writes its
+gradients into its row of one buffer per fit, and one merge-network pass
+sums the rows in rank order, independent of edge order to the last bit. The
+coordinator then applies L2 regularization and takes projected gradient
+steps. Raw events never cross the edge boundary: each
 edge's log enters :func:`run_fit_round` once, as the window statistics it
 keeps, and the coordinator receives one likelihood per edge at every point
 it scores and one gradient bundle per edge at every point a step starts
@@ -23,6 +25,7 @@ from .predictor import (
     GradientBundle,
     ModelParams,
     TrainWindow,
+    WindowStats,
     window_gradients,
     window_log_likelihood,
     window_stats,
@@ -65,6 +68,7 @@ class TrainConfig:
             raise ValueError("update_interval_hours must be positive")
 
 
+@lru_cache(maxsize=None)
 def _merge_network(n: int) -> tuple[tuple[int, int], ...]:
     """Comparators of Batcher's odd-even merge sort on ``n`` inputs."""
     pairs = []
@@ -81,61 +85,31 @@ def _merge_network(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-@lru_cache(maxsize=None)
-def _merge_plan(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """The merge network on ``n`` inputs, and the row copies ``(to, from)``
-    that put :func:`_sorted_sum`'s rotated buffer back in rank order."""
-    pairs = _merge_network(n)
-    # where[k]: the buffer row holding rank k after the rotating network.
-    where, free = list(range(n)), n
-    for a, _ in pairs:
-        where[a], free = free, where[a]
-    moves = []
-    while True:
-        if free < n:  # row `free` is rank `free`'s home: fill it
-            moves.append((free, where[free]))
-            where[free], free = free, where[free]
-            continue
-        stray = next((k for k in range(n) if where[k] != k), None)
-        if stray is None:
-            return pairs, tuple(moves)
-        # A cycle that avoids the free row: open it by parking one rank there.
-        moves.append((free, where[stray]))
-        where[stray], free = free, where[stray]
-
-
-def _sorted_sum(arrays: list[np.ndarray], scratch: dict | None = None) -> np.ndarray:
-    """Sum of the arrays with each entry's addends sorted ascending first.
+def _sorted_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum of all rows but the last, with each entry's addends sorted
+    ascending first; the last row is scratch space. Overwrites ``rows``.
 
     Sorting makes the reduction exactly permutation-invariant. A merge
     network of min/max compare-exchanges sorts every entry at once; it
-    differs from a sort only on tied zeros of opposite sign, which the
-    axis-0 sum (it starts from +0.0) cannot tell apart. The addends are
-    stacked into a buffer with one spare row. Each compare-exchange writes
-    the minimum into the spare row and the maximum over its larger input,
-    and the smaller input's row becomes the next spare: two numpy calls per
-    comparator instead of a third to copy the minimum back. At most
-    ``len(arrays) + 1`` row copies then restore rank order for the sum.
-    A ``scratch`` dict keeps one buffer per array count and shape across
-    calls.
+    differs from a sort only on tied zeros of opposite sign, which a sum
+    from +0.0 cannot tell apart. Each compare-exchange writes the minimum
+    into the spare row and the maximum over its larger input, and the
+    smaller input's row becomes the next spare: two numpy calls per
+    comparator instead of a third to copy the minimum back. The rows are
+    then added from +0.0 in rank order into the last spare, which is
+    returned.
     """
-    n, shape = len(arrays), arrays[0].shape
-    pairs, moves = _merge_plan(n)
-    scratch = {} if scratch is None else scratch
-    if (n, shape) not in scratch:
-        scratch[n, shape] = np.empty((n + 1,) + shape)
-    buf = scratch[n, shape]
-    np.stack(arrays, out=buf[:-1])
-    rows = list(buf)
-    spare = rows.pop()
-    for a, b in pairs:
-        lo, hi = rows[a], rows[b]
+    ranked = list(rows)
+    spare = ranked.pop()
+    for a, b in _merge_network(len(ranked)):
+        lo, hi = ranked[a], ranked[b]
         np.minimum(lo, hi, out=spare)
         np.maximum(lo, hi, out=hi)
-        rows[a], spare = spare, lo
-    for to, src in moves:
-        buf[to] = buf[src]
-    return np.sum(buf[:-1], axis=0)
+        ranked[a], spare = spare, lo
+    spare.fill(0.0)
+    for row in ranked:
+        spare += row
+    return spare
 
 
 def global_loss(params: ModelParams, lls: list[float], cfg: TrainConfig) -> float:
@@ -155,26 +129,26 @@ def global_loss(params: ModelParams, lls: list[float], cfg: TrainConfig) -> floa
 # Non-finite gradients are reported below, naming their edge, so numpy's
 # warnings about the NaNs they make would only repeat it.
 @np.errstate(invalid="ignore")
-def sum_gradients(grads: list[GradientBundle], scratch: dict | None = None) -> GradientBundle:
-    """The edges' likelihood gradients, summed block by block in an
+def sum_gradients(params: ModelParams, stats: list[WindowStats], rows: np.ndarray) -> GradientBundle:
+    """The edges' likelihood gradients at ``params``, summed in an
     order-independent way.
 
-    A NaN or infinite addend always makes its entry's sum non-finite, so
-    only a non-finite sum needs the edges scanned: the first edge holding a
-    non-finite entry is named in an :class:`AggregationError`. When every
-    addend is finite, an overflowed sum is returned as it is. ``scratch``
-    keeps :func:`_sorted_sum`'s stacking buffers between calls.
+    Each edge writes its gradients into its row of ``rows``, whose last row
+    is spare, and one :func:`_sorted_sum` pass sums them in place; the
+    result views ``rows``. A NaN or infinite addend always makes its entry's
+    sum non-finite, so only a non-finite sum needs the edges scanned: their
+    gradients are taken again until the first edge holding a non-finite
+    entry is named in an :class:`AggregationError`. When every addend is
+    finite, an overflowed sum is returned as it is.
     """
-    if not grads:
+    if not stats:
         raise AggregationError("no gradients to sum")
-    summed = GradientBundle(
-        base_rate=_sorted_sum([g.base_rate for g in grads], scratch),
-        target_factors=_sorted_sum([g.target_factors for g in grads], scratch),
-        source_factors=_sorted_sum([g.source_factors for g in grads], scratch),
-    )
+    for st, row in zip(stats, rows):
+        window_gradients(params, st, out=row)
+    summed = GradientBundle.of_row(_sorted_sum(rows), params.catalog_size, params.dim)
     if not summed.is_finite():
-        for idx, g in enumerate(grads):
-            if not g.is_finite():
+        for idx, st in enumerate(stats):
+            if not window_gradients(params, st).is_finite():
                 raise AggregationError(f"non-finite gradients from edge index {idx}")
     return summed
 
@@ -233,9 +207,9 @@ def run_fit_round(edge_logs, params: ModelParams, window: TrainWindow, cfg: Trai
     loss = loss_at(params)
     losses = [loss]
     eta = cfg.learning_rate
-    scratch: dict = {}
+    rows = np.empty((len(stats) + 1, GradientBundle.row_size(params.catalog_size, params.dim)))
     for _ in range(cfg.max_iters):
-        summed = sum_gradients([window_gradients(params, st) for st in stats], scratch)
+        summed = sum_gradients(params, stats, rows)
         for _backtrack in range(60):
             candidate = aggregate_and_step(params, summed, cfg, learning_rate=eta)
             cand_loss = loss_at(candidate)

@@ -151,10 +151,10 @@ class KernelState:
     last_update: float
 
     @classmethod
-    def empty(cls, catalog_size: int, dim: int, at_time: float = -math.inf) -> "KernelState":
+    def empty(cls, catalog_size: int, dim: int) -> "KernelState":
         # Starting before any representable instant lets events at t = 0 fold
         # in through the strict (last_update, to_time] contract.
-        return cls(np.zeros(catalog_size), np.zeros(dim), at_time)
+        return cls(np.zeros(catalog_size), np.zeros(dim), -math.inf)
 
     def rebuild_mix(self, params: ModelParams) -> None:
         self.source_mix = params.source_factors.T @ self.decayed_counts
@@ -321,11 +321,22 @@ def window_log_likelihood(params: ModelParams, stats: WindowStats) -> float:
 
 @dataclass
 class GradientBundle:
-    """Analytic gradients of the window log-likelihood."""
+    """Analytic gradients of the window log-likelihood. The blocks may view
+    one flat row of :meth:`row_size` floats, in field order, each row-major."""
 
     base_rate: np.ndarray
     target_factors: np.ndarray
     source_factors: np.ndarray
+
+    @staticmethod
+    def row_size(catalog_size: int, dim: int) -> int:
+        return catalog_size * (1 + 2 * dim)
+
+    @classmethod
+    def of_row(cls, row: np.ndarray, catalog_size: int, dim: int) -> "GradientBundle":
+        """The three blocks as views of ``row``."""
+        I, D = catalog_size, dim
+        return cls(row[:I], row[I : I * (1 + D)].reshape(I, D), row[I * (1 + D) :].reshape(I, D))
 
     def is_finite(self) -> bool:
         return bool(
@@ -335,29 +346,32 @@ class GradientBundle:
         )
 
 
-def window_gradients(params: ModelParams, stats: WindowStats) -> GradientBundle:
+def window_gradients(params: ModelParams, stats: WindowStats, out: np.ndarray | None = None) -> GradientBundle:
     """Gradients of :func:`window_log_likelihood` in the same parameterization.
 
     Event terms accumulate 1/rate weights; integral terms reuse the
-    closed-form per-source weights, shared across all target rows.
+    closed-form per-source weights, shared across all target rows. The
+    blocks are written into ``out``, a flat row of
+    :meth:`GradientBundle.row_size` floats, else into a new row.
     """
     I, D = params.catalog_size, params.dim
     mix_ev, tgt_ev, lam, source_total = stats._event_terms(params)
-    g_base = np.full(I, -stats.window.length)
-    g_tgt = np.zeros((I, D))
+    g = GradientBundle.of_row(np.empty(GradientBundle.row_size(I, D)) if out is None else out, I, D)
+    g.base_rate.fill(-stats.window.length)
+    g.target_factors.fill(0.0)
 
     if stats.n_events:
         if (lam <= 0).any():
             raise LikelihoodError("non-positive intensity at an event; parameters or state corrupted")
         inv = 1.0 / lam
-        np.add.at(g_base, stats.event_videos, inv)
-        np.add.at(g_tgt, stats.event_videos, mix_ev * inv[:, None])
+        np.add.at(g.base_rate, stats.event_videos, inv)
+        np.add.at(g.target_factors, stats.event_videos, mix_ev * inv[:, None])
         weights = np.zeros((stats.counts_at.shape[0], D))
         np.add.at(weights, stats.event_group, tgt_ev * inv[:, None])
-        g_src = stats.counts_at.T @ weights  # non-negative: 0.0 + it is itself
+        np.matmul(stats.counts_at.T, weights, out=g.source_factors)  # non-negative: 0.0 + it is itself
     else:
-        g_src = np.zeros((I, D))
+        g.source_factors.fill(0.0)
 
-    g_tgt -= source_total
-    g_src -= stats.integral_weights[:, None] * params.target_sums
-    return GradientBundle(g_base, g_tgt, g_src)
+    g.target_factors -= source_total
+    g.source_factors -= stats.integral_weights[:, None] * params.target_sums
+    return g

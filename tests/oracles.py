@@ -20,7 +20,7 @@ from scipy.integrate import quad
 from scipy.optimize import linprog
 
 from ppvf.cdp import CorrelationState, candidate_sensitivities, correlation_block
-from ppvf.federation import FitResult, TrainConfig, aggregate_and_step, global_loss, sum_gradients
+from ppvf.federation import FitResult, TrainConfig, aggregate_and_step, global_loss
 from ppvf.predictor import (
     PARAM_FLOOR,
     GradientBundle,
@@ -192,8 +192,12 @@ def walk_best_utility(utilities, ledger: FractionLedger) -> tuple[int, ...]:
 
 
 def sort_then_sum(arrays) -> np.ndarray:
-    """Sum of the arrays after sorting each entry's addends with ``np.sort``."""
-    return np.sum(np.sort(np.stack(arrays), axis=0), axis=0)
+    """Sum of the arrays from +0.0, each entry's addends added in the
+    ascending order ``np.sort`` gives them."""
+    total = np.zeros_like(arrays[0], dtype=np.float64)
+    for addend in np.sort(np.stack(arrays), axis=0):
+        total += addend
+    return total
 
 
 def aggregate_and_step_out_of_place(
@@ -237,9 +241,13 @@ def admit_by_scan(scores: dict, capacity: int, incoming) -> list:
     return evicted
 
 
+_BLOCKS = ("base_rate", "target_factors", "source_factors")
+
+
 def fit_round_evaluating_everything(edge_logs, params: ModelParams, window: TrainWindow, cfg: TrainConfig) -> FitResult:
     """Backtracking fit that computes likelihood and gradients at every point,
-    rejected candidates and the final point included."""
+    rejected candidates and the final point included, and sums each gradient
+    block with :func:`sort_then_sum`."""
     params = params.clamped(PARAM_FLOOR)
     stats = [window_stats(params, log, window) for log in edge_logs]
 
@@ -259,7 +267,8 @@ def fit_round_evaluating_everything(edge_logs, params: ModelParams, window: Trai
     for _ in range(cfg.max_iters):
         accepted = False
         for _backtrack in range(60):
-            candidate = aggregate_and_step(params, sum_gradients(grads), cfg, learning_rate=eta)
+            summed = GradientBundle(*(sort_then_sum([getattr(g, block) for g in grads]) for block in _BLOCKS))
+            candidate = aggregate_and_step(params, summed, cfg, learning_rate=eta)
             cand_lls, cand_grads = evaluate(candidate)
             cand_loss = global_loss(candidate, cand_lls, cfg)
             if cand_loss <= loss:

@@ -322,6 +322,20 @@ class TestUsage:
         assert len(err) == 1 and err[0].startswith("usage error:")
         assert not os.path.exists(tmp_path / "x")
 
+    @pytest.mark.parametrize(
+        "flags, duplicate",
+        [(["--policy", "ppvf,lru,ppvf"], "policy=ppvf run=0.1"), (["--sweep", "f=2,3,2.0"], "policy=lru f=2.0")],
+        ids=["policy", "sweep-value"],
+    )
+    def test_duplicate_run_usage_error(self, tiny_trace, tmp_path, capsys, flags, duplicate):
+        cfg, tr = tiny_trace
+        capsys.readouterr()
+        code = cli.main(["simulate", "--config", cfg, "--trace", tr, "--policy", "lru", *flags, "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:") and duplicate in err[0]
+        assert not os.path.exists(tmp_path / "x")
+
     def test_fractional_prefetch_sweep_usage_error(self, tiny_trace, tmp_path, capsys):
         cfg, tr = tiny_trace
         capsys.readouterr()
@@ -338,6 +352,17 @@ class TestUsage:
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:")
+
+    def test_trace_before_init_horizon_data_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)  # init_horizon = 24
+        early = tmp_path / "early.csv"
+        early.write_text("0,0,1,0.5\n0,0,2,23.5\n")
+        capsys.readouterr()
+        code = cli.main(["simulate", "--config", cfg, "--trace", str(early), "--policy", "lru", "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and "stamp 23.0 h" in err[0] and "24.0" in err[0]
+        assert not os.path.exists(tmp_path / "x")
 
     def test_horizon_past_barrier_limit_usage_error(self, tiny_trace, tmp_path, capsys):
         _, tr = tiny_trace
@@ -362,6 +387,17 @@ class TestUsage:
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:") and "fitting barriers" in err[0]
+
+    def test_fit_without_a_refit_barrier_data_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)  # t_theta = 48
+        short = tmp_path / "short.csv"
+        short.write_text("0,0,1,1.5\n")
+        capsys.readouterr()
+        code = cli.main(["fit", "--config", cfg, "--trace", str(short), "--out", str(tmp_path / "fit")])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and "refit barrier" in err[0]
+        assert not (tmp_path / "fit" / "params.json").exists()
 
     def test_trace_directory_data_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -597,6 +633,20 @@ class TestFitAndReport:
         assert cli.main(["simulate", "--config", cfg, "--trace", tr, "--policy", "lru", "--out", out]) == 0
         assert cli.main(["report", "--out", out]) == 0
         assert "chr.csv: ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("escape", ["../run.cfg", "absolute"])
+    def test_report_reads_only_inside_its_directory(self, tiny_trace, tmp_path, capsys, escape):
+        cfg, _ = tiny_trace
+        name = str(Path(cfg).resolve()) if escape == "absolute" else escape
+        out = tmp_path / "rep_out"
+        out.mkdir()
+        (out / "manifest.json").write_text(json.dumps({"outputs": {name: sha(cfg)}}))
+        capsys.readouterr()
+        assert cli.main(["report", "--out", str(out)]) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and name in err[0]
+        assert "test config" not in captured.out
 
     def test_report_detects_tampering(self, tiny_trace, tmp_path):
         cfg, tr = tiny_trace

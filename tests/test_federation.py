@@ -96,6 +96,22 @@ def random_grads(rng, catalog=4, dim=2):
     return GradientBundle(rng.normal(size=catalog), rng.normal(size=(catalog, dim)), rng.normal(size=(catalog, dim)))
 
 
+def sum_of(grads):
+    """``sum_gradients`` over edges whose gradients are ``grads`` at every point."""
+    catalog, dim = grads[0].target_factors.shape
+    size = GradientBundle.row_size(catalog, dim)
+
+    def planted(params, edge, out=None):
+        mine = GradientBundle.of_row(np.empty(size) if out is None else out, catalog, dim)
+        for name in ("base_rate", "target_factors", "source_factors"):
+            getattr(mine, name)[...] = getattr(edge, name)
+        return mine
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(federation, "window_gradients", planted)
+        return sum_gradients(ModelParams.constant(catalog, dim), grads, np.empty((len(grads) + 1, size)))
+
+
 def assert_same_bundle(a, b):
     for name in ("base_rate", "target_factors", "source_factors"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
@@ -104,7 +120,7 @@ def assert_same_bundle(a, b):
 class TestAggregateAndStep:
     def test_zero_gradients_no_reg_leaves_params(self):
         params = random_params(np.random.default_rng(3))
-        new = aggregate_and_step(params, sum_gradients([zero_grads(4, 2)]), TrainConfig())
+        new = aggregate_and_step(params, sum_of([zero_grads(4, 2)]), TrainConfig())
         assert global_loss(params, [-5.0], TrainConfig()) == pytest.approx(5.0)
         assert np.array_equal(new.base_rate, params.base_rate)
         assert np.array_equal(new.target_factors, params.target_factors)
@@ -115,8 +131,8 @@ class TestAggregateAndStep:
         g = random_grads(rng)
         half = GradientBundle(g.base_rate / 2, g.target_factors / 2, g.source_factors / 2)
         cfg = TrainConfig(learning_rate=0.01)
-        whole = aggregate_and_step(params, sum_gradients([g]), cfg)
-        split = aggregate_and_step(params, sum_gradients([half, half]), cfg)
+        whole = aggregate_and_step(params, sum_of([g]), cfg)
+        split = aggregate_and_step(params, sum_of([half, half]), cfg)
         assert global_loss(params, [-3.0], cfg) == global_loss(params, [-1.5, -1.5], cfg)
         assert np.allclose(whole.base_rate, split.base_rate, atol=1e-12)
         assert np.allclose(whole.target_factors, split.target_factors, atol=1e-12)
@@ -138,7 +154,7 @@ class TestAggregateAndStep:
         grads = [random_grads(rng) for _ in range(7)]
         cfg = TrainConfig(learning_rate=0.05, rho_base=0.01, rho_target=0.01, rho_source=0.01)
         order = rng.permutation(7)
-        forward, backward = sum_gradients(grads), sum_gradients([grads[i] for i in order])
+        forward, backward = sum_of(grads), sum_of([grads[i] for i in order])
         assert global_loss(params, lls, cfg) == global_loss(params, [lls[i] for i in order], cfg)
         assert_same_bundle(forward, backward)
         assert_same_bundle(aggregate_and_step(params, forward, cfg), aggregate_and_step(params, backward, cfg))
@@ -147,7 +163,7 @@ class TestAggregateAndStep:
         params = random_params(np.random.default_rng(6))
         bad = GradientBundle(np.array([np.nan] * 4), np.zeros((4, 2)), np.zeros((4, 2)))
         with pytest.raises(AggregationError, match="edge index 1"):
-            sum_gradients([zero_grads(4, 2), bad])
+            sum_of([zero_grads(4, 2), bad])
         with pytest.raises(AggregationError, match="edge index 1"):
             global_loss(params, [-1.0, math.inf], TrainConfig())
 
@@ -162,7 +178,7 @@ class TestAggregateAndStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(AggregationError, match="edge index 2$"):
-                sum_gradients(grads)
+                sum_of(grads)
 
     def test_finite_addends_that_overflow_return_the_overflowed_sum(self):
         rng = np.random.default_rng(10)
@@ -170,14 +186,14 @@ class TestAggregateAndStep:
         for g in grads[3:6]:
             g.target_factors[1, 2] = 1e308
         with np.errstate(over="ignore"):
-            summed = sum_gradients(grads)
+            summed = sum_of(grads)
             want = sort_then_sum([g.target_factors for g in grads])
         assert summed.target_factors[1, 2] == math.inf
         assert summed.target_factors.tobytes() == want.tobytes()
 
     def test_empty_contributions_rejected(self):
         with pytest.raises(AggregationError):
-            sum_gradients([])
+            sum_gradients(ModelParams.constant(4, 2), [], np.empty((1, GradientBundle.row_size(4, 2))))
 
     def test_positivity_floor_after_step(self):
         params = ModelParams(np.array([0.01]), np.full((1, 1), 0.01), np.full((1, 1), 0.01), 0.01)
@@ -209,21 +225,6 @@ def test_aggregate_and_step_matches_out_of_place_oracle(rho):
     assert clamped
 
 
-def test_sorted_sum_reuses_scratch_across_edge_counts():
-    rng = np.random.default_rng(12)
-    scratch: dict = {}
-    buffers = {}
-    for count in (3, 1, 4, 2, 5, 5, 3, 1):
-        arrays = [rng.choice([-0.0, 0.0, 1.0, -2.5, 1e9], size=(6, 2)) for _ in range(count)]
-        got = federation._sorted_sum(arrays, scratch)
-        assert got.view(np.int64).tolist() == sort_then_sum(arrays).view(np.int64).tolist()
-        buf = scratch[count, (6, 2)]
-        # One row per array plus a spare, allocated on an edge count's first call only.
-        assert buf.shape == (count + 1, 6, 2)
-        assert buffers.setdefault(count, buf) is buf
-    assert sorted(scratch) == [(count, (6, 2)) for count in (1, 2, 3, 4, 5)]
-
-
 # Ties, signed zeros, and magnitudes from 1e-9 to 1e9 side by side.
 _ADDENDS = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1.0, -1.0, 1e9, -1e9]),
@@ -238,7 +239,10 @@ def test_sorted_sum_is_bitwise_the_sort_reference(data):
     shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=5))
     arrays = [data.draw(hnp.arrays(np.float64, shape, elements=_ADDENDS)) for _ in range(count)]
     want = sort_then_sum(arrays)
-    got = federation._sorted_sum(arrays)
+    # The last row is scratch space: what it holds does not reach the sum.
+    rows = np.full((count + 1,) + shape, np.nan)
+    rows[:count] = arrays
+    got = federation._sorted_sum(rows)
     assert got.shape == want.shape
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
@@ -277,8 +281,9 @@ class TestRunFitRound:
         params = ModelParams.constant(4, 2, 1.0, 0.01)
         cfg = TrainConfig(learning_rate=1e-4, max_iters=1)
         result = run_fit_round(parts[:1], params, window, cfg)
-        grads = gradients(params, parts[0], window)
-        stepped = aggregate_and_step(params, sum_gradients([grads]), cfg)
+        stats = [predictor.window_stats(params, parts[0], window)]
+        rows = np.empty((2, GradientBundle.row_size(4, 2)))
+        stepped = aggregate_and_step(params, sum_gradients(params, stats, rows), cfg)
         assert np.allclose(result.params.base_rate, stepped.base_rate, atol=1e-15)
         assert np.allclose(result.params.target_factors, stepped.target_factors, atol=1e-15)
 
@@ -324,17 +329,17 @@ class TestRunFitRound:
 
     @pytest.mark.parametrize("cfg", _CONFIGS)
     def test_one_gradient_sum_per_step_origin(self, cfg, monkeypatch):
-        # Backtracking reuses the origin's summed gradients: each of the three
-        # blocks is summed once per origin, not once per candidate. The loss
-        # is computed once per scored point: the start and each candidate.
+        # Backtracking reuses the origin's summed gradients: the edges' rows
+        # are reduced once per origin, not once per candidate. The loss is
+        # computed once per scored point: the start and each candidate.
         parts, window = self._three_edges()
-        block_sums, step_origins, scored = [], [], []
-        monkeypatch.setattr(federation, "_sorted_sum", recording(block_sums, federation._sorted_sum))
+        reductions, step_origins, scored = [], [], []
+        monkeypatch.setattr(federation, "_sorted_sum", recording(reductions, federation._sorted_sum))
         monkeypatch.setattr(federation, "aggregate_and_step", recording(step_origins, federation.aggregate_and_step))
         monkeypatch.setattr(federation, "global_loss", recording(scored, federation.global_loss))
         run_fit_round(parts, ModelParams.constant(6, 2, 1.0, 0.01), window, cfg)
         origins = [p for i, p in enumerate(step_origins) if i == 0 or p is not step_origins[i - 1]]
-        assert len(block_sums) == 3 * len(origins)
+        assert len(reductions) == len(origins)
         assert len(scored) == 1 + len(step_origins)
 
     def test_all_params_above_floor_after_fit(self):

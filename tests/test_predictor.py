@@ -21,6 +21,7 @@ from oracles import (
 from ppvf import predictor, trace
 from ppvf.federation import TrainConfig, run_fit_round
 from ppvf.predictor import (
+    GradientBundle,
     KernelState,
     ModelParams,
     TrainWindow,
@@ -322,6 +323,21 @@ class TestWindowBitsMatchReference:
                 assert np.float64(ll).tobytes() == np.float64(ll_ref).tobytes()
                 for block in ("base_rate", "target_factors", "source_factors"):
                     assert getattr(g, block).tobytes() == getattr(g_ref, block).tobytes(), block
+
+    def test_gradients_written_into_a_row(self, multi_edge_fit):
+        # The middle row of a NaN-filled buffer: every entry is written, and
+        # nothing outside the row is.
+        logs, window, points = multi_edge_fit
+        for params in points:
+            rows = np.full((3, GradientBundle.row_size(params.catalog_size, params.dim)), np.nan)
+            for log in logs:
+                stats = window_stats(params, log, window)
+                into = window_gradients(params, stats, out=rows[1])
+                fresh = window_gradients(params, stats)
+                for block in ("base_rate", "target_factors", "source_factors"):
+                    assert np.shares_memory(getattr(into, block), rows[1]), block
+                    assert getattr(into, block).tobytes() == getattr(fresh, block).tobytes(), block
+                assert np.isnan(rows[[0, 2]]).all()
 
 
     @pytest.mark.parametrize(
