@@ -155,21 +155,21 @@ class LfuCache:
         return False, evicted
 
 
+MAV_SMOOTHING = 0.9
+
+
 class MavState:
     """Per-video exponentially weighted moving average of per-slot requests.
 
     Folding happens at slot boundaries: each completed slot contributes its
-    request count with weight (1 - smoothing); older slots decay by the
-    smoothing factor.
+    request count with weight (1 - MAV_SMOOTHING); older slots decay by
+    MAV_SMOOTHING.
     """
 
-    def __init__(self, catalog_size: int, slot_hours: float = 1.0, smoothing: float = 0.9):
-        if not 0 <= smoothing < 1:
-            raise ValueError("smoothing must lie in [0, 1)")
+    def __init__(self, catalog_size: int, slot_hours: float = 1.0):
         if slot_hours <= 0:
             raise ValueError("slot_hours must be positive")
         self.slot_hours = slot_hours
-        self.smoothing = smoothing
         self.values = np.zeros(catalog_size)
         self.pending = np.zeros(catalog_size)
         self.current_slot = 0
@@ -182,11 +182,11 @@ class MavState:
         slot = self._slot_of(time)
         if slot <= self.current_slot:
             return
-        self.values = self.smoothing * self.values + (1 - self.smoothing) * self.pending
+        self.values = MAV_SMOOTHING * self.values + (1 - MAV_SMOOTHING) * self.pending
         self.pending[:] = 0.0
         gap = slot - self.current_slot - 1
         if gap:
-            self.values *= self.smoothing**gap
+            self.values *= MAV_SMOOTHING**gap
         self.current_slot = slot
 
     def record(self, video: int, time: float) -> None:

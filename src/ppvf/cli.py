@@ -91,6 +91,7 @@ def load_config(path: str | None) -> dict:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
+    set_on: dict[str, int] = {}
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -100,6 +101,9 @@ def load_config(path: str | None) -> dict:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in DEFAULTS:
             raise UsageError(f"config line {line_no}: unknown key {key!r}")
+        if key in set_on:
+            raise UsageError(f"config line {line_no}: key {key!r} is already set on line {set_on[key]}")
+        set_on[key] = line_no
         cfg[key] = _parse_value(key, value)
     return cfg
 
@@ -247,10 +251,9 @@ def cmd_gen_trace(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg["seed"])
-    _print_config(cfg, {"seed": seed, "trace": args.trace})
+    _print_config(cfg, {"trace": args.trace})
     # The simulator's settings validate every model and trace key fit reads.
-    settings = _sim_config(cfg, str(cfg["policy"]), seed)
+    settings = _sim_config(cfg, str(cfg["policy"]), int(cfg["seed"]))
     log = trace.load_trace(args.trace, quantize_hours=settings.slot_hours)
     start = None
     if args.init_params:
@@ -319,6 +322,8 @@ def _parse_sweep(raw: str | None) -> tuple[str, list[float]]:
 
 
 def cmd_simulate(args) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise UsageError(f"--threads must be a positive thread count, got {args.threads}")
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else int(cfg["seed"])
     policies = [p.strip() for p in (args.policy or str(cfg["policy"])).split(",") if p.strip()]
@@ -448,44 +453,39 @@ def cmd_report(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ppvf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, trace_arg=False):
-        p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--seed", type=int, help="master seed (overrides config)")
-        p.add_argument("--out", help="output file or directory")
-        p.add_argument("--threads", type=int, default=None, help="any positive value; runs are sequential")
-        if trace_arg:
-            p.add_argument("--trace", required=True, help="input trace file")
-
-    p = sub.add_parser("gen-trace", help="generate a synthetic trace file")
-    common(p)
-    p.set_defaults(func=cmd_gen_trace)
-
-    p = sub.add_parser("fit", help="fit model parameters over a trace")
-    common(p, trace_arg=True)
-    p.add_argument("--init-params", help="resume from a params.json checkpoint")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("simulate", help="run policies over a trace and emit CSV reports")
-    common(p, trace_arg=True)
-    p.add_argument("--policy", help=f"comma-separated policies ({', '.join(POLICIES)})")
-    p.add_argument("--sweep", help="sweep one of f, xi, c: e.g. c=0.001,0.01,0.1")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("eval-cr", help="verify the competitive-ratio bound empirically")
-    common(p)
-    p.set_defaults(func=cmd_eval_cr)
-
-    p = sub.add_parser("report", help="summarize and verify an output directory")
-    common(p)
-    p.set_defaults(func=cmd_report)
+    flags = {
+        "--config": {"help": "flat key = value configuration file"},
+        "--seed": {"type": int, "help": "master seed (overrides config)"},
+        "--trace": {"required": True, "help": "input trace file"},
+        "--out": {"help": "output file or directory"},
+        "--threads": {"type": int, "help": "any positive value; runs are sequential"},
+        "--init-params": {"help": "resume from a params.json checkpoint"},
+        "--policy": {"help": f"comma-separated policies ({', '.join(POLICIES)})"},
+        "--sweep": {"help": "sweep one of f, xi, c: e.g. c=0.001,0.01,0.1"},
+    }
+    # Each subcommand takes only the flags it reads.
+    for name, func, summary, names in (
+        ("gen-trace", cmd_gen_trace, "generate a synthetic trace file", "--config --seed --out"),
+        ("fit", cmd_fit, "fit model parameters over a trace", "--config --trace --out --init-params"),
+        (
+            "simulate",
+            cmd_simulate,
+            "run policies over a trace and emit CSV reports",
+            "--config --seed --trace --out --threads --policy --sweep",
+        ),
+        ("eval-cr", cmd_eval_cr, "verify the competitive-ratio bound empirically", "--config --seed"),
+        ("report", cmd_report, "summarize and verify an output directory", "--out"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        for flag in names.split():
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -493,8 +493,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads is not None and args.threads < 1:
-            raise UsageError(f"--threads must be a positive thread count, got {args.threads}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -152,44 +152,27 @@ class KernelState:
 
     @classmethod
     def empty(cls, catalog_size: int, dim: int) -> "KernelState":
-        # Starting before any representable instant lets events at t = 0 fold
-        # in through the strict (last_update, to_time] contract.
+        # Starting before any representable instant lets the first advance
+        # go to any stamp, t = 0 included.
         return cls(np.zeros(catalog_size), np.zeros(dim), -math.inf)
 
     def rebuild_mix(self, params: ModelParams) -> None:
         self.source_mix = params.source_factors.T @ self.decayed_counts
 
 
-def advance_state(
-    params: ModelParams,
-    state: KernelState,
-    to_time: float,
-    event_times=(),
-    event_videos=(),
-) -> KernelState:
-    """The state decayed to ``to_time`` with new events added, as a new state.
-
-    Events must be sorted, lie in ``(last_update, to_time]``, and an event at
-    exactly ``to_time`` contributes kernel weight 1 (zero lag).
-    """
+def advance_state(params: ModelParams, state: KernelState, to_time: float, videos=()) -> KernelState:
+    """The state decayed to ``to_time``, then one request of each of ``videos``
+    added at ``to_time`` (zero lag, kernel weight 1), as a new state."""
     if to_time < state.last_update:
         raise ValueError("cannot advance state backwards in time")
-    times = np.asarray(event_times, dtype=np.float64)
-    vids = np.asarray(event_videos, dtype=np.int64)
-    if times.shape != vids.shape:
-        raise ValueError("event_times and event_videos must have equal length")
-    if len(times):
-        if (times[1:] < times[:-1]).any():
-            raise ValueError("new events must be sorted by time")
-        if times[0] <= state.last_update or times[-1] > to_time:
-            raise ValueError("new events must lie in (last_update, to_time]")
     fade = math.exp(-params.decay * (to_time - state.last_update))
     counts = state.decayed_counts * fade
     mix = state.source_mix * fade
-    if len(times):
-        weights = np.exp(-params.decay * (to_time - times))
-        np.add.at(counts, vids, weights)
-        mix += params.source_factors[vids].T @ weights
+    if len(videos):
+        vids = np.asarray(videos, dtype=np.int64)
+        ones = np.ones(len(vids))
+        np.add.at(counts, vids, ones)
+        mix += params.source_factors[vids].T @ ones
     return KernelState(counts, mix, to_time)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -255,8 +256,8 @@ def offline_optimum(utilities_per_step: np.ndarray, ledger_template: PrivacyLedg
 
     Feasibility: at most ``prefetch_cap`` videos per step, and each video's
     total charges within its budget. Solved by depth-first branch and bound
-    over per-step subsets with a top-``cap`` suffix bound; guarded to at most
-    24 binary variables.
+    over each step's subsets of at most ``cap`` videos with a top-``cap``
+    suffix bound; guarded to at most 24 binary variables.
     """
     util = np.asarray(utilities_per_step, dtype=np.float64)
     if util.ndim != 2:
@@ -282,15 +283,14 @@ def offline_optimum(utilities_per_step: np.ndarray, ledger_template: PrivacyLedg
     for k in range(steps - 1, -1, -1):
         suffix[k] = suffix[k + 1] + step_best[k]
 
+    # Each step's subsets of at most ``cap`` videos, best first. Ties keep
+    # bit-mask order, so the search and its float bound prune exactly as a
+    # walk over every mask would.
+    chosen_sets = [c for size in range(min(cap, n_videos) + 1) for c in combinations(range(n_videos), size)]
+    chosen_sets.sort(key=lambda chosen: sum(1 << v for v in chosen))
     subsets_cache: list[list[tuple[float, tuple[int, ...]]]] = []
     for k in range(steps):
-        options = []
-        videos = list(range(n_videos))
-        for mask in range(1 << n_videos):
-            chosen = tuple(v for v in videos if mask & (1 << v))
-            if len(chosen) > cap:
-                continue
-            options.append((float(sum(util[k][v] for v in chosen)), chosen))
+        options = [(float(sum(util[k][v] for v in chosen)), chosen) for chosen in chosen_sets]
         options.sort(key=lambda t: -t[0])
         subsets_cache.append(options)
 

@@ -257,7 +257,7 @@ class _EdgeRuntime:
                     self.hit_sequence.append(hit)
                     self.exposed.update(fetched)
             if self.kernel is not None and ts < stamps[-1]:
-                self.kernel = advance_state(params, self.kernel, ts, [ts] * len(videos), videos)
+                self.kernel = advance_state(params, self.kernel, ts, videos)
 
     def _on_miss(self, params: ModelParams, video: int, ts: float, in_test: bool) -> list[int]:
         """Serve a scored-policy miss and return the fetch sent upstream.

@@ -6,10 +6,12 @@ fractions, an evaluate-everything fitting loop, the window likelihood and
 gradients with every parameter reduction redone, per-draw ``rng.choice``
 sampling, Ogata thinning with per-video counts, per-event trace writing,
 per-epoch correlation lists, out-of-place coordinator steps, a cache
-that scans its residents for each eviction) and deliberately avoids the machinery under
-test. The exponential-mechanism weights, the DP ratio check and the LP
-relaxation of the offline allocation live here too: only tests read them. The test-only helpers that follow the oracles wrap
-production code for single-value queries.
+that scans its residents for each eviction, an offline optimum that walks
+every bit mask) and deliberately avoids the machinery under test. The
+exponential-mechanism weights, the DP ratio check and the LP relaxation of
+the offline allocation live here too: only tests read them. The test-only
+helpers that follow the oracles wrap production code for single-value
+queries.
 """
 
 import math
@@ -28,6 +30,7 @@ from ppvf.predictor import (
     LikelihoodError,
     ModelParams,
     TrainWindow,
+    advance_state,
     window_gradients,
     window_log_likelihood,
     window_stats,
@@ -398,6 +401,50 @@ def offline_lp_bound(utilities_per_step: np.ndarray, ledger_template: PrivacyLed
     return float(-res.fun)
 
 
+def offline_optimum_all_masks(utilities_per_step: np.ndarray, ledger_template: PrivacyLedger) -> float:
+    """``offline_optimum``'s branch and bound over subsets taken from every
+    one of a step's ``2**videos`` bit masks, keeping those of at most ``cap``
+    videos, in mask order before the stable best-first sort."""
+    util = np.asarray(utilities_per_step, dtype=np.float64)
+    steps, n_videos = util.shape
+    cap = ledger_template.prefetch_cap
+    step_best = [float(np.sum(np.sort(util[k])[::-1][: min(cap, n_videos)])) for k in range(steps)]
+    suffix = [0.0] * (steps + 1)
+    for k in range(steps - 1, -1, -1):
+        suffix[k] = suffix[k + 1] + step_best[k]
+    subsets_cache = []
+    for k in range(steps):
+        options = []
+        for mask in range(1 << n_videos):
+            chosen = tuple(v for v in range(n_videos) if mask & (1 << v))
+            if len(chosen) <= cap:
+                options.append((float(sum(util[k][v] for v in chosen)), chosen))
+        options.sort(key=lambda t: -t[0])
+        subsets_cache.append(options)
+
+    best = 0.0
+    remaining = [ledger_template.charge_limit] * n_videos
+
+    def search(k: int, value: float):
+        nonlocal best
+        if value + suffix[k] <= best:
+            return
+        if k == steps:
+            best = max(best, value)
+            return
+        for subset_value, chosen in subsets_cache[k]:
+            if any(remaining[v] <= 0 for v in chosen):
+                continue
+            for v in chosen:
+                remaining[v] -= 1
+            search(k + 1, value + subset_value)
+            for v in chosen:
+                remaining[v] += 1
+
+    search(0, 0.0)
+    return best
+
+
 def em_sample_per_draw(candidates, utilities, eps_step, sensitivity, prefetch_cap, rng) -> tuple[int, ...]:
     """Sequential exponential-mechanism draws: ``em_weights`` of the remaining
     pool, one ``rng.choice`` with those probabilities, delete, repeat."""
@@ -548,6 +595,16 @@ def rebuild_state(params: ModelParams, event_times, event_videos, at_time: float
     state = KernelState(counts, np.zeros(params.dim), at_time)
     state.rebuild_mix(params)
     return state
+
+
+def advance_event_by_event(params: ModelParams, state: KernelState, event_times, event_videos, to_time: float) -> KernelState:
+    """Fold sorted events into ``state`` one instant at a time with the
+    zero-lag ``advance_state``, then decay to ``to_time``."""
+    times = np.asarray(event_times, dtype=np.float64)
+    vids = np.asarray(event_videos, dtype=np.int64)
+    for t in np.unique(times).tolist():
+        state = advance_state(params, state, t, vids[times == t])
+    return advance_state(params, state, to_time)
 
 
 def intensity(params: ModelParams, state: KernelState, video: int) -> float:

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from oracles import (
+    advance_event_by_event,
     assert_gradients_close,
     brute_intensity_all,
     correlation_degree,
@@ -149,11 +150,9 @@ def test_intensity_brute_force_equivalence():
         vids = rng.integers(0, catalog, 1000)
         state = KernelState.empty(catalog, dim)
         for at in (100.3, 250.9, 500.0):
-            take = times <= at
-            state = predictor.advance_state(
-                params, state, at, times[take & (times > state.last_update)],
-                vids[take & (times > state.last_update)],
-            )
+            # Fold the events since the last instant one at a time, then decay to it.
+            new = (times > state.last_update) & (times <= at)
+            state = advance_event_by_event(params, state, times[new], vids[new], at)
             brute = brute_intensity_all(params, times[times < at], vids[times < at], at)
             # events exactly at `at` never exist here (continuous draws)
             fast = predictor.intensity_sweep(params, state)

@@ -170,7 +170,7 @@ class TestLfu:
 
 class TestMav:
     def test_two_slot_example(self):
-        mav = MavState(1, slot_hours=1.0, smoothing=0.9)
+        mav = MavState(1, slot_hours=1.0)
         # slot 0 has zero requests; slot 1 collects ten.
         for _ in range(10):
             mav.record(0, 1.2)
@@ -178,13 +178,13 @@ class TestMav:
         assert scores[0] == pytest.approx(0.9 * 0.0 + 0.1 * 10.0)
 
     def test_empty_gap_slots_decay(self):
-        mav = MavState(1, slot_hours=1.0, smoothing=0.9)
+        mav = MavState(1, slot_hours=1.0)
         mav.record(0, 0.5)
         value_after = mav.scores(5.0)[0]  # slots 1..4 empty
         assert value_after == pytest.approx(0.1 * (0.9**4), rel=1e-12)
 
     def test_scores_exclude_current_slot(self):
-        mav = MavState(1, slot_hours=1.0, smoothing=0.9)
+        mav = MavState(1, slot_hours=1.0)
         mav.record(0, 0.1)
         assert mav.scores(0.9)[0] == 0.0
 

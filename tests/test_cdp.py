@@ -201,7 +201,7 @@ class TestVideoSensitivity:
         params = random_params(rng)
         # Perfectly correlated self-series: correlation 1, counts 1.
         corr = warm_corr(6, rng)
-        state = advance_state(params, KernelState.empty(6, 2), 5.0, [5.0], [1])
+        state = advance_state(params, KernelState.empty(6, 2), 5.0, [1])
         cands = CandidateSet(videos=(1,), cap=4)
         expected = float(params.target_factors[1] @ params.source_factors[1])
         assert video_sensitivity(params, state, corr, cands, 1) == pytest.approx(expected, rel=1e-12)
@@ -231,7 +231,7 @@ class TestVideoSensitivity:
         params = random_params(rng)
         corr = identity_correlation_state(6)
         update_correlation(corr, rng.uniform(0, 1, 6))
-        state = advance_state(params, KernelState.empty(6, 2), 1.0, [1.0], [0])
+        state = advance_state(params, KernelState.empty(6, 2), 1.0, [0])
         cands = CandidateSet(videos=(0,), cap=4)
         assert video_sensitivity(params, state, corr, cands, 0) == 0.0
 

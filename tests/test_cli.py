@@ -242,6 +242,51 @@ class TestUsage:
     def test_unknown_flag(self):
         assert cli.main(["simulate", "--nonsense"]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval-cr", "--bogus", "1"], ["eval-cr", "--seed", "x"], ["simulate", "--policy", "lru"]],
+        ids=["unknown-flag", "non-integer-seed", "missing-trace"],
+    )
+    def test_argument_error_is_one_usage_line(self, capsys, argv):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:"), err
+
+    def test_help_still_prints(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval-cr", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ppvf eval-cr")
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("gen-trace", "--threads"),
+            ("fit", "--seed"),
+            ("fit", "--threads"),
+            ("eval-cr", "--out"),
+            ("eval-cr", "--threads"),
+            ("report", "--config"),
+            ("report", "--seed"),
+            ("report", "--threads"),
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read_usage_error(self, tmp_path, capsys, command, flag):
+        argv = [command, flag, "3"] + (["--trace", str(tmp_path / "trace.csv")] if command == "fit" else [])
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:") and flag in err[0], err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_key_set_twice_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "twice.cfg"
+        path.write_text("seed = 1\nc = 0.1\n\n# later\nc = 0.5\n", encoding="utf-8")
+        assert cli.main(["eval-cr", "--config", str(path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["usage error: config line 5: key 'c' is already set on line 2"]
+
     def test_thread_count_below_one_usage_error(self, tiny_trace, tmp_path, capsys):
         cfg, tr = tiny_trace
         out = tmp_path / "x"

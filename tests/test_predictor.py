@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import (
+    advance_event_by_event,
     assert_gradients_close,
     brute_intensity_all,
     fd_gradients,
@@ -59,20 +60,20 @@ class TestKernelState:
     def test_event_at_advance_time_counts_fully(self):
         params = random_params(np.random.default_rng(1))
         state = KernelState.empty(5, 2)
-        out = advance_state(params, state, 4.0, [4.0], [3])
+        out = advance_state(params, state, 4.0, [3])
         assert out.decayed_counts[3] == pytest.approx(1.0)
+
+    def test_repeated_video_counts_each_request(self):
+        params = random_params(np.random.default_rng(10))
+        out = advance_state(params, KernelState.empty(5, 2), 2.0, np.array([1, 3, 1]))
+        assert out.decayed_counts.tolist() == [0.0, 2.0, 0.0, 1.0, 0.0]
+        assert np.allclose(out.source_mix, 2 * params.source_factors[1] + params.source_factors[3], rtol=1e-12)
 
     def test_event_48h_back_decays_to_known_value(self):
         params = random_params(np.random.default_rng(2), decay=0.01)
-        state = KernelState.empty(5, 2)
-        out = advance_state(params, state, 48.0, [0.0 + 1e-12], [2])
+        state = advance_state(params, KernelState.empty(5, 2), 0.0 + 1e-12, [2])
+        out = advance_state(params, state, 48.0)
         assert out.decayed_counts[2] == pytest.approx(math.exp(-0.48), rel=1e-9)
-
-    def test_out_of_order_events_rejected(self):
-        params = random_params(np.random.default_rng(3))
-        state = KernelState.empty(5, 2)
-        with pytest.raises(ValueError):
-            advance_state(params, state, 10.0, [5.0, 3.0], [0, 1])
 
     def test_backwards_advance_rejected(self):
         params = random_params(np.random.default_rng(3))
@@ -80,23 +81,11 @@ class TestKernelState:
         with pytest.raises(ValueError):
             advance_state(params, state, 5.0)
 
-    def test_batched_equals_event_by_event(self):
-        rng = np.random.default_rng(4)
-        params = random_params(rng)
-        times, vids = random_events(rng, 5, 100.0, 60)
-        batched = advance_state(params, KernelState.empty(5, 2), 100.0, times, vids)
-        stepped = KernelState.empty(5, 2)
-        for t, v in zip(times, vids):
-            stepped = advance_state(params, stepped, t, [t], [v])
-        stepped = advance_state(params, stepped, 100.0)
-        assert np.allclose(stepped.decayed_counts, batched.decayed_counts, rtol=1e-9)
-        assert np.allclose(stepped.source_mix, batched.source_mix, rtol=1e-9)
-
     def test_mix_matches_rebuild(self):
         rng = np.random.default_rng(5)
         params = random_params(rng)
         times, vids = random_events(rng, 5, 50.0, 40)
-        state = advance_state(params, KernelState.empty(5, 2), 50.0, times, vids)
+        state = advance_event_by_event(params, KernelState.empty(5, 2), times, vids, 50.0)
         rebuilt = rebuild_state(params, times, vids, 50.0)
         assert np.allclose(state.source_mix, rebuilt.source_mix, rtol=1e-9)
 
@@ -110,7 +99,7 @@ class TestIntensity:
 
     def test_single_zero_lag_event(self):
         params = random_params(np.random.default_rng(7))
-        state = advance_state(params, KernelState.empty(5, 2), 3.0, [3.0], [1])
+        state = advance_state(params, KernelState.empty(5, 2), 3.0, [1])
         expected = params.base_rate + params.target_factors @ params.source_factors[1]
         assert np.allclose(intensity_sweep(params, state), expected, rtol=1e-12)
 
@@ -119,7 +108,7 @@ class TestIntensity:
         params = random_params(rng)
         times, vids = random_events(rng, 5, 80.0, 20)
         at = 80.5
-        state = advance_state(params, KernelState.empty(5, 2), at, times, vids)
+        state = advance_event_by_event(params, KernelState.empty(5, 2), times, vids, at)
         brute = brute_intensity_all(params, times, vids, at)
         assert np.allclose(intensity_sweep(params, state), brute, rtol=1e-9)
 
@@ -127,7 +116,7 @@ class TestIntensity:
         rng = np.random.default_rng(9)
         params = random_params(rng)
         times, vids = random_events(rng, 5, 10.0, 8)
-        state = advance_state(params, KernelState.empty(5, 2), 10.0, times, vids)
+        state = advance_event_by_event(params, KernelState.empty(5, 2), times, vids, 10.0)
         later = intensity_sweep_at(params, state, 25.0)
         brute = brute_intensity_all(params, times, vids, 25.0)
         assert np.allclose(later, brute, rtol=1e-9)

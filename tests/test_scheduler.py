@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FractionLedger, offline_lp_bound, walk_best_utility, walk_random, walk_threshold
+from oracles import (
+    FractionLedger,
+    offline_lp_bound,
+    offline_optimum_all_masks,
+    walk_best_utility,
+    walk_random,
+    walk_threshold,
+)
 from ppvf.cache import select_candidates_best_utility, select_candidates_random
 from ppvf.scheduler import (
     CandidateSet,
@@ -343,6 +351,26 @@ class TestOfflineOptimum:
                 continue
             best = max(best, float(np.sum(a * util)))
         assert offline_optimum(util, ledger) == pytest.approx(best)
+
+    def test_equals_all_masks_oracle_with_ties(self):
+        # Utilities on a coarse grid tie often, within and across steps.
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            n_videos = int(rng.integers(1, 7))
+            steps = int(rng.integers(1, 24 // n_videos + 1))
+            util = rng.integers(0, 4, size=(steps, n_videos)) * rng.choice([0.5, 0.1, 1 / 3])
+            ledger = PrivacyLedger.uniform(n_videos, int(rng.integers(0, 4)), 1, int(rng.integers(1, 5)))
+            assert offline_optimum(util, ledger) == offline_optimum_all_masks(util, ledger)
+
+    def test_guard_sized_single_step_takes_top_cap_quickly(self):
+        # 24 videos in one step: the 2,325 subsets of at most 3, not 2**24 masks.
+        util = np.random.default_rng(29).uniform(0.0, 5.0, size=(1, 24))
+        ledger = PrivacyLedger.uniform(24, 20, 1, 3)
+        started = time.perf_counter()
+        value = offline_optimum(util, ledger)
+        elapsed = time.perf_counter() - started
+        assert value == pytest.approx(float(np.sort(util[0])[-3:].sum()), rel=1e-12)
+        assert elapsed < 5.0, f"runtime {elapsed:.1f}s exceeds the 5 s budget"
 
 
 class TestEmpiricalCr:

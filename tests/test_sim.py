@@ -511,7 +511,7 @@ class TestBarrierSwitch:
         real_advance = sim.advance_state
 
         def spy(params, state, to_time, *args, **kwargs):
-            # A call that passes events folds them; one without is a left limit.
+            # A call that passes videos folds them; one without is a left limit.
             (folds if args or kwargs else limits).append((params, to_time))
             return real_advance(params, state, to_time, *args, **kwargs)
 
