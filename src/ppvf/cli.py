@@ -252,8 +252,10 @@ def cmd_gen_trace(args) -> int:
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
     _print_config(cfg, {"trace": args.trace})
-    # The simulator's settings validate every model and trace key fit reads.
-    settings = _sim_config(cfg, str(cfg["policy"]), int(cfg["seed"]))
+    # fit reads no policy, but refuses what simulate would refuse for any listed
+    # policy; the simulator's settings validate every model and trace key fit reads.
+    for policy in _policies(str(cfg["policy"])):
+        settings = _sim_config(cfg, policy, int(cfg["seed"]))
     log = trace.load_trace(args.trace, quantize_hours=settings.slot_hours)
     start = None
     if args.init_params:
@@ -321,17 +323,23 @@ def _parse_sweep(raw: str | None) -> tuple[str, list[float]]:
     return name, parsed
 
 
-def cmd_simulate(args) -> int:
-    if args.threads is not None and args.threads < 1:
-        raise UsageError(f"--threads must be a positive thread count, got {args.threads}")
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg["seed"])
-    policies = [p.strip() for p in (args.policy or str(cfg["policy"])).split(",") if p.strip()]
+def _policies(raw: str) -> list[str]:
+    """The policies of a comma-separated list, each one checked."""
+    policies = [p.strip() for p in raw.split(",") if p.strip()]
     if not policies:
         raise UsageError("no policy given")
     for p in policies:
         if p not in POLICIES:
             raise UsageError(f"invalid policy {p!r}; valid policies: {', '.join(POLICIES)}")
+    return policies
+
+
+def cmd_simulate(args) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise UsageError(f"--threads must be a positive thread count, got {args.threads}")
+    cfg = load_config(args.config)
+    seed = args.seed if args.seed is not None else int(cfg["seed"])
+    policies = _policies(args.policy or str(cfg["policy"]))
     sweep_name, sweep_values = _parse_sweep(args.sweep)
     _print_config(cfg, {"seed": seed, "policy": ",".join(policies), "sweep": args.sweep or "-"})
 
@@ -400,20 +408,13 @@ def cmd_eval_cr(args) -> int:
             tc = scheduler.ThresholdConfig(lower=lower * (1 - 1e-9), upper=upper)
         else:
             tc = scheduler.ThresholdConfig(lower=lower, upper=upper)
-        instances = scheduler.random_cr_instances(
-            count=int(cfg["cr_instances"]),
-            n_videos=n_videos,
-            steps=steps,
-            prefetch_cap=int(cfg["cr_cap"]),
-            cfg=tc,
-            budget_units=int(cfg["cr_budget_units"]),
-            seed=seed,
-        )
+        ledger = scheduler.PrivacyLedger.uniform(n_videos, int(cfg["cr_budget_units"]), 1, int(cfg["cr_cap"]))
+        utilities = scheduler.random_cr_utilities(int(cfg["cr_instances"]), n_videos, steps, tc, seed)
     except ValueError as exc:
         raise UsageError(f"invalid configuration: {exc}") from None
-    worst = scheduler.empirical_cr(instances, seed=seed + 1)
+    worst = scheduler.empirical_cr(utilities, ledger, tc, seed=seed + 1)
     print(f"bound 1+ln(U/L) = {tc.cr_bound:.6f}")
-    print(f"worst OPT/ALG over {len(instances)} instances = {worst:.6f}")
+    print(f"worst OPT/ALG over {len(utilities)} instances = {worst:.6f}")
     return EXIT_OK
 
 

@@ -6,8 +6,10 @@ enough budget remains for one more charge. The ledger stores integer charge
 counts per video; the count limits are derived once from the rational budget
 and cost, so the per-video cap is never violated by float drift.
 An exact offline optimum (branch and bound over the step/budget feasible
-assignments) backs an empirical check of the online algorithm's
-competitive ratio, which is bounded by ``1 + ln(upper/lower)``.
+assignments) backs an empirical check of the online rule's competitive
+ratio against ``1 + ln(upper/lower)``. That bound covers per-video budgets,
+not the per-step prefetch cap: when the cap binds, a step can lose up to
+``upper/lower`` and the check can fail.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 
@@ -50,17 +51,17 @@ class ThresholdConfig:
         return 1.0 + math.log(self.upper / self.lower)
 
 
-def threshold(consumed_fraction: float, cfg: ThresholdConfig) -> float:
-    """Admission bar for a video that has spent ``consumed_fraction`` of its budget.
+def threshold(fraction: float, cfg: ThresholdConfig) -> float:
+    """Admission bar for a video that has spent ``fraction`` of its budget.
 
     Flat at the lower bound up to the knee, then exponential up to the upper
     bound at full consumption; continuous and non-decreasing.
     """
-    if not 0 <= consumed_fraction <= 1:
-        raise ValueError("consumed_fraction must lie in [0, 1]")
-    if consumed_fraction <= cfg.knee:
+    if not 0 <= fraction <= 1:
+        raise ValueError("the spent fraction must lie in [0, 1]")
+    if fraction <= cfg.knee:
         return cfg.lower
-    return (cfg.upper * math.e / cfg.lower) ** consumed_fraction * cfg.lower / math.e
+    return (cfg.upper * math.e / cfg.lower) ** fraction * cfg.lower / math.e
 
 
 @dataclass(eq=False)
@@ -91,7 +92,7 @@ class PrivacyLedger:
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if np.any(self.counts < 0):
             raise ValueError("charge counts must be non-negative")
-        # charge() needs count + 1 <= budget / cost; can_charge() needs
+        # admit_picked() needs count + 1 <= budget / cost; chargeable() needs
         # count + 1 < budget / cost, i.e. count + 1 <= ceil(budget / cost) - 1.
         self.charge_limit = int(self.total_budget // self.cost)
         if self.counts.size and int(self.counts.max()) > self.charge_limit:
@@ -111,28 +112,6 @@ class PrivacyLedger:
     def catalog_size(self) -> int:
         return len(self.counts)
 
-    @property
-    def consumed(self) -> np.ndarray:
-        """Exact committed spend per video, as an array of ``Fraction``."""
-        return self.counts.astype(object) * self.cost
-
-    def consumed_fraction(self, video: int) -> Fraction:
-        return int(self.counts[video]) * self.charge_fraction
-
-    def residual_fraction(self, video: int) -> Fraction:
-        return Fraction(1) - self.consumed_fraction(video)
-
-    def per_count(self, fn) -> np.ndarray:
-        """``fn(count)`` for every video's charge count, as a float array.
-
-        ``fn`` runs once per distinct charge count present, not per video.
-        """
-        histogram = np.bincount(self.counts)
-        table = np.zeros(histogram.size)
-        for count in np.flatnonzero(histogram).tolist():
-            table[count] = fn(count)
-        return table[self.counts]
-
     def threshold_bars(self, cfg: ThresholdConfig, videos: np.ndarray | None = None) -> np.ndarray:
         """Each video's admission bar, ``threshold`` at its consumed fraction.
 
@@ -148,29 +127,21 @@ class PrivacyLedger:
             return self._bars[counts]
         except IndexError:
             # Integer true division rounds correctly, as float(Fraction) does,
-            # so this equals float(self.consumed_fraction(v)) without a Fraction.
+            # so this is the consumed fraction's nearest float without a Fraction.
             num, den = self.charge_fraction.numerator, self.charge_fraction.denominator
             missing = range(self._bars.size, int(counts.max()) + 1)
             self._bars = np.append(self._bars, [threshold(count * num / den, cfg) for count in missing])
             return self._bars[counts]
 
     def residual_fractions(self) -> np.ndarray:
-        """``float(residual_fraction(v))`` for every video."""
+        """Each video's unspent budget share, the float nearest ``1 - count * cost / budget``."""
         num, den = self.charge_fraction.numerator, self.charge_fraction.denominator
-        return self.per_count(lambda count: (den - count * num) / den)
+        table = [(den - count * num) / den for count in range(int(self.counts.max(initial=0)) + 1)]
+        return np.array(table)[self.counts]
 
     def chargeable(self, videos: np.ndarray | None = None) -> np.ndarray:
-        """Mask of :meth:`can_charge` over every video, or over ``videos``."""
+        """Mask of the videos (all, or ``videos``) where cost < remaining budget."""
         return (self.counts if videos is None else self.counts[videos]) < self.strict_limit
-
-    def can_charge(self, video: int) -> bool:
-        """Strict feasibility test of one more charge (cost < remaining budget)."""
-        return bool(self.counts[video] < self.strict_limit)
-
-    def charge(self, video: int) -> None:
-        if self.counts[video] >= self.charge_limit:
-            raise ValueError("charge would exceed the per-video budget")
-        self.counts[video] += 1
 
     def copy(self) -> "PrivacyLedger":
         return PrivacyLedger(self.total_budget, self.cost, self.prefetch_cap, self.counts.copy())
@@ -200,9 +171,16 @@ class CandidateSet:
 
 
 def admit_picked(picked: np.ndarray, ledger: PrivacyLedger) -> tuple[CandidateSet, PrivacyLedger]:
-    """Charge the ledger once for each of the distinct ``picked`` videos."""
+    """Charge the ledger once for each of the distinct ``picked`` videos.
+
+    The one place a charge count rises. A charge past ``charge_limit``
+    raises ``ValueError`` and charges nothing.
+    """
+    chosen = CandidateSet(videos=tuple(picked.tolist()), cap=ledger.prefetch_cap)
+    if (ledger.counts[picked] >= ledger.charge_limit).any():
+        raise ValueError("charge would exceed the per-video budget")
     ledger.counts[picked] += 1
-    return CandidateSet(videos=tuple(picked.tolist()), cap=ledger.prefetch_cap), ledger
+    return chosen, ledger
 
 
 def admit_in_order(order: np.ndarray, eligible, ledger: PrivacyLedger) -> tuple[CandidateSet, PrivacyLedger]:
@@ -317,80 +295,42 @@ def offline_optimum(utilities_per_step: np.ndarray, ledger_template: PrivacyLedg
     return best
 
 
-@dataclass(frozen=True)
-class CrInstance:
-    """One random allocation instance for competitive-ratio measurement."""
-
-    utilities: np.ndarray  # steps x videos
-    ledger: PrivacyLedger
-    cfg: ThresholdConfig
-
-
-def random_cr_instances(
-    count: int,
-    n_videos: int,
-    steps: int,
-    prefetch_cap: int,
-    cfg: ThresholdConfig,
-    budget_units: int,
-    seed: int,
-) -> list[CrInstance]:
-    """Instances with unit costs, ``budget_units`` charges per video, and
-    utility/cost ratios drawn strictly inside (lower, upper)."""
+def random_cr_utilities(count: int, n_videos: int, steps: int, cfg: ThresholdConfig, seed: int) -> np.ndarray:
+    """A ``count x steps x n_videos`` array of unit-cost utilities whose
+    ratios lie strictly inside (lower, upper), log-uniformly drawn."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        margin = 1e-9 * (cfg.upper - cfg.lower)
-        lo, hi = cfg.lower + margin, cfg.upper - margin
-        if hi <= lo:
-            ratios = np.full((steps, n_videos), cfg.upper)
-        else:
-            ratios = np.exp(rng.uniform(math.log(lo), math.log(hi), size=(steps, n_videos)))
-        ledger = PrivacyLedger.uniform(
-            catalog_size=n_videos,
-            total_budget=budget_units,
-            unit_cost=1,
-            prefetch_cap=prefetch_cap,
-        )
-        out.append(CrInstance(utilities=ratios, ledger=ledger, cfg=cfg))
-    return out
+    margin = 1e-9 * (cfg.upper - cfg.lower)
+    lo, hi = cfg.lower + margin, cfg.upper - margin
+    if hi <= lo:
+        return np.full((count, steps, n_videos), cfg.upper)
+    return np.exp(rng.uniform(math.log(lo), math.log(hi), size=(count, steps, n_videos)))
 
 
-def run_online_allocation(instance: CrInstance, rng) -> float:
-    """Total utility collected by the online rule over the instance's steps."""
-    ledger = instance.ledger.copy()
-    total = 0.0
-    for k in range(instance.utilities.shape[0]):
-        chosen, ledger = select_candidates(instance.utilities[k], ledger, instance.cfg, rng)
-        total += float(sum(instance.utilities[k][v] for v in chosen))
-    return total
-
-
-def empirical_cr(instances: Sequence[CrInstance], seed: int, slack_factor: float = 0.15) -> float:
+def empirical_cr(
+    utilities: np.ndarray, ledger: PrivacyLedger, cfg: ThresholdConfig, seed: int, slack_factor: float = 0.15
+) -> float:
     """Worst observed offline/online utility ratio over the instances.
 
-    Enforces the small-cost assumption (unit cost at most budget/20) and
-    raises :class:`CompetitiveRatioViolation` if the worst ratio exceeds the
+    ``utilities[i]`` is instance ``i``'s steps x videos matrix, and each
+    instance starts from a copy of ``ledger``. Enforces the small-cost
+    assumption (unit cost at most budget/20) and raises
+    :class:`CompetitiveRatioViolation` if the worst ratio exceeds the
     theoretical bound inflated by ``slack_factor``.
     """
+    if ledger.cost * 20 > ledger.total_budget:
+        raise ValueError("instances must satisfy unit_cost <= total_budget / 20")
     rng = np.random.default_rng(seed)
     worst = 0.0
-    bound = 0.0
-    for inst in instances:
-        if inst.ledger.cost * 20 > inst.ledger.total_budget:
-            raise ValueError("instances must satisfy unit_cost <= total_budget / 20")
-        online = run_online_allocation(inst, rng)
-        optimum = offline_optimum(inst.utilities, inst.ledger)
-        if optimum == 0.0:
-            continue
-        if online == 0.0:
-            ratio = math.inf
-        else:
-            ratio = optimum / online
-        worst = max(worst, ratio)
-        bound = max(bound, inst.cfg.cr_bound)
-    if worst > bound * (1.0 + slack_factor):
+    for instance in utilities:
+        online, spent = 0.0, ledger.copy()
+        for step in instance:
+            chosen, spent = select_candidates(step, spent, cfg, rng)
+            online += float(sum(step[v] for v in chosen))
+        optimum = offline_optimum(instance, ledger)
+        if optimum > 0.0:
+            worst = max(worst, optimum / online if online else math.inf)
+    if worst > cfg.cr_bound * (1.0 + slack_factor):
         raise CompetitiveRatioViolation(
-            f"worst ratio {worst:.4f} exceeds bound {bound:.4f} with slack {slack_factor:.2f}"
+            f"worst ratio {worst:.4f} exceeds bound {cfg.cr_bound:.4f} with slack {slack_factor:.2f}"
         )
     return worst

@@ -98,7 +98,6 @@ class SimConfig:
 @dataclass
 class SimReport:
     policy: str
-    cache_capacity: int
     hits: int = 0
     requests: int = 0
     per_edge_fetches: list[int] = field(default_factory=list)
@@ -370,7 +369,7 @@ def run_simulation(cfg: SimConfig, log: EventLog, schedule: FitSchedule | None =
     if schedule is not None and (schedule.settings != wanted or len(schedule.params) != 1 + len(schedule.barriers)):
         raise ValueError(f"a schedule fitted under {schedule.settings} cannot replay a run under {wanted}")
     capacity = max(1, round(cfg.cache_fraction * log.catalog_size))
-    report = SimReport(policy=cfg.policy, cache_capacity=capacity, fl_losses=list(schedule.losses) if fitted else [])
+    report = SimReport(policy=cfg.policy, fl_losses=list(schedule.losses) if fitted else [])
     barriers, params_list, table = [], [None], None  # unfitted policies read no parameters
     if fitted:
         barriers, params_list, table = schedule.barriers, schedule.params, cdp.epoch_table(schedule.params)

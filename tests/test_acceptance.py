@@ -70,10 +70,8 @@ def make_log(times, vids, catalog, horizon):
 def test_competitive_ratio_bound():
     with criterion("competitive ratio bound on 200 seeded instances", 30.0):
         cfg = ThresholdConfig(upper=10.0, lower=1.0)
-        instances = scheduler.random_cr_instances(
-            count=200, n_videos=4, steps=6, prefetch_cap=3, cfg=cfg, budget_units=20, seed=2024
-        )
-        worst = scheduler.empirical_cr(instances, seed=2025)
+        utilities = scheduler.random_cr_utilities(count=200, n_videos=4, steps=6, cfg=cfg, seed=2024)
+        worst = scheduler.empirical_cr(utilities, PrivacyLedger.uniform(4, 20, 1, 3), cfg, seed=2025)
         assert worst <= cfg.cr_bound * 1.15, (worst, cfg.cr_bound)
         assert worst >= 1.0
 
@@ -253,10 +251,11 @@ def test_budget_safety_exhaustive():
                 utilities = rng.uniform(0.01, 2.0, 40)
                 _, ledger = scheduler.select_candidates(utilities, ledger, cfg, rng)
             for video in range(ledger.catalog_size):
-                assert ledger.consumed[video] <= ledger.total_budget  # exact rationals
-                charges = ledger.consumed[video] / ledger.unit_cost[video]
+                consumed = int(ledger.counts[video]) * ledger.cost
+                assert consumed <= ledger.total_budget  # exact rationals
+                charges = consumed / ledger.unit_cost[video]
                 assert charges.denominator == 1
-                assert 0 <= ledger.consumed_fraction(video) <= 1
+                assert 0 <= consumed / ledger.total_budget <= 1
 
 
 def _recovery_ground_truth(seed):

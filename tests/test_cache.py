@@ -14,7 +14,7 @@ from ppvf.cache import (
     select_candidates_best_utility,
     select_candidates_random,
 )
-from ppvf.scheduler import PrivacyLedger
+from ppvf.scheduler import PrivacyLedger, admit_picked
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -194,7 +194,7 @@ class TestSage:
         ledger = PrivacyLedger.uniform(10, 15, 1, 3)
         cands, ledger = select_candidates_random(np.zeros(10), ledger, np.random.default_rng(2))
         assert len(cands) == 3
-        assert sum(ledger.consumed) == Fraction(3)
+        assert int(ledger.counts.sum()) * ledger.cost == Fraction(3)
 
     def test_stops_when_budget_exhausted(self):
         ledger = PrivacyLedger.uniform(2, 1, 1, 4)  # one charge would equal the budget
@@ -223,7 +223,7 @@ class TestBestFit:
     def test_skips_budget_exhausted_videos(self):
         utilities = np.array([9.0, 5.0, 1.0])
         ledger = PrivacyLedger.uniform(3, 2, 1, 2)
-        ledger.charge(0)  # one more charge would not fit strictly below budget
+        admit_picked(np.array([0]), ledger)  # one more charge would not fit strictly below budget
         cands, _ = select_candidates_best_utility(utilities, ledger)
         assert list(cands) == [1, 2]
 

@@ -186,6 +186,35 @@ class TestEvalCr:
         out = capsys.readouterr().out
         assert "bound 1+ln(U/L) = 1.000000" in out
 
+    @pytest.mark.parametrize(
+        "lines, seed, digest, last",
+        [
+            ([], 2, "7abf0f0e80dd36f7bd153a8699324a2ae3f2c086ae37cf5001e88bfb371dbdcc", "200 instances = 1.531919"),
+            (
+                ["cr_videos = 1", "cr_steps = 24", "cr_cap = 1", "cr_instances = 30"],
+                3,
+                "1c3eaaf6d31c5c8c516f0cd493bb2a546612b39313eacdb078b787d91e138b1f",
+                "30 instances = 1.270326",
+            ),
+            (
+                ["cr_videos = 1", "cr_steps = 24", "cr_cap = 1", "cr_instances = 30"],
+                7,
+                "8dad9108eb0dda5500ad7af938e6a3b8a181e16d8886dd87b876b79e08568ce1",
+                "30 instances = 1.293255",
+            ),
+        ],
+        ids=["default-seed-2", "binding-budget-seed-3", "binding-budget-seed-7"],
+    )
+    def test_stdout_bytes_pinned(self, tmp_path, capsys, lines, seed, digest, last):
+        # Whole stdout, effective configuration included, as first recorded.
+        path = tmp_path / "cr.cfg"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        capsys.readouterr()
+        assert cli.main(["eval-cr", "--config", str(path), "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == f"worst OPT/ALG over {last}"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_oversized_instance_clean_error(self, tmp_path):
         cfg = write_config(tmp_path, cr_videos=6, cr_steps=8)
         assert cli.main(["eval-cr", "--config", cfg]) == cli.EXIT_DATA
@@ -554,6 +583,17 @@ class TestFitAndReport:
         assert set(params_doc) == {"beta", "p", "q", "delta", "D"}
         records = json.loads(Path(out, "fit_log.json").read_text())
         assert records and {"round", "t_theta", "loss"} <= set(records[0])
+
+    def test_fit_accepts_every_policy_list_simulate_accepts(self, tiny_trace, tmp_path, capsys):
+        _, tr = tiny_trace
+        cfg = write_config(tmp_path, policy="lru,ppvf")
+        assert cli.main(["fit", "--config", cfg, "--trace", tr, "--out", str(tmp_path / "fit")]) == 0
+        assert (tmp_path / "fit" / "params.json").exists()
+        cfg = write_config(tmp_path, policy="lru,bogus")
+        capsys.readouterr()
+        assert cli.main(["fit", "--config", cfg, "--trace", tr, "--out", str(tmp_path / "fit2")]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:") and "'bogus'" in err[0]
 
     def test_fit_resume_from_checkpoint(self, tiny_trace, tmp_path):
         cfg, tr = tiny_trace

@@ -52,7 +52,7 @@ class TestJaccard:
 
 class TestChr:
     def _chr(self, hits, requests):
-        return SimReport(policy="lru", cache_capacity=1, hits=hits, requests=requests).chr_value
+        return SimReport(policy="lru", hits=hits, requests=requests).chr_value
 
     def test_all_hits(self):
         assert self._chr(12, 12) == 1.0
@@ -74,11 +74,7 @@ class TestBudgetCdf:
     def _ledger(self, consumed_units, total=4):
         from ppvf.scheduler import PrivacyLedger
 
-        ledger = PrivacyLedger.uniform(len(consumed_units), total, 1, 4)
-        for video, units in enumerate(consumed_units):
-            for _ in range(units):
-                ledger.charge(video)
-        return ledger
+        return PrivacyLedger(total, 1, 4, consumed_units)
 
     def test_untouched_budgets_jump_at_one(self):
         points = self._points(self._ledger([0, 0, 0]))
