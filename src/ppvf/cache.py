@@ -35,15 +35,9 @@ class EdgeCache:
         # The weakest resident as (score, video); None once any score changes.
         self._weakest: tuple[float, int] | None = None
 
-    def __len__(self) -> int:
-        return len(self.scores)
-
     def lookup(self, video: int) -> bool:
         """Pure membership test; access bookkeeping happens elsewhere."""
         return video in self.scores
-
-    def contents(self) -> set[int]:
-        return set(self.scores)
 
     def refresh_scores(self, utilities: np.ndarray) -> None:
         """Re-score residents from the latest utility sweep."""
@@ -89,14 +83,8 @@ class LruCache:
         self.capacity = capacity
         self.residents: OrderedDict[int, None] = OrderedDict()
 
-    def __len__(self) -> int:
-        return len(self.residents)
-
     def lookup(self, video: int) -> bool:
         return video in self.residents
-
-    def contents(self) -> set[int]:
-        return set(self.residents)
 
     def access(self, video: int) -> tuple[bool, list[int]]:
         """Serve one request; returns (hit, evicted)."""
@@ -125,14 +113,8 @@ class LfuCache:
         self.counts: dict[int, int] = {}  # lifetime request counts, all videos
         self.resident_access: dict[int, int] = {}
 
-    def __len__(self) -> int:
-        return len(self.resident_access)
-
     def lookup(self, video: int) -> bool:
         return video in self.resident_access
-
-    def contents(self) -> set[int]:
-        return set(self.resident_access)
 
     def access(self, video: int) -> tuple[bool, list[int]]:
         self.clock += 1

@@ -386,8 +386,6 @@ def cmd_eval_cr(args) -> int:
     seed = args.seed if args.seed is not None else int(cfg["seed"])
     _print_config(cfg, {"seed": seed})
     lower, upper = _bounds(cfg) or (1.0, 10.0)
-    if upper < lower:
-        raise UsageError("upper bound must be at least the lower bound")
     # Instances charge unit costs, and the bound assumes unit_cost <= budget / 20.
     if int(cfg["cr_budget_units"]) < 20:
         raise UsageError(f"cr_budget_units must be at least 20, got {cfg['cr_budget_units']}")

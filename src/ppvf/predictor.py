@@ -207,21 +207,19 @@ class TrainWindow:
 class WindowStats:
     """Parameter-independent kernel statistics of one (log, window) pair.
 
-    Everything here depends only on the event times and the decay, so one
-    precomputation serves every likelihood/gradient evaluation of a fitting
-    loop. ``counts_at`` holds, for each distinct in-window event time, the
-    left-limit decayed counts vector (history strictly before that instant:
-    simultaneous requests do not excite each other).
+    The window is the one place a fit cuts a log: requests before
+    ``window.start`` are history, those in ``[start, end)`` are the
+    likelihood's events, and those at or after ``window.end`` are ignored,
+    so a whole edge log serves every barrier. Everything here depends only
+    on the event times and the decay, so one precomputation serves every
+    likelihood/gradient evaluation of a fitting loop. ``counts_at`` holds,
+    for each distinct in-window event time, the left-limit decayed counts
+    vector (history strictly before that instant: simultaneous requests do
+    not excite each other).
     """
 
-    def __init__(self, event_times, event_videos, catalog_size: int, decay: float, window: TrainWindow):
-        times = np.asarray(event_times, dtype=np.float64)
-        vids = np.asarray(event_videos, dtype=np.int64)
-        if len(times):
-            if np.any(np.diff(times) < 0):
-                raise ValueError("events must be sorted by time")
-            if times[0] < 0 or times[-1] >= window.end:
-                raise ValueError("log must cover [0, window.end) only")
+    def __init__(self, log, catalog_size: int, decay: float, window: TrainWindow):
+        times, vids = log.timestamps, log.video_ids
         self.catalog_size = catalog_size
         self.decay = decay
         self.window = window
@@ -285,7 +283,7 @@ class WindowStats:
 
 def window_stats(params: ModelParams, log, window: TrainWindow) -> WindowStats:
     """Precompute reusable kernel statistics for a per-edge log."""
-    return WindowStats(log.timestamps, log.video_ids, params.catalog_size, params.decay, window)
+    return WindowStats(log, params.catalog_size, params.decay, window)
 
 
 def window_log_likelihood(params: ModelParams, stats: WindowStats) -> float:

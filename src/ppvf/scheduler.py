@@ -166,9 +166,6 @@ class CandidateSet:
     def __iter__(self):
         return iter(self.videos)
 
-    def __contains__(self, video: int) -> bool:
-        return video in self.videos
-
 
 def admit_picked(picked: np.ndarray, ledger: PrivacyLedger) -> tuple[CandidateSet, PrivacyLedger]:
     """Charge the ledger once for each of the distinct ``picked`` videos.

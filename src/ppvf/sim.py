@@ -13,9 +13,9 @@ spends no privacy budget and counts toward no metric.
 
 The trace is the only record of requests. The fit is a stage of its own
 (:func:`fit_schedule`, which ``ppvf fit`` runs too): each barrier's fit
-reads the requests stamped before it, so a :class:`FitSchedule` depends on
-the trace and the fit settings alone and every fitted run under them can
-replay it. Then each edge replays its whole log in one pass,
+window keeps the requests stamped before it, so a :class:`FitSchedule`
+depends on the trace and the fit settings alone and every fitted run under
+them can replay it. Then each edge replays its whole log in one pass,
 on its own and in edge order, stamp by stamp: a stamp that reaches a
 barrier switches to the next fitted parameters, and the stamp's requests
 fold into the kernel after the stamp. Each edge's results join the report
@@ -100,11 +100,9 @@ class SimReport:
     policy: str
     hits: int = 0
     requests: int = 0
-    per_edge_fetches: list[int] = field(default_factory=list)
     per_user_js: dict[tuple[int, int], float] = field(default_factory=dict)
     residual_fractions: list[float] = field(default_factory=list)
     fl_losses: list[tuple[float, int, float]] = field(default_factory=list)
-    hit_sequence: list[bool] = field(default_factory=list)
 
     @property
     def chr_value(self) -> float:
@@ -183,7 +181,6 @@ class _EdgeRuntime:
         self.cfg = cfg
         self.hits = 0
         self.exposed: set[int] = set()
-        self.hit_sequence: list[bool] = []
         self.ledger = ledger = scheduler.PrivacyLedger.uniform(
             catalog_size, cfg.total_budget, cfg.unit_cost, cfg.prefetch_cap
         )
@@ -253,7 +250,6 @@ class _EdgeRuntime:
                         self.mav.record(video, ts)
                 if in_test:
                     self.hits += hit
-                    self.hit_sequence.append(hit)
                     self.exposed.update(fetched)
             if self.kernel is not None and ts < stamps[-1]:
                 self.kernel = advance_state(params, self.kernel, ts, videos)
@@ -321,14 +317,15 @@ def fit_settings(cfg: SimConfig, catalog_size: int, horizon: float) -> tuple:
 
 def fit_schedule(cfg: SimConfig, log: EventLog, horizon: float, start=None, keep_all=True) -> FitSchedule:
     """Fit ``log`` at every barrier before ``horizon``, first from ``start`` (else every
-    parameter at 1.0), then each fit from the last; each reads the requests stamped
-    before its barrier. Unless ``keep_all``, ``params`` keeps the last fit alone."""
+    parameter at 1.0), then each fit from the last. Each fit reads the whole edge logs;
+    its window keeps what precedes the barrier. Unless ``keep_all``, ``params`` keeps
+    the last fit alone."""
     params = [ModelParams.constant(log.catalog_size, cfg.latent_dim, 1.0, cfg.decay) if start is None else start]
     schedule = FitSchedule(fit_settings(cfg, params[0].catalog_size, horizon), barrier_times(cfg, horizon), params, [])
     edge_logs = partition_by_edge(log)
     for barrier in schedule.barriers:
         window = TrainWindow.from_truncation(barrier, cfg.truncation, cfg.decay)
-        result = run_fit_round([el.before(barrier) for el in edge_logs], params[-1], window, cfg.train)
+        result = run_fit_round(edge_logs, params[-1], window, cfg.train)
         params.append(result.params)
         if not keep_all:
             del params[0]
@@ -384,14 +381,12 @@ def _fold_edge(report: SimReport, rt: _EdgeRuntime) -> None:
     test = rt.log.timestamps >= rt.cfg.init_horizon
     report.hits += rt.hits
     report.requests += int(np.count_nonzero(test))
-    report.per_edge_fetches.append(len(rt.exposed))
     profiles: dict[int, set[int]] = {}
     for user, video in zip(rt.log.user_ids[test].tolist(), rt.log.video_ids[test].tolist()):
         profiles.setdefault(user, set()).add(video)
     for user, profile in sorted(profiles.items()):
         report.per_user_js[(rt.edge_id, user)] = jaccard_similarity(profile, rt.exposed)
     report.residual_fractions.extend(rt.ledger.residual_fractions().tolist())
-    report.hit_sequence.extend(rt.hit_sequence)
 
 
 # -- CSV serialization -------------------------------------------------------

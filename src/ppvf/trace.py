@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -44,21 +43,13 @@ class StabilityError(ValueError):
     """Raised when the ground-truth excitation is explosive (branching ratio >= 1)."""
 
 
-class RequestEvent(NamedTuple):
-    edge_id: int
-    user_id: int
-    video_id: int
-    timestamp: float
-
-
 @dataclass(frozen=True)
 class EventLog:
     """Time-sorted viewing requests over a fixed catalog and edge set.
 
     Events are stored as parallel arrays (int64 ids, float64 stamps) for fast
-    scanning; iteration yields :class:`RequestEvent` tuples. All timestamps
-    lie in ``[0, horizon)`` and ties preserve input order (stable sort), so
-    replays are deterministic.
+    scanning. All timestamps lie in ``[0, horizon)`` and ties preserve input
+    order (stable sort), so replays are deterministic.
     """
 
     edge_ids: np.ndarray
@@ -85,28 +76,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def __iter__(self) -> Iterator[RequestEvent]:
-        return map(RequestEvent._make, self._rows())
-
-    def _rows(self) -> Iterator[tuple[int, int, int, float]]:
-        # tolist() turns the int64 and float64 columns into the same Python
-        # ints and floats as per-element int()/float(), in one pass per column.
-        columns = (self.edge_ids, self.user_ids, self.video_ids, self.timestamps)
-        return zip(*(c.tolist() for c in columns))
-
-    def before(self, t: float) -> "EventLog":
-        """The requests stamped strictly before ``t``, as a log with horizon ``t``."""
-        stop = int(np.searchsorted(self.timestamps, t, side="left"))
-        return EventLog(
-            edge_ids=self.edge_ids[:stop],
-            user_ids=self.user_ids[:stop],
-            video_ids=self.video_ids[:stop],
-            timestamps=self.timestamps[:stop],
-            catalog_size=self.catalog_size,
-            edge_count=self.edge_count,
-            horizon=t,
-        )
 
 
 @dataclass(frozen=True)
@@ -230,7 +199,7 @@ def generate_synthetic(spec: SyntheticSpec) -> EventLog:
 
     Each edge runs an independent process seeded from ``rng_seed`` via
     deterministic spawn keys, so identical specs produce bit-identical logs
-    regardless of generation order or thread count.
+    regardless of generation order.
     """
     ratio = excitation_branching_ratio(spec.ground_truth)
     if ratio >= 1.0:
@@ -328,4 +297,7 @@ def write_trace(log: EventLog, path) -> None:
     """Emit the flat CSV format accepted by :func:`load_trace`."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# edge_id,user_id,video_id,timestamp\n")
-        fh.writelines(f"{e},{u},{v},{t!r}\n" for e, u, v, t in log._rows())
+        # tolist() turns the int64 and float64 columns into the same Python
+        # ints and floats as per-element int()/float(), in one pass per column.
+        columns = (log.edge_ids, log.user_ids, log.video_ids, log.timestamps)
+        fh.writelines(f"{e},{u},{v},{t!r}\n" for e, u, v, t in zip(*(c.tolist() for c in columns)))

@@ -10,12 +10,14 @@ that scans its residents for each eviction, an offline optimum that walks
 every bit mask) and deliberately avoids the machinery under test. The
 exponential-mechanism weights, the DP ratio check and the LP relaxation of
 the offline allocation live here too: only tests read them. The test-only
-helpers that follow the oracles wrap production code for single-value
+helpers that follow the oracles hold the ``RequestEvent`` rows tests build
+logs from, cut a log's prefix, and wrap production code for single-value
 queries.
 """
 
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -557,6 +559,21 @@ def correlation_block_from_lists(state: ListCorrelationState, videos) -> np.ndar
 # -- test-only helpers -------------------------------------------------------
 
 
+class RequestEvent(NamedTuple):
+    """One viewing request, as a row of an ``EventLog``."""
+
+    edge_id: int
+    user_id: int
+    video_id: int
+    timestamp: float
+
+
+def events_of(log: EventLog) -> list[RequestEvent]:
+    """The requests of ``log`` in its order, one ``RequestEvent`` each."""
+    columns = (log.edge_ids, log.user_ids, log.video_ids, log.timestamps)
+    return [RequestEvent(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
 def event_log_from_events(events, catalog_size=None, edge_count=None, horizon=None) -> EventLog:
     """An ``EventLog`` of ``RequestEvent`` tuples, stably sorted by time; the
     catalog, edge count and horizon default to the smallest that hold them."""
@@ -572,6 +589,13 @@ def event_log_from_events(events, catalog_size=None, edge_count=None, horizon=No
     if horizon is None:
         horizon = float(ts[-1]) + 1.0 if len(evs) else 1.0
     return EventLog(edge, user, vid, ts, catalog_size, edge_count, horizon)
+
+
+def log_before(log: EventLog, t: float) -> EventLog:
+    """The requests of ``log`` stamped strictly before ``t``, as a log with horizon ``t``."""
+    stop = int(np.searchsorted(log.timestamps, t, side="left"))
+    columns = (log.edge_ids, log.user_ids, log.video_ids, log.timestamps)
+    return EventLog(*(c[:stop] for c in columns), log.catalog_size, log.edge_count, t)
 
 
 def log_likelihood(params: ModelParams, log, window: TrainWindow) -> float:

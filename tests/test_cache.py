@@ -62,28 +62,28 @@ class TestAdmit:
         c = EdgeCache(3)
         evicted = c.admit([(1, 0.5), (2, 0.1)])
         assert evicted == []
-        assert c.contents() == {1, 2}
+        assert set(c.scores) == {1, 2}
 
     def test_full_cache_rejects_lower_score(self):
         c = EdgeCache(1)
         c.admit([(1, 5.0)])
         evicted = c.admit([(2, 4.0)])
         assert evicted == []
-        assert c.contents() == {1}
+        assert set(c.scores) == {1}
 
     def test_replaces_minimum_scored_resident(self):
         c = EdgeCache(2)
         c.admit([(10, 1.0), (11, 5.0)])
         evicted = c.admit([(12, 3.0)])
         assert evicted == [10]
-        assert c.contents() == {11, 12}
+        assert set(c.scores) == {11, 12}
 
     def test_tie_favors_incumbent(self):
         c = EdgeCache(1)
         c.admit([(1, 2.0)])
         evicted = c.admit([(2, 2.0)])
         assert evicted == []
-        assert c.contents() == {1}
+        assert set(c.scores) == {1}
 
     def test_refresh_scores_changes_victim(self):
         c = EdgeCache(2)
@@ -92,7 +92,7 @@ class TestAdmit:
         c.refresh_scores(sweep)
         evicted = c.admit([(3, 4.0)])
         assert evicted == [1]
-        assert c.contents() == {2, 3}
+        assert set(c.scores) == {2, 3}
 
     def test_capacity_never_exceeded(self):
         rng = np.random.default_rng(0)
@@ -100,7 +100,7 @@ class TestAdmit:
         for _ in range(500):
             video = int(rng.integers(0, 30))
             c.admit([(video, float(rng.uniform(0, 10)))])
-            assert len(c) <= 4
+            assert len(c.scores) <= 4
 
 
 class ReferenceLru:
@@ -133,7 +133,7 @@ class TestLru:
             v = int(rng.zipf(1.3)) % 60
             hit, _ = ours.access(v)
             assert hit == ref.access(v)
-        assert ours.contents() == set(ref.items)
+        assert set(ours.residents) == set(ref.items)
 
     def test_eviction_is_least_recent(self):
         c = LruCache(2)
@@ -149,7 +149,7 @@ class TestLfu:
         c = LfuCache(1)
         pattern = [c.access(v)[0] for v in ("a", "a", "b", "a")]
         assert pattern == [False, True, False, True]
-        assert c.contents() == {"a"}
+        assert set(c.resident_access) == {"a"}
 
     def test_all_distinct_degenerates_to_insertion_order(self):
         c = LfuCache(3)
@@ -158,14 +158,14 @@ class TestLfu:
             _, ev = c.access(v)
             evictions.extend(ev)
         assert evictions == [0, 1, 2, 3, 4]
-        assert c.contents() == {5, 6, 7}
+        assert set(c.resident_access) == {5, 6, 7}
 
     def test_counts_accumulate_across_eviction(self):
         c = LfuCache(1)
         c.access("a")
         c.access("b")  # rejected, count parity
         c.access("b")  # now b's lifetime count is 2 > a's 1
-        assert c.contents() == {"b"}
+        assert set(c.resident_access) == {"b"}
 
 
 class TestMav:

@@ -223,6 +223,7 @@ class TestEvalCr:
         "setting",
         [
             {"lower": "nan", "upper": 5},
+            {"lower": 5, "upper": 1},
             {"cr_budget_units": -1},
             {"cr_budget_units": 5},
             {"cr_instances": 0},
@@ -232,7 +233,7 @@ class TestEvalCr:
             {"cr_cap": 0},
         ],
         ids=[
-            "lower-nan", "budget-negative", "budget-below-small-cost",
+            "lower-nan", "lower-above-upper", "budget-negative", "budget-below-small-cost",
             "no-instances", "negative-instances", "no-videos", "no-steps", "no-slots",
         ],
     )

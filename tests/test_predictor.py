@@ -13,6 +13,7 @@ from oracles import (
     intensity,
     intensity_sweep_at,
     kernel_integral,
+    log_before,
     log_likelihood,
     quadrature_ll,
     rebuild_state,
@@ -211,12 +212,22 @@ class TestWindowLikelihood:
         with pytest.raises(predictor.LikelihoodError):
             log_likelihood(params, log, window)
 
-    def test_event_outside_window_end_rejected(self):
-        params = random_params(np.random.default_rng(12))
-        window = TrainWindow(end=10.0, length=5.0)
-        log = make_log([10.0], [0], 5, 20.0)
-        with pytest.raises(ValueError):
-            log_likelihood(params, log, window)
+    def test_requests_at_or_after_window_end_change_nothing(self):
+        # The window drops every request at or after its end, so a whole log
+        # gives the bits of its prefix before the window end.
+        rng = np.random.default_rng(12)
+        params = random_params(rng)
+        window = TrainWindow(end=60.0, length=24.0)
+        times, vids = random_events(rng, 5, 60.0, 25)
+        later = np.concatenate(([60.0, 60.0], np.sort(rng.uniform(60.0, 90.0, 10))))
+        prefix = make_log(times, vids, 5, 60.0)
+        whole = make_log(np.concatenate((times, later)), np.concatenate((vids, rng.integers(0, 5, 12))), 5, 90.0)
+        assert np.float64(log_likelihood(params, whole, window)).tobytes() == np.float64(
+            log_likelihood(params, prefix, window)
+        ).tobytes()
+        got, want = gradients(params, whole, window), gradients(params, prefix, window)
+        for block in ("base_rate", "target_factors", "source_factors"):
+            assert getattr(got, block).tobytes() == getattr(want, block).tobytes(), block
 
 
 class TestWindowGradients:
@@ -273,7 +284,7 @@ def multi_edge_fit():
     log = trace.generate_synthetic(trace.SyntheticSpec(catalog, 4, 144.0, truth, rng_seed=7, users_per_edge=5))
     window = TrainWindow(end=144.0, length=48.0)
     logs = trace.partition_by_edge(log)
-    logs[-1] = logs[-1].before(window.start)
+    logs[-1] = log_before(logs[-1], window.start)
     start = ModelParams.constant(catalog, dim, 1.0, 0.01)
     fitted = run_fit_round(logs, start, window, TrainConfig(rho_base=1e-4, learning_rate=2e-3, max_iters=4)).params
     noise = lambda shape: rng.lognormal(0.0, 0.3, shape)  # noqa: E731

@@ -6,11 +6,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import event_log_from_events, rebuild_state
+from oracles import RequestEvent, event_log_from_events, log_before, rebuild_state
 from ppvf import cache as cache_mod
 from ppvf import cdp, predictor, sim, trace
-from ppvf.federation import TrainConfig
-from ppvf.predictor import ModelParams
+from ppvf.federation import TrainConfig, run_fit_round
+from ppvf.predictor import ModelParams, TrainWindow
 from ppvf.sim import (
     SimConfig,
     SimReport,
@@ -34,6 +34,35 @@ def synthetic_log(catalog=20, edges=2, horizon=120.0, seed=3):
     return trace.generate_synthetic(
         trace.SyntheticSpec(catalog, edges, horizon, gt, rng_seed=seed, users_per_edge=4)
     )
+
+
+def spy_lookups(mp) -> list[bool]:
+    """Patch ``EdgeCache.lookup`` through ``mp`` to record every lookup's hit, in call order."""
+    hits = []
+    real_lookup = cache_mod.EdgeCache.lookup
+
+    def lookup(self, video):
+        hit = real_lookup(self, video)
+        hits.append(hit)
+        return hit
+
+    mp.setattr(cache_mod.EdgeCache, "lookup", lookup)
+    return hits
+
+
+def in_test_period(hits: list[bool], cfg: SimConfig, log) -> list[bool]:
+    """The test-period entries of ``hits``, one lookup per request of each edge in turn."""
+    stamps = np.concatenate([part.timestamps for part in trace.partition_by_edge(log)]).tolist()
+    assert len(hits) == len(stamps)
+    return [hit for hit, t in zip(hits, stamps) if t >= cfg.init_horizon]
+
+
+def run_recording_hits(cfg: SimConfig, log):
+    """``run_simulation``'s report and its test-period hits, event for event."""
+    with pytest.MonkeyPatch.context() as mp:
+        hits = spy_lookups(mp)
+        report = run_simulation(cfg, log)
+    return report, in_test_period(hits, cfg, log)
 
 
 class TestJaccard:
@@ -137,7 +166,7 @@ class TestBarrierTimes:
 
 
 def repeated_video_log(n, spacing=0.5):
-    events = [trace.RequestEvent(0, 0, 0, i * spacing) for i in range(n)]
+    events = [RequestEvent(0, 0, 0, i * spacing) for i in range(n)]
     return event_log_from_events(events, catalog_size=1, edge_count=1, horizon=n * spacing + 1)
 
 
@@ -200,7 +229,7 @@ class TestRunSimulation:
             train=TrainConfig(update_interval_hours=1000.0),  # no fitting rounds
         )
         for log in (log, same_hour):
-            report = run_simulation(cfg, log)
+            _, hit_sequence = run_recording_hits(cfg, log)
 
             params = ModelParams.constant(log.catalog_size, cfg.latent_dim, 1.0, cfg.decay)
             capacity = max(1, round(cfg.cache_fraction * log.catalog_size))
@@ -221,19 +250,18 @@ class TestRunSimulation:
                         lam = predictor.intensity_sweep(params, state)
                         cache.refresh_scores(lam)
                         cache.admit([(int(v), lam[int(v)])])
-            assert report.hit_sequence == reference_hits
+            assert hit_sequence == reference_hits
 
     def test_deterministic_across_worker_counts(self):
         log = synthetic_log(catalog=25, edges=3, horizon=120.0, seed=5)
-        reports = [
-            run_simulation(self._cfg("ppvf", workers=w), log) for w in (None, 3)
+        (a, a_hits), (b, b_hits) = [
+            run_recording_hits(self._cfg("ppvf", workers=w), log) for w in (None, 3)
         ]
-        a, b = reports
         assert a.hits == b.hits and a.requests == b.requests
         assert a.per_user_js == b.per_user_js
         assert a.residual_fractions == b.residual_fractions
         assert a.fl_losses == b.fl_losses
-        assert a.hit_sequence == b.hit_sequence
+        assert a_hits == b_hits
 
     def test_deterministic_across_repeat_runs(self):
         log = synthetic_log(catalog=25, edges=2, horizon=120.0, seed=6)
@@ -271,8 +299,8 @@ class TestRunSimulation:
         log = synthetic_log(catalog=12, edges=1, horizon=100.0, seed=12)
         cfg = self._cfg("ppvf", test_horizon=101.0)
         report = run_simulation(cfg, log)
-        # every test-period request either hit or was fetched upstream
-        assert report.per_edge_fetches[0] > 0
+        # the misses' fetches expose some user's videos
+        assert max(report.per_user_js.values()) > 0
 
 
 class TestPolicyShapedRuntime:
@@ -376,6 +404,27 @@ class TestFitSchedule:
             with pytest.raises(ValueError, match="schedule fitted under"):
                 run_simulation(dataclasses.replace(self.CFG, policy=policy, **change), other_log, schedule)
 
+    def test_whole_logs_fit_as_prefix_logs(self):
+        # Each barrier's fit reads the whole edge logs and its window drops
+        # what is stamped at or after the barrier, so it equals a fit over
+        # the requests stamped strictly before the barrier, bit for bit.
+        log = synthetic_log(catalog=20)
+        schedule = sim.fit_schedule(self.CFG, log, self.CFG.test_horizon)
+        edge_logs = trace.partition_by_edge(log)
+        params, losses = [schedule.params[0]], []
+        for barrier in schedule.barriers:
+            window = TrainWindow.from_truncation(barrier, self.CFG.truncation, self.CFG.decay)
+            assert any(len(el) > len(log_before(el, barrier)) for el in edge_logs)  # a later request exists
+            result = run_fit_round([log_before(el, barrier) for el in edge_logs], params[-1], window, self.CFG.train)
+            params.append(result.params)
+            losses.extend((barrier, idx, loss) for idx, loss in enumerate(result.losses))
+        assert schedule.losses == losses
+        assert len(schedule.params) == len(params)
+        for got, want in zip(schedule.params, params):
+            for name in ("base_rate", "target_factors", "source_factors"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert got.decay == want.decay
+
     def test_replay_rejects_a_schedule_that_kept_only_its_last_fit(self):
         log = synthetic_log(catalog=20)
         full = sim.fit_schedule(self.CFG, log, self.CFG.test_horizon)
@@ -429,17 +478,19 @@ class TestSharedStampSweep:
             mp.setattr(cache_mod.MavState, "scores", spy("sweep", cache_mod.MavState.scores))
             mp.setattr(cache_mod.EdgeCache, "refresh_scores", spy("refresh", cache_mod.EdgeCache.refresh_scores))
             mp.setattr(sim._EdgeRuntime, "_on_miss", on_miss_spy)
-            return run_simulation(cfg, hourly), sweeps, refreshes, misses
+            hits = spy_lookups(mp)
+            report = run_simulation(cfg, hourly)
+        return report, in_test_period(hits, cfg, hourly), sweeps, refreshes, misses
 
     @pytest.mark.parametrize("policy", ["ppvf", "sage", "bestfit", "mav"])
     def test_one_sweep_per_miss_stamp(self, policy):
-        report, sweeps, refreshes, misses = self._run(policy)
+        report, hits, sweeps, refreshes, misses = self._run(policy)
         assert sweeps == refreshes == Counter(dict.fromkeys(misses, 1))
         assert sum(misses.values()) > len(misses)  # some misses share a stamp
         # Sweeping every miss afresh, and refreshing every score, changes nothing.
-        fresh, fresh_sweeps, fresh_refreshes, _ = self._run(policy, share=False)
+        fresh, fresh_hits, fresh_sweeps, fresh_refreshes, _ = self._run(policy, share=False)
         assert sum(fresh_sweeps.values()) == sum(fresh_refreshes.values()) == sum(misses.values())
-        assert report.hit_sequence == fresh.hit_sequence
+        assert hits == fresh_hits
         assert report.per_user_js == fresh.per_user_js
         assert report.residual_fractions == fresh.residual_fractions
 
@@ -453,7 +504,7 @@ def barrier_crossing_log():
         2: np.concatenate((rng.uniform(0.0, 10.0, 12), [10.0, 30.0, 48.0], rng.uniform(30.0, 72.0, 25))),
     }
     events = [
-        trace.RequestEvent(edge, int(rng.integers(0, 3)), int(rng.integers(0, 12)), float(t))
+        RequestEvent(edge, int(rng.integers(0, 3)), int(rng.integers(0, 12)), float(t))
         for edge, times in stamps.items()
         for t in times
     ]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ppvf import predictor, trace
 
-from oracles import event_log_from_events, thin_one_edge_with_choice, write_trace_per_event
+from oracles import RequestEvent, event_log_from_events, events_of, thin_one_edge_with_choice, write_trace_per_event
 
 
 def _flat_params(catalog, base=0.0, factor=0.0, dim=2, decay=0.01):
@@ -43,7 +43,7 @@ def test_event_log_rejects_negative_ids(field):
     # numpy indexing would wrap -1 silently to the last video or edge.
     video, edge = (-1, 0) if field == "video" else (0, -1)
     with pytest.raises(ValueError, match=f"{field} id outside"):
-        event_log_from_events([trace.RequestEvent(edge, 0, video, 1.0)], catalog_size=3, edge_count=2, horizon=5.0)
+        event_log_from_events([RequestEvent(edge, 0, video, 1.0)], catalog_size=3, edge_count=2, horizon=5.0)
 
 
 def test_load_hundred_line_fixture_sorted_against_reference(tmp_path):
@@ -60,7 +60,7 @@ def test_load_hundred_line_fixture_sorted_against_reference(tmp_path):
 
     quantized = [(e, u, v, float(np.floor(t))) for e, u, v, t in rows]
     reference = sorted(quantized, key=lambda r: r[3])
-    got = [(ev.edge_id, ev.user_id, ev.video_id, ev.timestamp) for ev in log]
+    got = [(ev.edge_id, ev.user_id, ev.video_id, ev.timestamp) for ev in events_of(log)]
     assert [r[3] for r in got] == [r[3] for r in reference]
     assert sorted(got) == sorted(quantized)
 
@@ -319,7 +319,7 @@ class TestPartition:
         t = 0.0
         for edge, n in enumerate((3, 5, 2)):
             for _ in range(n):
-                events.append(trace.RequestEvent(edge, 0, 0, t))
+                events.append(RequestEvent(edge, 0, 0, t))
                 t += 1.0
         log = event_log_from_events(events, catalog_size=1, edge_count=3, horizon=t + 1)
         sizes = [len(p) for p in trace.partition_by_edge(log)]
@@ -338,23 +338,14 @@ class TestPartition:
         )
     )
     def test_partition_is_a_bijection(self, rows):
-        events = [trace.RequestEvent(e, u, v, t) for e, u, v, t in rows]
+        events = [RequestEvent(e, u, v, t) for e, u, v, t in rows]
         log = event_log_from_events(events, catalog_size=7, edge_count=4, horizon=100.0)
         parts = trace.partition_by_edge(log)
-        original = sorted((ev.edge_id, ev.user_id, ev.video_id, ev.timestamp) for ev in log)
+        original = sorted((ev.edge_id, ev.user_id, ev.video_id, ev.timestamp) for ev in events_of(log))
         recombined = sorted(
-            (ev.edge_id, ev.user_id, ev.video_id, ev.timestamp) for p in parts for ev in p
+            (ev.edge_id, ev.user_id, ev.video_id, ev.timestamp) for p in parts for ev in events_of(p)
         )
         assert original == recombined
         for e, part in enumerate(parts):
-            assert all(ev.edge_id == e for ev in part)
+            assert all(ev.edge_id == e for ev in events_of(part))
             assert np.all(np.diff(part.timestamps) >= 0)
-
-    def test_before_keeps_strictly_earlier_requests(self):
-        events = [trace.RequestEvent(0, 0, v, t) for v, t in enumerate((0.0, 1.0, 2.0, 2.0, 3.0))]
-        log = event_log_from_events(events, catalog_size=5, edge_count=1, horizon=4.0)
-        prefix = log.before(2.0)
-        assert prefix.video_ids.tolist() == [0, 1]
-        assert prefix.horizon == 2.0
-        assert len(log.before(0.0)) == 0
-        assert len(log.before(10.0)) == len(log)
