@@ -83,9 +83,6 @@ class LruCache:
         self.capacity = capacity
         self.residents: OrderedDict[int, None] = OrderedDict()
 
-    def lookup(self, video: int) -> bool:
-        return video in self.residents
-
     def access(self, video: int) -> tuple[bool, list[int]]:
         """Serve one request; returns (hit, evicted)."""
         if video in self.residents:
@@ -112,9 +109,6 @@ class LfuCache:
         self.clock = 0
         self.counts: dict[int, int] = {}  # lifetime request counts, all videos
         self.resident_access: dict[int, int] = {}
-
-    def lookup(self, video: int) -> bool:
-        return video in self.resident_access
 
     def access(self, video: int) -> tuple[bool, list[int]]:
         self.clock += 1
@@ -181,9 +175,7 @@ class MavState:
         return self.values.copy()
 
 
-def select_candidates_random(
-    utilities: np.ndarray, ledger: PrivacyLedger, rng
-) -> tuple[CandidateSet, PrivacyLedger]:
+def select_candidates_random(ledger: PrivacyLedger, rng) -> tuple[CandidateSet, PrivacyLedger]:
     """Random budget-feasible candidate picks (no utility filter), charging
     the ledger per admission until the cap or the feasible pool runs out.
 

@@ -191,7 +191,9 @@ def em_sample(
     survivors' scores minus their maximum (``math.exp``'s last bit differs
     on some inputs); the rest is Python float arithmetic in numpy's order:
     the survivors' total is :func:`pairwise_sum`, the cumulative sum runs
-    left to right, and the search is ``bisect_right``.
+    left to right, and the search is ``bisect_right``. A draw pops the drawn
+    candidate from the pool and its score from the scores, so the survivors
+    keep pool order.
     """
     pool = list(candidates)
     lam = np.asarray(utilities, dtype=np.float64)
@@ -216,15 +218,15 @@ def em_sample(
         # the last draw, makes NaN probabilities. Zero-weight -inf scores
         # are never drawn while a finite one survives.
         raise ValueError("exponential-mechanism scores must be finite for every draw")
-    left = list(range(len(pool)))  # undrawn pool positions, in pool order
     for u in rng.random(draws).tolist():
         # What ``w / w.sum()``, ``cumsum``, ``cdf /= cdf[-1]`` and
         # ``searchsorted(u, side="right")`` compute on the survivors' weights.
-        survivors = [listed[i] for i in left]
-        top = max(survivors)
-        w = np.exp(np.array([s - top for s in survivors])).tolist()
+        top = max(listed)
+        w = np.exp(np.array([s - top for s in listed])).tolist()
         total = pairwise_sum(w)
         cdf = list(itertools.accumulate([x / total for x in w]))
         last = cdf[-1]
-        chosen.append(pool[left.pop(bisect.bisect_right([c / last for c in cdf], u))])
+        drawn = bisect.bisect_right([c / last for c in cdf], u)
+        chosen.append(pool.pop(drawn))
+        del listed[drawn]
     return tuple(chosen)

@@ -153,11 +153,9 @@ def sum_gradients(params: ModelParams, stats: list[WindowStats], rows: np.ndarra
     return summed
 
 
-def aggregate_and_step(
-    params: ModelParams, summed: GradientBundle, cfg: TrainConfig, learning_rate: float | None = None
-) -> ModelParams:
-    """One coordinator update from the summed gradients: regularize, descend, clamp."""
-    eta = cfg.learning_rate if learning_rate is None else learning_rate
+def aggregate_and_step(params: ModelParams, summed: GradientBundle, cfg: TrainConfig, eta: float) -> ModelParams:
+    """One coordinator update from the summed gradients: regularize with
+    ``cfg``'s weights, descend by step size ``eta``, clamp."""
 
     # d(loss)/d(theta) = rho * theta - sum of likelihood gradients; the
     # descent step projects back onto the positive orthant, in one buffer.
@@ -196,7 +194,7 @@ def run_fit_round(edge_logs, params: ModelParams, window: TrainWindow, cfg: Trai
     once, at the point its steps start from; a candidate step needs only
     its loss.
     """
-    params = params.clamped(PARAM_FLOOR)
+    params = params.clamped()
     stats = [window_stats(params, log, window) for log in edge_logs]
     if cfg.max_iters == 0 or not stats:
         return FitResult(params=params)
@@ -211,7 +209,7 @@ def run_fit_round(edge_logs, params: ModelParams, window: TrainWindow, cfg: Trai
     for _ in range(cfg.max_iters):
         summed = sum_gradients(params, stats, rows)
         for _backtrack in range(60):
-            candidate = aggregate_and_step(params, summed, cfg, learning_rate=eta)
+            candidate = aggregate_and_step(params, summed, cfg, eta)
             cand_loss = loss_at(candidate)
             if cand_loss <= loss:
                 break

@@ -96,13 +96,13 @@ class ModelParams:
             decay=decay,
         )
 
-    def clamped(self, floor: float = PARAM_FLOOR) -> "ModelParams":
-        """Project all entries onto [floor, inf); keeps log-intensities finite."""
+    def clamped(self) -> "ModelParams":
+        """Project all entries onto [PARAM_FLOOR, inf); keeps log-intensities finite."""
         return replace(
             self,
-            base_rate=np.maximum(self.base_rate, floor),
-            target_factors=np.maximum(self.target_factors, floor),
-            source_factors=np.maximum(self.source_factors, floor),
+            base_rate=np.maximum(self.base_rate, PARAM_FLOOR),
+            target_factors=np.maximum(self.target_factors, PARAM_FLOOR),
+            source_factors=np.maximum(self.source_factors, PARAM_FLOOR),
         )
 
     def to_json_dict(self) -> dict:
@@ -248,12 +248,8 @@ class WindowStats:
         # the window contribute over [start - tau, end - tau], in-window
         # events over [0, end - tau].
         integral_w = np.zeros(catalog_size)
-        if len(pre_t):
-            vals = (np.exp(-decay * (start - pre_t)) - np.exp(-decay * (end - pre_t))) / decay
-            np.add.at(integral_w, pre_v, vals)
-        if len(in_t):
-            vals = (1.0 - np.exp(-decay * (end - in_t))) / decay
-            np.add.at(integral_w, in_v, vals)
+        np.add.at(integral_w, pre_v, (np.exp(-decay * (start - pre_t)) - np.exp(-decay * (end - pre_t))) / decay)
+        np.add.at(integral_w, in_v, (1.0 - np.exp(-decay * (end - in_t))) / decay)
 
         self.event_videos = in_v
         self.event_group = inverse
@@ -331,27 +327,24 @@ def window_gradients(params: ModelParams, stats: WindowStats, out: np.ndarray | 
     """Gradients of :func:`window_log_likelihood` in the same parameterization.
 
     Event terms accumulate 1/rate weights; integral terms reuse the
-    closed-form per-source weights, shared across all target rows. The
-    blocks are written into ``out``, a flat row of
+    closed-form per-source weights, shared across all target rows. A window
+    without events gives empty event terms, so only the integral terms
+    remain. The blocks are written into ``out``, a flat row of
     :meth:`GradientBundle.row_size` floats, else into a new row.
     """
     I, D = params.catalog_size, params.dim
     mix_ev, tgt_ev, lam, source_total = stats._event_terms(params)
+    if (lam <= 0).any():
+        raise LikelihoodError("non-positive intensity at an event; parameters or state corrupted")
     g = GradientBundle.of_row(np.empty(GradientBundle.row_size(I, D)) if out is None else out, I, D)
     g.base_rate.fill(-stats.window.length)
     g.target_factors.fill(0.0)
-
-    if stats.n_events:
-        if (lam <= 0).any():
-            raise LikelihoodError("non-positive intensity at an event; parameters or state corrupted")
-        inv = 1.0 / lam
-        np.add.at(g.base_rate, stats.event_videos, inv)
-        np.add.at(g.target_factors, stats.event_videos, mix_ev * inv[:, None])
-        weights = np.zeros((stats.counts_at.shape[0], D))
-        np.add.at(weights, stats.event_group, tgt_ev * inv[:, None])
-        np.matmul(stats.counts_at.T, weights, out=g.source_factors)  # non-negative: 0.0 + it is itself
-    else:
-        g.source_factors.fill(0.0)
+    inv = 1.0 / lam
+    np.add.at(g.base_rate, stats.event_videos, inv)
+    np.add.at(g.target_factors, stats.event_videos, mix_ev * inv[:, None])
+    weights = np.zeros((stats.counts_at.shape[0], D))
+    np.add.at(weights, stats.event_group, tgt_ev * inv[:, None])
+    np.matmul(stats.counts_at.T, weights, out=g.source_factors)  # non-negative: 0.0 + it is itself
 
     g.target_factors -= source_total
     g.source_factors -= stats.integral_weights[:, None] * params.target_sums

@@ -21,6 +21,9 @@ from itertools import combinations
 
 import numpy as np
 
+# The share by which an empirical competitive ratio may exceed its bound.
+CR_SLACK = 0.15
+
 
 class InstanceTooLarge(ValueError):
     """An instance past :func:`offline_optimum`'s exact-search guard."""
@@ -112,17 +115,16 @@ class PrivacyLedger:
     def catalog_size(self) -> int:
         return len(self.counts)
 
-    def threshold_bars(self, cfg: ThresholdConfig, videos: np.ndarray | None = None) -> np.ndarray:
-        """Each video's admission bar, ``threshold`` at its consumed fraction.
+    def threshold_bars(self, cfg: ThresholdConfig, videos: np.ndarray) -> np.ndarray:
+        """The admission bar of each of ``videos``, ``threshold`` at its consumed fraction.
 
-        Covers every video, or only ``videos`` when given. The bars come
-        from a table of ``threshold`` per charge count for the last ``cfg``
-        asked for. It is extended only when a count outgrows it, so its
-        size follows the largest count looked up, not the budget.
+        The bars come from a table of ``threshold`` per charge count for the
+        last ``cfg`` asked for. It is extended only when a count outgrows
+        it, so its size follows the largest count looked up, not the budget.
         """
         if cfg is not self._bars_cfg and cfg != self._bars_cfg:
             self._bars_cfg, self._bars = cfg, np.empty(0)
-        counts = self.counts if videos is None else self.counts[videos]
+        counts = self.counts[videos]
         try:
             return self._bars[counts]
         except IndexError:
@@ -183,19 +185,18 @@ def admit_picked(picked: np.ndarray, ledger: PrivacyLedger) -> tuple[CandidateSe
 def admit_in_order(order: np.ndarray, eligible, ledger: PrivacyLedger) -> tuple[CandidateSet, PrivacyLedger]:
     """Admit and charge the first ``prefetch_cap`` eligible videos of ``order``.
 
-    ``eligible(videos)`` gives the eligibility mask of an array of videos,
-    and ``eligible()`` that of the whole catalog, indexed by video. ``order``
-    visits each video at most once, so eligibility taken before any charge
-    equals eligibility checked during a sequential walk. The walk usually
-    ends within the first ``2 * prefetch_cap`` videos, so only those are
-    tested first; the whole catalog is tested only when they leave the cap
-    unfilled.
+    ``eligible(videos)`` gives the eligibility mask of an array of videos.
+    ``order`` visits each video at most once, so eligibility taken before
+    any charge equals eligibility checked during a sequential walk. The walk
+    usually ends within the first ``2 * prefetch_cap`` videos, so only those
+    are tested first; the whole of ``order`` is tested only when they leave
+    the cap unfilled.
     """
     cap = ledger.prefetch_cap
     head = order[: 2 * cap]
     picked = head[eligible(head)]
     if len(picked) < cap and len(order) > len(head):
-        picked = order[eligible()[order]]
+        picked = order[eligible(order)]
     return admit_picked(picked[:cap], ledger)
 
 
@@ -219,9 +220,8 @@ def select_candidates(
         raise ValueError("utility vector length must match the ledger catalog")
     cost = float(ledger.cost)
 
-    def eligible(videos: np.ndarray | None = None) -> np.ndarray:
-        ratios = (utilities if videos is None else utilities[videos]) / cost
-        return (ratios > ledger.threshold_bars(cfg, videos)) & ledger.chargeable(videos)
+    def eligible(videos: np.ndarray) -> np.ndarray:
+        return (utilities[videos] / cost > ledger.threshold_bars(cfg, videos)) & ledger.chargeable(videos)
 
     return admit_in_order(rng.permutation(ledger.catalog_size), eligible, ledger)
 
@@ -303,16 +303,14 @@ def random_cr_utilities(count: int, n_videos: int, steps: int, cfg: ThresholdCon
     return np.exp(rng.uniform(math.log(lo), math.log(hi), size=(count, steps, n_videos)))
 
 
-def empirical_cr(
-    utilities: np.ndarray, ledger: PrivacyLedger, cfg: ThresholdConfig, seed: int, slack_factor: float = 0.15
-) -> float:
+def empirical_cr(utilities: np.ndarray, ledger: PrivacyLedger, cfg: ThresholdConfig, seed: int) -> float:
     """Worst observed offline/online utility ratio over the instances.
 
     ``utilities[i]`` is instance ``i``'s steps x videos matrix, and each
     instance starts from a copy of ``ledger``. Enforces the small-cost
     assumption (unit cost at most budget/20) and raises
     :class:`CompetitiveRatioViolation` if the worst ratio exceeds the
-    theoretical bound inflated by ``slack_factor``.
+    theoretical bound inflated by :data:`CR_SLACK`.
     """
     if ledger.cost * 20 > ledger.total_budget:
         raise ValueError("instances must satisfy unit_cost <= total_budget / 20")
@@ -326,8 +324,8 @@ def empirical_cr(
         optimum = offline_optimum(instance, ledger)
         if optimum > 0.0:
             worst = max(worst, optimum / online if online else math.inf)
-    if worst > cfg.cr_bound * (1.0 + slack_factor):
+    if worst > cfg.cr_bound * (1.0 + CR_SLACK):
         raise CompetitiveRatioViolation(
-            f"worst ratio {worst:.4f} exceeds bound {cfg.cr_bound:.4f} with slack {slack_factor:.2f}"
+            f"worst ratio {worst:.4f} exceeds bound {cfg.cr_bound:.4f} with slack {CR_SLACK:.2f}"
         )
     return worst

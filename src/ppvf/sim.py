@@ -207,7 +207,7 @@ class _EdgeRuntime:
             return
         rng_sched = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(edge_id, 0)))
         if policy == "sage":
-            self.select = lambda lam: cache_mod.select_candidates_random(lam, ledger, rng_sched)[0]
+            self.select = lambda _: cache_mod.select_candidates_random(ledger, rng_sched)[0]
         else:  # ppvf, mav: the threshold rule
             self.bounds = bounds = _BoundTracker(cfg.bounds, cfg.unit_cost)
             self.select = lambda lam: scheduler.select_candidates(lam, ledger, bounds.frozen(lam), rng_sched)[0]
@@ -392,17 +392,12 @@ def _fold_edge(report: SimReport, rt: _EdgeRuntime) -> None:
 # -- CSV serialization -------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path, header: list[str], rows) -> None:
+    """One line per row of ``str`` values: a float, numpy or not, as its shortest round-trip digits."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def write_reports(
@@ -428,7 +423,7 @@ def write_reports(
 
     single = len(runs) == 1
     for policy, value, rep in runs:
-        suffix = "" if single else f".{policy}.{_fmt(float(value))}"
+        suffix = "" if single else f".{policy}.{float(value)}"
         cdf_name = f"budget_cdf{suffix}.csv"
         write_csv(os.path.join(out_dir, cdf_name), ["x", "cdf"], _cdf_points(rep.residual_fractions))
         written.append(cdf_name)
@@ -444,8 +439,6 @@ def write_reports(
 
 def _cdf_points(residual_fractions) -> list[tuple[float, float]]:
     residuals = np.asarray(residual_fractions, dtype=np.float64)
-    if residuals.size == 0:
-        return []
     values, counts = np.unique(residuals, return_counts=True)
     fractions = np.cumsum(counts) / residuals.size
     return [(float(x), float(c)) for x, c in zip(values, fractions)]

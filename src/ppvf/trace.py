@@ -188,8 +188,6 @@ def excitation_branching_ratio(params: ModelParams) -> float:
     product so the full catalog-squared matrix is never materialized.
     """
     small = params.source_factors.T @ params.target_factors
-    if small.size == 0:
-        return 0.0
     eigs = np.linalg.eigvals(small)
     return float(np.max(np.abs(eigs)) / params.decay)
 

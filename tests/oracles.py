@@ -206,10 +206,9 @@ def sort_then_sum(arrays) -> np.ndarray:
 
 
 def aggregate_and_step_out_of_place(
-    params: ModelParams, summed: GradientBundle, cfg: TrainConfig, learning_rate: float | None = None
+    params: ModelParams, summed: GradientBundle, cfg: TrainConfig, eta: float
 ) -> ModelParams:
     """The coordinator step with each block's arithmetic written out as one expression."""
-    eta = cfg.learning_rate if learning_rate is None else learning_rate
     return ModelParams(
         base_rate=np.maximum(
             params.base_rate - eta * (cfg.rho_base * params.base_rate - summed.base_rate), PARAM_FLOOR
@@ -253,7 +252,7 @@ def fit_round_evaluating_everything(edge_logs, params: ModelParams, window: Trai
     """Backtracking fit that computes likelihood and gradients at every point,
     rejected candidates and the final point included, and sums each gradient
     block with :func:`sort_then_sum`."""
-    params = params.clamped(PARAM_FLOOR)
+    params = params.clamped()
     stats = [window_stats(params, log, window) for log in edge_logs]
 
     def evaluate(p: ModelParams) -> tuple[list[float], list[GradientBundle]]:
@@ -273,7 +272,7 @@ def fit_round_evaluating_everything(edge_logs, params: ModelParams, window: Trai
         accepted = False
         for _backtrack in range(60):
             summed = GradientBundle(*(sort_then_sum([getattr(g, block) for g in grads]) for block in _BLOCKS))
-            candidate = aggregate_and_step(params, summed, cfg, learning_rate=eta)
+            candidate = aggregate_and_step(params, summed, cfg, eta)
             cand_lls, cand_grads = evaluate(candidate)
             cand_loss = global_loss(candidate, cand_lls, cfg)
             if cand_loss <= loss:

@@ -192,20 +192,20 @@ class TestMav:
 class TestSage:
     def test_charges_budget_and_stops_at_cap(self):
         ledger = PrivacyLedger.uniform(10, 15, 1, 3)
-        cands, ledger = select_candidates_random(np.zeros(10), ledger, np.random.default_rng(2))
+        cands, ledger = select_candidates_random(ledger, np.random.default_rng(2))
         assert len(cands) == 3
         assert int(ledger.counts.sum()) * ledger.cost == Fraction(3)
 
     def test_stops_when_budget_exhausted(self):
         ledger = PrivacyLedger.uniform(2, 1, 1, 4)  # one charge would equal the budget
-        cands, _ = select_candidates_random(np.zeros(2), ledger, np.random.default_rng(3))
+        cands, _ = select_candidates_random(ledger, np.random.default_rng(3))
         assert len(cands) == 0
 
     def test_uniform_over_feasible_videos(self):
         hits = np.zeros(4)
         for seed in range(400):
             ledger = PrivacyLedger.uniform(4, 15, 1, 1)
-            cands, _ = select_candidates_random(np.zeros(4), ledger, np.random.default_rng(seed))
+            cands, _ = select_candidates_random(ledger, np.random.default_rng(seed))
             hits[cands.videos[0]] += 1
         assert hits.min() > 0.15 * hits.sum()
 

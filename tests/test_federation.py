@@ -120,7 +120,7 @@ def assert_same_bundle(a, b):
 class TestAggregateAndStep:
     def test_zero_gradients_no_reg_leaves_params(self):
         params = random_params(np.random.default_rng(3))
-        new = aggregate_and_step(params, sum_of([zero_grads(4, 2)]), TrainConfig())
+        new = aggregate_and_step(params, sum_of([zero_grads(4, 2)]), TrainConfig(), TrainConfig().learning_rate)
         assert global_loss(params, [-5.0], TrainConfig()) == pytest.approx(5.0)
         assert np.array_equal(new.base_rate, params.base_rate)
         assert np.array_equal(new.target_factors, params.target_factors)
@@ -131,8 +131,8 @@ class TestAggregateAndStep:
         g = random_grads(rng)
         half = GradientBundle(g.base_rate / 2, g.target_factors / 2, g.source_factors / 2)
         cfg = TrainConfig(learning_rate=0.01)
-        whole = aggregate_and_step(params, sum_of([g]), cfg)
-        split = aggregate_and_step(params, sum_of([half, half]), cfg)
+        whole = aggregate_and_step(params, sum_of([g]), cfg, cfg.learning_rate)
+        split = aggregate_and_step(params, sum_of([half, half]), cfg, cfg.learning_rate)
         assert global_loss(params, [-3.0], cfg) == global_loss(params, [-1.5, -1.5], cfg)
         assert np.allclose(whole.base_rate, split.base_rate, atol=1e-12)
         assert np.allclose(whole.target_factors, split.target_factors, atol=1e-12)
@@ -144,7 +144,7 @@ class TestAggregateAndStep:
         params = ModelParams(np.array([1.0]), np.full((1, 1), 1.0), np.full((1, 1), 1.0), 0.01)
         grads = GradientBundle(np.array([0.3]), np.zeros((1, 1)), np.zeros((1, 1)))
         cfg = TrainConfig(rho_base=0.1, learning_rate=0.5)
-        new = aggregate_and_step(params, grads, cfg)
+        new = aggregate_and_step(params, grads, cfg, cfg.learning_rate)
         assert new.base_rate[0] == pytest.approx(1.1, rel=1e-12)
 
     def test_permutation_invariance_is_exact(self):
@@ -157,7 +157,8 @@ class TestAggregateAndStep:
         forward, backward = sum_of(grads), sum_of([grads[i] for i in order])
         assert global_loss(params, lls, cfg) == global_loss(params, [lls[i] for i in order], cfg)
         assert_same_bundle(forward, backward)
-        assert_same_bundle(aggregate_and_step(params, forward, cfg), aggregate_and_step(params, backward, cfg))
+        eta = cfg.learning_rate
+        assert_same_bundle(aggregate_and_step(params, forward, cfg, eta), aggregate_and_step(params, backward, cfg, eta))
 
     def test_non_finite_contribution_names_edge(self):
         params = random_params(np.random.default_rng(6))
@@ -198,7 +199,7 @@ class TestAggregateAndStep:
     def test_positivity_floor_after_step(self):
         params = ModelParams(np.array([0.01]), np.full((1, 1), 0.01), np.full((1, 1), 0.01), 0.01)
         grads = GradientBundle(np.array([-100.0]), np.full((1, 1), -100.0), np.full((1, 1), -100.0))
-        new = aggregate_and_step(params, grads, TrainConfig(learning_rate=1.0))
+        new = aggregate_and_step(params, grads, TrainConfig(learning_rate=1.0), 1.0)
         assert new.base_rate[0] == predictor.PARAM_FLOOR
         assert new.target_factors[0, 0] == predictor.PARAM_FLOOR
 
@@ -216,9 +217,9 @@ def test_aggregate_and_step_matches_out_of_place_oracle(rho):
         scale = 10.0 ** rng.integers(-3, 4)
         signed_zeros = np.zeros((40, 3)) * rng.choice([-1.0, 1.0], (40, 3))
         summed = GradientBundle(rng.normal(0.0, scale, 40), rng.normal(0.0, scale, (40, 3)), signed_zeros)
-        for eta in (None, 1.0, 1e-9):
-            got = aggregate_and_step(params, summed, cfg, learning_rate=eta)
-            want = aggregate_and_step_out_of_place(params, summed, cfg, learning_rate=eta)
+        for eta in (cfg.learning_rate, 1.0, 1e-9):
+            got = aggregate_and_step(params, summed, cfg, eta)
+            want = aggregate_and_step_out_of_place(params, summed, cfg, eta)
             for block in ("base_rate", "target_factors", "source_factors"):
                 assert getattr(got, block).tobytes() == getattr(want, block).tobytes(), block
             clamped += int(np.count_nonzero(got.base_rate == predictor.PARAM_FLOOR))
@@ -283,7 +284,7 @@ class TestRunFitRound:
         result = run_fit_round(parts[:1], params, window, cfg)
         stats = [predictor.window_stats(params, parts[0], window)]
         rows = np.empty((2, GradientBundle.row_size(4, 2)))
-        stepped = aggregate_and_step(params, sum_gradients(params, stats, rows), cfg)
+        stepped = aggregate_and_step(params, sum_gradients(params, stats, rows), cfg, cfg.learning_rate)
         assert np.allclose(result.params.base_rate, stepped.base_rate, atol=1e-15)
         assert np.allclose(result.params.target_factors, stepped.target_factors, atol=1e-15)
 

@@ -124,6 +124,12 @@ class TestBudgetCdf:
         assert fractions[-1] == 1.0
 
 
+def test_write_csv_writes_a_numpy_float_as_its_digits(tmp_path):
+    path = tmp_path / "rows.csv"
+    sim.write_csv(path, ["policy", "x", "round"], [("ppvf", np.float64(0.5), 3), ("lru", 0.1, 0)])
+    assert path.read_text(encoding="utf-8") == "policy,x,round\nppvf,0.5,3\nlru,0.1,0\n"
+
+
 class TestSimConfig:
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError):
