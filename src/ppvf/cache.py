@@ -165,9 +165,10 @@ class MavState:
             self.values *= MAV_SMOOTHING**gap
         self.current_slot = slot
 
-    def record(self, video: int, time: float) -> None:
+    def record(self, videos, time: float) -> None:
+        """Count one request of each of ``videos`` (repeats count again) at ``time``."""
         self.fold_until(time)
-        self.pending[video] += 1.0
+        np.add.at(self.pending, videos, 1.0)
 
     def scores(self, time: float) -> np.ndarray:
         """Averages over completed slots as of ``time``."""

@@ -255,7 +255,6 @@ class WindowStats:
         self.event_group = inverse
         self.counts_at = counts_at
         self.integral_weights = integral_w
-        self.n_events = len(in_t)
         self._last_terms: tuple[ModelParams, tuple] | None = None
 
     def _event_terms(self, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

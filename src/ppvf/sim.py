@@ -2,14 +2,14 @@
 
 Every request first probes its edge's cache; lru and lfu fetch only the
 missed video. A miss of the scored policies (ppvf, sage, bestfit, mav)
-reads its stamp's utilities, which the stamp's first miss computes, for
-candidate selection, sensitivity calibration, noisy prefetch sampling and
-cache scoring; the fetch sent upstream, the viewed video plus the sampled
-prefetches, is all the content provider ever observes. mav's utilities are
-moving averages. The fitted policies (ppvf, sage, bestfit) alone keep a
-kernel and a correlation state, and refit on a fixed schedule over the
-edges' private logs. The warmup period exercises caches and state but
-spends no privacy budget and counts toward no metric.
+reads its stamp's utilities, which the stamp's first miss computes from the
+left limit, for candidate selection, sensitivity calibration, noisy
+prefetch sampling and cache scoring; the fetch sent upstream, the viewed
+video plus the sampled prefetches, is all the content provider ever
+observes. mav's utilities are moving averages. The fitted policies (ppvf,
+sage, bestfit) alone keep a kernel and a correlation state, and refit on a
+fixed schedule over the edges' private logs. The warmup period exercises
+caches and state but spends no privacy budget and counts toward no metric.
 
 The trace is the only record of requests. The fit is a stage of its own
 (:func:`fit_schedule`, which ``ppvf fit`` runs too): each barrier's fit
@@ -17,11 +17,11 @@ window keeps the requests stamped before it, so a :class:`FitSchedule`
 depends on the trace and the fit settings alone and every fitted run under
 them can replay it. Then each edge replays its whole log in one pass,
 on its own and in edge order, stamp by stamp: a stamp that reaches a
-barrier switches to the next fitted parameters, and the stamp's requests
-fold into the kernel after the stamp. Each edge's results join the report
-before the next edge starts. All randomness flows from per-edge seeded
-streams and all reductions are order-independent, so reports depend on the
-seed alone.
+barrier switches to the next fitted parameters, the kernel moves to the
+stamp's left limit, and the stamp's requests fold in once after it. Each
+edge's results join the report before the next edge starts. All randomness
+flows from per-edge seeded streams and all reductions are
+order-independent, so reports depend on the seed alone.
 """
 
 from __future__ import annotations
@@ -160,15 +160,15 @@ class _EdgeRuntime:
     Only the constructor reads the policy; it builds what the policy reads
     and leaves the rest ``None``. All keep the cache, the test-period
     records and the ledger (lru and lfu never charge it). The scored
-    policies add ``eps_steps``, ``rng_em``, ``stamp_sweep`` and ``select``;
-    mav adds ``mav``, the fitted policies ``kernel`` and ``corr``, and the
-    threshold rule (ppvf, mav) ``bounds``.
+    policies add ``eps_steps``, ``rng_em`` and ``select``; mav adds
+    ``mav``, the fitted policies ``kernel`` and ``corr``, and the threshold
+    rule (ppvf, mav) ``bounds``.
 
     The log is replayed stamp by stamp. Requests that share a stamp see
-    only the strictly earlier past (the left limit): fitted policies fold a
-    stamp's requests into the kernel after the stamp, and mav's requests
-    enter its average only at the next slot boundary. So every miss at one
-    stamp reads the same utilities, and ``stamp_sweep`` keeps them.
+    only the strictly earlier past (the left limit): during a stamp the
+    fitted policies' ``kernel`` is that limit, and a stamp's requests fold
+    into it, or into mav's current slot, after the stamp. So every miss at
+    one stamp reads the same utilities, and ``stamp_utilities`` keeps them.
     """
 
     kernel = corr = mav = bounds = None
@@ -195,7 +195,6 @@ class _EdgeRuntime:
             for k in range(min(cfg.prefetch_cap, catalog_size) + 1)
         ]
         self.rng_em = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(edge_id, 1)))
-        self.stamp_sweep: tuple | None = None  # (left-limit state or None, utilities) of the stamp
         if policy == "mav":
             self.mav = cache_mod.MavState(catalog_size, cfg.slot_hours)
         else:
@@ -217,13 +216,15 @@ class _EdgeRuntime:
 
         Only fitted runs have barriers: a stamp at or after the next one
         first moves the kernel and the correlation state to the epoch it
-        falls in. Each request is then served: lru and lfu through
-        :func:`cache.baseline_step`, the scored policies by a lookup and, on
-        a miss, :meth:`_on_miss`. Test-period hits and upstream fetches are
-        recorded here for all six policies. Fitted policies fold the stamp's
-        requests under that epoch's parameters once the stamp is replayed;
-        the last stamp's fold is never read, so it is skipped. Barriers after
-        the last request need nothing: no later read sees them.
+        falls in. Every stamp then moves a kernel to its left limit. Each
+        request is served: lru and lfu through :func:`cache.baseline_step`,
+        the scored policies by a lookup and, on a miss, :meth:`_on_miss`.
+        Test-period hits and upstream fetches are recorded here for all six
+        policies. After the stamp, a warmup stamp that missed widens the
+        threshold rule's ratio bounds, and the stamp's requests fold in
+        once, into the kernel under that epoch's parameters or into mav's
+        slot. Barriers after the last request need nothing: no later read
+        sees them.
         """
         stamps, starts = np.unique(self.log.timestamps, return_index=True)
         epochs = np.searchsorted(barriers, stamps, side="right").tolist()
@@ -237,7 +238,9 @@ class _EdgeRuntime:
                     self.corr.next_epoch()
                 epoch = stamp_epoch
                 self.kernel.rebuild_mix(params)
-            self.stamp_sweep = None
+            if self.kernel is not None:
+                self.kernel = advance_state(params, self.kernel, ts)
+            self.stamp_utilities = None
             in_test = ts >= self.cfg.init_horizon
             for video in videos.tolist():
                 if baseline:
@@ -246,56 +249,50 @@ class _EdgeRuntime:
                 else:
                     hit = self.cache.lookup(video)
                     fetched = () if hit else self._on_miss(params, video, ts, in_test)
-                    if self.mav is not None:
-                        self.mav.record(video, ts)
                 if in_test:
                     self.hits += hit
                     self.exposed.update(fetched)
-            if self.kernel is not None and ts < stamps[-1]:
+            if self.bounds is not None and not in_test and self.stamp_utilities is not None:
+                self.bounds.observe(self.stamp_utilities)
+            if self.kernel is not None:
                 self.kernel = advance_state(params, self.kernel, ts, videos)
+            elif self.mav is not None:
+                self.mav.record(videos, ts)
 
     def _on_miss(self, params: ModelParams, video: int, ts: float, in_test: bool) -> list[int]:
         """Serve a scored-policy miss and return the fetch sent upstream.
 
-        The stamp's first miss computes its utilities and re-scores the
-        residents; later misses at the stamp reuse both. Every fitted-policy
-        miss folds the utilities into the correlation state. A test miss
-        selects candidates and draws its prefetches from them; a warmup miss
-        fetches the viewed video alone, spends no budget and, under the
-        threshold rule, widens the ratio bounds. The fetched videos are then
-        offered to the cache.
+        The stamp's first miss sweeps the left-limit ``kernel`` (mav reads
+        its averages) and re-scores the residents; later misses reuse both.
+        Every fitted-policy miss folds the utilities into the correlation
+        state. A test miss draws its prefetches from its candidates, maybe
+        none, at their worst sensitivity (mav's, free of excitation, is 0);
+        a warmup miss fetches the viewed video alone and spends no budget.
+        The fetched videos are then offered to the cache.
         """
-        if self.stamp_sweep is None:
-            if self.mav is None:
-                state = advance_state(params, self.kernel, ts)
-                self.stamp_sweep = (state, intensity_sweep(params, state))
-            else:
-                # mav scores carry no excitation history: every sensitivity is 0.
-                self.stamp_sweep = (None, self.mav.scores(ts))
-            self.cache.refresh_scores(self.stamp_sweep[1])
-        state, lam = self.stamp_sweep
-        if state is not None:
-            self.corr.update(lam, state.source_mix)
+        if self.stamp_utilities is None:
+            self.stamp_utilities = intensity_sweep(params, self.kernel) if self.mav is None else self.mav.scores(ts)
+            self.cache.refresh_scores(self.stamp_utilities)
+        lam = self.stamp_utilities
+        if self.corr is not None:
+            self.corr.update(lam, self.kernel.source_mix)
 
         # The fetch sent upstream: the viewed video, then the prefetches.
         fetched = [video]
         if in_test:
             candidates = self.select(lam)
-            if len(candidates):
-                worst = 0.0
-                if state is not None:
-                    worst = max(cdp.candidate_sensitivities(params, state, self.corr, candidates).tolist())
-                prefetched = cdp.em_sample(
-                    candidates,
-                    lam[list(candidates)],
-                    self.eps_steps[len(candidates)],
-                    worst,
-                    self.ledger.prefetch_cap,
-                    self.rng_em,
-                )
-                fetched += [v for v in prefetched if v != video]
-        elif self.bounds is not None:
-            self.bounds.observe(lam)
+            worst = 0.0
+            if self.corr is not None:
+                worst = float(cdp.candidate_sensitivities(params, self.kernel, self.corr, candidates).max(initial=0.0))
+            prefetched = cdp.em_sample(
+                candidates,
+                lam[list(candidates)],
+                self.eps_steps[len(candidates)],
+                worst,
+                self.ledger.prefetch_cap,
+                self.rng_em,
+            )
+            fetched += [v for v in prefetched if v != video]
         self.cache.admit([(v, lam[v]) for v in fetched])
         return fetched
 

@@ -315,7 +315,7 @@ def window_gradients_reference(params: ModelParams, window: TrainWindow, stats) 
     g_base = np.full(I, -window.length)
     g_tgt = np.zeros((I, D))
     g_src = np.zeros((I, D))
-    if stats.n_events:
+    if len(stats.event_videos):
         mix_ev = (stats.counts_at @ params.source_factors)[stats.event_group]
         tgt_ev = params.target_factors[stats.event_videos]
         lam = params.base_rate[stats.event_videos] + np.einsum("nd,nd->n", tgt_ev, mix_ev)

@@ -183,6 +183,11 @@ class TestMav:
         value_after = mav.scores(5.0)[0]  # slots 1..4 empty
         assert value_after == pytest.approx(0.1 * (0.9**4), rel=1e-12)
 
+    def test_record_counts_repeated_videos(self):
+        mav = MavState(6, slot_hours=1.0)
+        mav.record([3, 3, 5], 0.5)
+        assert mav.scores(1.0) == pytest.approx([0.0, 0.0, 0.0, 0.1 * 2.0, 0.0, 0.1 * 1.0], rel=1e-12)
+
     def test_scores_exclude_current_slot(self):
         mav = MavState(1, slot_hours=1.0)
         mav.record(0, 0.1)

@@ -257,6 +257,7 @@ class TestGlobalSensitivity:
         cands = CandidateSet(videos=(0, 1), cap=4)
         sens = cdp.candidate_sensitivities(params, state, corr, cands)
         assert sens.shape == (len(cands),)
+        assert cdp.candidate_sensitivities(params, state, corr, CandidateSet(videos=(), cap=4)).shape == (0,)
         for k, i in enumerate(cands):
             self_term = float(params.target_factors[i] @ params.source_factors[i]) * float(
                 state.decayed_counts[i]
@@ -298,8 +299,12 @@ class TestEmSample:
         assert np.allclose(probs, 0.5)
 
     def test_empty_candidates_empty_decision(self):
-        d = em_sample(CandidateSet(videos=(), cap=4), np.array([]), 1.0, 1.0, 4, np.random.default_rng(0))
-        assert d == ()
+        for sensitivity in (0.0, 1.0):
+            rng = np.random.default_rng(0)
+            before = rng.bit_generator.state
+            d = em_sample(CandidateSet(videos=(), cap=4), np.array([]), 1.0, sensitivity, 4, rng)
+            assert d == ()
+            assert rng.bit_generator.state == before  # nothing drawn
 
     def test_without_replacement_matches_enumeration(self):
         utilities = np.array([1.0, 0.4, 0.1])

@@ -303,7 +303,7 @@ class TestWindowBitsMatchReference:
 
     def test_fixture_has_an_edge_without_window_events(self, multi_edge_fit):
         logs, window, (start, _, _) = multi_edge_fit
-        counts = [window_stats(start, log, window).n_events for log in logs]
+        counts = [len(window_stats(start, log, window).event_videos) for log in logs]
         assert counts[-1] == 0 and min(counts[:-1]) > 0
 
     @pytest.mark.parametrize("likelihood_first", [True, False])
@@ -361,7 +361,7 @@ class TestWindowBitsMatchReference:
             tgt[[0, 5]] = 1e308
             params = ModelParams(params.base_rate, tgt, params.source_factors, params.decay)
         stats = window_stats(params, make_log(times, vids, catalog, 100.0), window)
-        assert (stats.n_events == 0) == (case in ("no-window-events", "empty-history"))
+        assert (len(stats.event_videos) == 0) == (case in ("no-window-events", "empty-history"))
         assert np.count_nonzero(stats.integral_weights) < catalog
         with np.errstate(over="ignore", invalid="ignore"):
             got = window_gradients(params, stats)

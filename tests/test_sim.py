@@ -466,7 +466,7 @@ class TestSharedStampSweep:
 
         def on_miss_spy(self, params, video, ts, in_test):
             if not share:
-                self.stamp_sweep = None  # forget the stamp's utilities
+                self.stamp_utilities = None  # forget the stamp's utilities
             before = len(calls)
             fetched = real_on_miss(self, params, video, ts, in_test)
             key = (self.edge_id, ts, id(params))
@@ -554,32 +554,32 @@ class TestBarrierSwitch:
         assert digest.hexdigest() == self.EXPECTED[policy]
 
     def test_requests_fold_under_their_stamps_epoch(self, monkeypatch):
-        # Every fold uses the parameters of the epoch its requests were
-        # stamped in, and each edge's correlation state ends in the epoch of
-        # its last request: barriers after it, or in a gap, are all counted.
+        # Each stamp, the last included and in order, takes exactly one left
+        # limit and then one fold of its requests, both under the parameters
+        # of the epoch the stamp falls in; each edge's correlation state ends
+        # in the epoch of its last request: barriers after it, or in a gap,
+        # are all counted.
         cfg = self._cfg("ppvf")
         barriers = sim.barrier_times(cfg, cfg.test_horizon)
         params_list = [ModelParams.constant(12, 2, 1.0 + 0.1 * e, cfg.decay) for e in range(len(barriers) + 1)]
-        folds, limits = [], []
+        calls = []
         real_advance = sim.advance_state
 
         def spy(params, state, to_time, *args, **kwargs):
             # A call that passes videos folds them; one without is a left limit.
-            (folds if args or kwargs else limits).append((params, to_time))
+            calls.append(("fold" if args or kwargs else "limit", params, to_time))
             return real_advance(params, state, to_time, *args, **kwargs)
 
         monkeypatch.setattr(sim, "advance_state", spy)
         for edge_id, edge_log in enumerate(trace.partition_by_edge(barrier_crossing_log())):
-            folds.clear()
-            limits.clear()
+            calls.clear()
             rt = sim._EdgeRuntime(edge_id, edge_log, cfg, cdp.epoch_table(params_list), 3)
             rt.run(barriers, params_list)
-            for params, stamp in folds + limits:
-                assert params is params_list[bisect.bisect_right(barriers, stamp)]
-            # Each stamp folds once, after it; nothing reads the last.
-            assert [stamp for _, stamp in folds] == sorted(set(edge_log.timestamps.tolist()))[:-1]
-            # At most one left limit per stamp.
-            assert len({stamp for _, stamp in limits}) == len(limits)
+            assert [(kind, id(params), stamp) for kind, params, stamp in calls] == [
+                (kind, id(params_list[bisect.bisect_right(barriers, stamp)]), stamp)
+                for stamp in sorted(set(edge_log.timestamps.tolist()))
+                for kind in ("limit", "fold")
+            ]
             last = edge_log.timestamps[-1] if len(edge_log) else 0.0
             assert len(rt.corr.epochs) == 1 + bisect.bisect_right(barriers, last)
 

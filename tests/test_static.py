@@ -10,9 +10,10 @@ Stdlib only. Each file is parsed once, and every rule reads names through
   ``src/ppvf`` reads, by name, attribute or import;
 - a name defined in ``src/ppvf`` (but ``__init__.py``) that only tests
   read: a module-level function, class or public assigned name, or a
-  method or class-level annotated field, that nothing in ``src/ppvf`` or
-  ``bench`` reads by name, attribute, import or keyword argument (dunder
-  names are exempt);
+  method, class-level annotated field or attribute a method assigns as
+  ``self.<name> = ...``, that nothing in ``src/ppvf`` or ``bench`` reads
+  by name, attribute, import or keyword argument (dunder names are
+  exempt);
 - a parameter of a ``src/ppvf`` function or lambda that its body never
   reads (``self``, ``cls`` and names starting with an underscore are
   exempt).
@@ -86,6 +87,13 @@ def _defined(body, in_class):
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or (isinstance(node, ast.ClassDef) and not in_class):
             yield node, node.name
+            if in_class:  # a method: also each attribute it assigns as self.<name> = ...
+                yield from (
+                    (n, n.attr)
+                    for n in ast.walk(node)
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                    and isinstance(n.value, ast.Name) and n.value.id == "self"
+                )
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             if in_class or not node.target.id.startswith("_"):
                 yield node, node.target.id
