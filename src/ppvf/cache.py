@@ -171,9 +171,10 @@ class MavState:
         np.add.at(self.pending, videos, 1.0)
 
     def scores(self, time: float) -> np.ndarray:
-        """Averages over completed slots as of ``time``."""
+        """Averages over completed slots as of ``time``: ``values`` itself, which
+        no later fold writes into, as each binds a new array before scaling it."""
         self.fold_until(time)
-        return self.values.copy()
+        return self.values
 
 
 def select_candidates_random(ledger: PrivacyLedger, rng) -> tuple[CandidateSet, PrivacyLedger]:

@@ -1,13 +1,13 @@
 """Correlated differential privacy for prefetch obfuscation.
 
-Each cache miss contributes one utility sweep to a running Pearson state.
-Between refits every sweep is affine in the edge's latent mix,
-``utilities = base_rate + target_factors @ mix``, so the state keeps the
-moments of the mix per parameter epoch, next to one (epoch, video, 1+D)
-table of every epoch's parameters, built once from the fitted sequence
-and shared read-only by all edges; any pair's full-history cross sum
-follows from those in O(E * D^2), for every catalog size. Sensitivity of
-a candidate video is the correlation-weighted sum of how much deleting
+Each fitted cache miss adds one utility sweep to a Pearson state. Between
+refits every sweep is affine in the edge's latent mix, ``utilities =
+base_rate + target_factors @ mix``, so the state keeps only the moments of
+the mix per parameter epoch, next to one (epoch, video, 1+D) table of every
+epoch's parameters, built once from the fitted sequence and shared
+read-only by all edges; a miss costs O(D^2), and any video's sums and any
+pair's cross sum follow in O(E * D^2), for every catalog size. Sensitivity
+of a candidate video is the correlation-weighted sum of how much deleting
 each co-candidate's history would move its utility; with the exponential
 kernel that deletion difference has the closed form
 ``influence(i,j) * decayed_counts[j]``, so no rebuild is needed. Prefetch
@@ -31,30 +31,27 @@ _VARIANCE_EPS = 1e-12
 
 
 class CorrelationState:
-    """Running sums behind the per-pair Pearson correlation of utilities.
+    """The epoch moments behind the per-pair Pearson correlation of utilities.
 
-    ``sums`` and ``sq_sums`` accumulate each video's utilities directly.
-    Cross sums stay factored over parameter epochs. ``table`` is the
-    read-only (E, I, 1+D) table of :func:`epoch_table`: row ``table[e, i]``
-    is ``(base_rate[i], *target_factors[i])`` under epoch ``e``'s
-    parameters, built once per run and shared by every edge. The state
-    starts in epoch 0 and :meth:`next_epoch` moves it on; ``epochs`` and
-    ``moments`` cover the epochs reached so far. ``moments[e]`` is the sum
-    of ``outer(z, z)`` over epoch ``e``'s sweeps with ``z = (1, mix)``, and
-    only ``moments[-1]`` changes. The full-history cross sum of videos ``i``
-    and ``j`` is ``sum_e epochs[e, i] @ moments[e] @ epochs[e, j]``, exact
-    for every catalog size.
+    ``table`` is the read-only (E, I, 1+D) table of :func:`epoch_table`:
+    row ``table[e, i]`` is ``(base_rate[i], *target_factors[i])`` under
+    epoch ``e``'s parameters, built once per run and shared by every edge.
+    The state starts in epoch 0 and :meth:`next_epoch` moves it on;
+    ``epochs`` and ``moments`` cover the epochs reached so far. ``moments[e]``
+    sums ``outer(z, z)`` over epoch ``e``'s sweeps, ``epochs[e] @ z`` with
+    ``z = (1, mix)``; only ``moments[-1]`` changes. So the full-history cross
+    sum of videos ``i`` and ``j`` is ``sum_e epochs[e, i] @ moments[e] @
+    epochs[e, j]`` (squares at ``j = i``) and video ``i``'s utility sum is
+    ``sum_e epochs[e, i] @ moments[e][:, 0]``, exact for every catalog size;
+    besides views of the table, the state keeps nothing catalog-sized.
     """
 
-    # bench/tracing.py sizes the state as sums + sq_sums + cross when this is set.
+    # bench/tracing.py sizes the state as the derived sums + sq_sums + cross when set.
     dense = True
 
     def __init__(self, table: np.ndarray):
         self.table = table
-        self.catalog_size = table.shape[1]
         self.steps = 0
-        self.sums = np.zeros(self.catalog_size)
-        self.sq_sums = np.zeros(self.catalog_size)
         self._moments = np.zeros((len(table),) + (table.shape[2],) * 2)
         self.epochs, self.moments = table[:1], self._moments[:1]
 
@@ -70,18 +67,23 @@ class CorrelationState:
         """The current epoch's sum of ``outer(mix, mix)``."""
         return self.moments[-1, 1:, 1:]
 
-    def update(self, utilities: np.ndarray, mix: np.ndarray) -> None:
-        """Fold one utility sweep, and the mix it was computed from, into the state."""
-        lam = np.asarray(utilities, dtype=np.float64)
-        if lam.shape[0] != self.catalog_size:
-            raise ValueError("utility vector length must match the catalog")
-        if not np.isfinite(lam).all():
-            raise ValueError("utilities must be finite")
+    @property
+    def sums(self) -> np.ndarray:
+        """Each video's sum of utilities, derived from the moments."""
+        return sum(rows @ m[:, 0] for rows, m in zip(self.epochs, self.moments))
+
+    @property
+    def sq_sums(self) -> np.ndarray:
+        """Each video's sum of squared utilities, derived from the moments."""
+        return sum(((rows @ m) * rows).sum(axis=1) for rows, m in zip(self.epochs, self.moments))
+
+    def update(self, mix: np.ndarray) -> None:
+        """Fold the mix of one sweep, ``epochs[-1] @ (1, mix)``, into the state; O(D^2)."""
         z = np.concatenate(([1.0], mix))
+        if not np.isfinite(z).all():
+            raise ValueError("the mix must be finite")
         self.moments[-1] += z[:, None] * z
         self.steps += 1
-        self.sums += lam
-        self.sq_sums += lam * lam
 
 
 def epoch_table(params_list) -> np.ndarray:
@@ -105,13 +107,16 @@ def correlation_block(state: CorrelationState, videos) -> np.ndarray:
         raise ValueError("correlation undefined before two incorporated steps")
     c = np.asarray(videos, dtype=np.intp)
     feats = state.epochs.take(c, axis=1)
-    # All epochs sum as one product over the flattened (epoch, feature) axis.
+    # Column 0 of each epoch's product sums the utilities, and the cross
+    # block's diagonal their squares. All epochs sum as one product over the
+    # flattened (epoch, feature) axis.
+    prod = feats @ state.moments
+    s = prod[:, :, 0].sum(axis=0)
     shape = (len(c), feats.shape[0] * feats.shape[2])
-    weighted = (feats @ state.moments).transpose(1, 0, 2).reshape(shape)
+    weighted = prod.transpose(1, 0, 2).reshape(shape)
     cross = weighted @ feats.transpose(1, 0, 2).reshape(shape).T
     n = state.steps
-    s = state.sums[c]
-    var = n * state.sq_sums[c] - s * s
+    var = n * cross.diagonal() - s * s
     # An infinite spread zeroes every pair of a degenerate series.
     sd = np.sqrt(np.where(var > _VARIANCE_EPS, var, np.inf))
     # Broadcast products and a max/min pair: what np.outer and np.clip

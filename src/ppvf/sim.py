@@ -7,9 +7,10 @@ left limit, for candidate selection, sensitivity calibration, noisy
 prefetch sampling and cache scoring; the fetch sent upstream, the viewed
 video plus the sampled prefetches, is all the content provider ever
 observes. mav's utilities are moving averages. The fitted policies (ppvf,
-sage, bestfit) alone keep a kernel and a correlation state, and refit on a
-fixed schedule over the edges' private logs. The warmup period exercises
-caches and state but spends no privacy budget and counts toward no metric.
+sage, bestfit) alone keep a kernel and a correlation state of its mix, and
+refit on a fixed schedule over the edges' private logs. The warmup period
+exercises caches and state but spends no privacy budget and counts toward
+no metric.
 
 The trace is the only record of requests. The fit is a stage of its own
 (:func:`fit_schedule`, which ``ppvf fit`` runs too): each barrier's fit
@@ -17,11 +18,11 @@ window keeps the requests stamped before it, so a :class:`FitSchedule`
 depends on the trace and the fit settings alone and every fitted run under
 them can replay it. Then each edge replays its whole log in one pass,
 on its own and in edge order, stamp by stamp: a stamp that reaches a
-barrier switches to the next fitted parameters, the kernel moves to the
-stamp's left limit, and the stamp's requests fold in once after it. Each
-edge's results join the report before the next edge starts. All randomness
-flows from per-edge seeded streams and all reductions are
-order-independent, so reports depend on the seed alone.
+barrier switches to the next fitted parameters, the stamp's first miss
+moves the kernel to the stamp's left limit, and the stamp's requests fold
+in once after it. Each edge's results join the report before the next
+edge starts. All randomness flows from per-edge seeded streams and all
+reductions are order-independent, so reports depend on the seed alone.
 """
 
 from __future__ import annotations
@@ -165,10 +166,10 @@ class _EdgeRuntime:
     rule (ppvf, mav) ``bounds``.
 
     The log is replayed stamp by stamp. Requests that share a stamp see
-    only the strictly earlier past (the left limit): during a stamp the
-    fitted policies' ``kernel`` is that limit, and a stamp's requests fold
-    into it, or into mav's current slot, after the stamp. So every miss at
-    one stamp reads the same utilities, and ``stamp_utilities`` keeps them.
+    only the strictly earlier past (the left limit): a stamp's first miss
+    moves the fitted policies' ``kernel`` to it, and a stamp's requests
+    fold into the kernel, or into mav's slot, after the stamp. So every
+    miss at one stamp reads the same utilities; ``stamp_utilities`` keeps them.
     """
 
     kernel = corr = mav = bounds = None
@@ -216,13 +217,13 @@ class _EdgeRuntime:
 
         Only fitted runs have barriers: a stamp at or after the next one
         first moves the kernel and the correlation state to the epoch it
-        falls in. Every stamp then moves a kernel to its left limit. Each
-        request is served: lru and lfu through :func:`cache.baseline_step`,
-        the scored policies by a lookup and, on a miss, :meth:`_on_miss`.
-        Test-period hits and upstream fetches are recorded here for all six
-        policies. After the stamp, a warmup stamp that missed widens the
-        threshold rule's ratio bounds, and the stamp's requests fold in
-        once, into the kernel under that epoch's parameters or into mav's
+        falls in. Each request is served: lru and lfu through
+        :func:`cache.baseline_step`, the scored policies by a lookup and, on
+        a miss, :meth:`_on_miss`. Test-period hits and upstream fetches are
+        recorded here for all six policies. After the stamp, a warmup stamp
+        that missed widens the threshold rule's ratio bounds, and the
+        stamp's requests fold in once, into the kernel under that epoch's
+        parameters (from the previous stamp if none missed) or into mav's
         slot. Barriers after the last request need nothing: no later read
         sees them.
         """
@@ -238,8 +239,6 @@ class _EdgeRuntime:
                     self.corr.next_epoch()
                 epoch = stamp_epoch
                 self.kernel.rebuild_mix(params)
-            if self.kernel is not None:
-                self.kernel = advance_state(params, self.kernel, ts)
             self.stamp_utilities = None
             in_test = ts >= self.cfg.init_horizon
             for video in videos.tolist():
@@ -262,20 +261,27 @@ class _EdgeRuntime:
     def _on_miss(self, params: ModelParams, video: int, ts: float, in_test: bool) -> list[int]:
         """Serve a scored-policy miss and return the fetch sent upstream.
 
-        The stamp's first miss sweeps the left-limit ``kernel`` (mav reads
-        its averages) and re-scores the residents; later misses reuse both.
-        Every fitted-policy miss folds the utilities into the correlation
-        state. A test miss draws its prefetches from its candidates, maybe
-        none, at their worst sensitivity (mav's, free of excitation, is 0);
-        a warmup miss fetches the viewed video alone and spends no budget.
-        The fetched videos are then offered to the cache.
+        The stamp's first miss moves ``kernel`` to the left limit and sweeps
+        it, refusing a non-finite sweep (mav reads its averages), and
+        re-scores the residents; later misses reuse both. Every fitted miss
+        folds the kernel's mix alone into the correlation state. A test miss
+        draws its prefetches from its candidates, maybe none, at their worst
+        sensitivity (mav's, free of excitation, is 0); a warmup miss fetches
+        the viewed video alone and spends no budget. The fetched videos are
+        then offered to the cache.
         """
         if self.stamp_utilities is None:
-            self.stamp_utilities = intensity_sweep(params, self.kernel) if self.mav is None else self.mav.scores(ts)
+            if self.mav is None:
+                self.kernel = advance_state(params, self.kernel, ts)
+                self.stamp_utilities = intensity_sweep(params, self.kernel)
+                if not np.isfinite(self.stamp_utilities).all():
+                    raise ValueError("utilities must be finite")
+            else:
+                self.stamp_utilities = self.mav.scores(ts)
             self.cache.refresh_scores(self.stamp_utilities)
         lam = self.stamp_utilities
         if self.corr is not None:
-            self.corr.update(lam, self.kernel.source_mix)
+            self.corr.update(self.kernel.source_mix)
 
         # The fetch sent upstream: the viewed video, then the prefetches.
         fetched = [video]

@@ -513,7 +513,8 @@ def write_trace_per_event(log, path) -> None:
 
 class ListCorrelationState:
     """Correlation sums with each epoch's ``base_rate``, ``target_factors``
-    and mix moments kept in three parallel lists."""
+    and mix moments kept in three parallel lists, next to the running sums
+    and squares of every sweep."""
 
     def __init__(self, catalog_size: int):
         self.steps = 0
@@ -537,22 +538,39 @@ class ListCorrelationState:
         self.sq_sums += lam * lam
 
 
-def correlation_block_from_lists(state: ListCorrelationState, videos) -> np.ndarray:
-    """Pearson block of ``videos``, each epoch's rows stacked from the lists."""
+def _stacked_products(state: ListCorrelationState, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each epoch's ``rows @ moments`` for videos ``c``, and their full-history cross block."""
     if state.steps < 2:
         raise ValueError("correlation undefined before two incorporated steps")
-    c = np.asarray(videos, dtype=np.intp)
     bases = np.array([b[c] for b in state.bases])[..., None]
     feats = np.concatenate((bases, np.array([t.take(c, axis=0) for t in state.factors])), axis=2)
     shape = (len(c), feats.shape[0] * feats.shape[2])
-    weighted = (feats @ np.array(state.moments)).transpose(1, 0, 2).reshape(shape)
-    cross = weighted @ feats.transpose(1, 0, 2).reshape(shape).T
-    n = state.steps
-    s = state.sums[c]
-    var = n * state.sq_sums[c] - s * s
+    prod = feats @ np.array(state.moments)
+    cross = prod.transpose(1, 0, 2).reshape(shape) @ feats.transpose(1, 0, 2).reshape(shape).T
+    return prod, cross
+
+
+def _pearson_block(n: int, cross: np.ndarray, s: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    var = n * sq - s * s
     sd = np.sqrt(np.where(var > 1e-12, var, np.inf))
     value = (n * cross - np.outer(s, s)) / np.outer(sd, sd)
     return np.clip(value, -1.0, 1.0, out=value)
+
+
+def correlation_block_from_lists(state: ListCorrelationState, videos) -> np.ndarray:
+    """Pearson block of ``videos``, each epoch's rows stacked from the lists;
+    the sums come from column 0 of the epoch products and the squares from
+    the cross block's diagonal."""
+    c = np.asarray(videos, dtype=np.intp)
+    prod, cross = _stacked_products(state, c)
+    return _pearson_block(state.steps, cross, prod[:, :, 0].sum(axis=0), np.diagonal(cross))
+
+
+def correlation_block_from_running_sums(state: ListCorrelationState, videos) -> np.ndarray:
+    """The same block with each video's sum and sum of squares read from the running sums."""
+    c = np.asarray(videos, dtype=np.intp)
+    _, cross = _stacked_products(state, c)
+    return _pearson_block(state.steps, cross, state.sums[c], state.sq_sums[c])
 
 
 # -- test-only helpers -------------------------------------------------------
@@ -659,9 +677,9 @@ def identity_correlation_state(catalog_size: int) -> CorrelationState:
     return CorrelationState(np.eye(catalog_size, catalog_size + 1, 1)[None])
 
 
-def update_correlation(state: CorrelationState, utilities: np.ndarray, mix=None) -> CorrelationState:
-    """Fold one sweep; without a mix the sweep is its own (identity-epoch) mix."""
-    state.update(utilities, utilities if mix is None else mix)
+def update_correlation(state: CorrelationState, mix: np.ndarray) -> CorrelationState:
+    """Fold one sweep's mix; in an identity epoch a sweep is its own mix."""
+    state.update(mix)
     return state
 
 

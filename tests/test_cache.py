@@ -193,6 +193,19 @@ class TestMav:
         mav.record(0, 0.1)
         assert mav.scores(0.9)[0] == 0.0
 
+    def test_returned_scores_keep_their_values(self):
+        # scores hands out ``values`` itself; no later record or fold may
+        # write into an array it returned.
+        mav = MavState(3, slot_hours=1.0)
+        mav.record([0, 1, 1], 0.5)
+        first = mav.scores(1.0)
+        kept = first.copy()
+        mav.record([2, 2], 1.5)
+        mav.record([0], 4.5)  # folds slot 1, then decays across the empty slots 2 and 3
+        later = mav.scores(6.0)
+        assert first.tobytes() == kept.tobytes()
+        assert later.tobytes() != kept.tobytes()
+
 
 class TestSage:
     def test_charges_budget_and_stops_at_cap(self):

@@ -9,6 +9,7 @@ from scipy.stats import chisquare
 from oracles import (
     ListCorrelationState,
     correlation_block_from_lists,
+    correlation_block_from_running_sums,
     correlation_degree,
     dp_ratio_check,
     em_sample_per_draw,
@@ -87,6 +88,23 @@ class TestCorrelationState:
         with pytest.raises(ValueError):
             update_correlation(state, np.array([1.0, np.inf]))
 
+    def test_keeps_no_catalog_sized_array_of_its_own(self):
+        # Across epochs, only views of the shared table span the catalog:
+        # the sums and squares are derived from the moments, not kept.
+        rng = np.random.default_rng(16)
+        catalog, dim, epochs = 40, 3, 3
+        table = rng.uniform(0.05, 0.5, (epochs, catalog, 1 + dim))
+        state = CorrelationState(table)
+        for epoch in range(epochs):
+            if epoch:
+                state.next_epoch()
+            for _ in range(4):
+                state.update(rng.uniform(0.0, 2.0, dim))
+        held = [v for v in vars(state).values() if isinstance(v, np.ndarray) and catalog in v.shape]
+        assert held
+        for value in held:
+            assert np.shares_memory(value, table)
+
 
 class TestCorrelationDegree:
     def test_identical_series_fully_correlated(self):
@@ -131,10 +149,29 @@ class TestCorrelationDegree:
             for _ in range(15):
                 mix = rng.uniform(0.0, 2.0, dim)
                 lam = base + factors @ mix
-                update_correlation(state, lam, mix)
+                update_correlation(state, mix)
                 history.append(lam[[17, 4321]])
         batch = np.corrcoef(np.array(history).T)[0, 1]
         assert correlation_degree(state, 17, 4321) == pytest.approx(batch, abs=1e-9)
+
+
+def epoch_histories(epochs, rng, catalog=60, dim=10):
+    """A state and its list reference fed the same random sweeps, 2 to 5 per
+    epoch, yielded after each epoch's sweeps."""
+    table = np.empty((epochs, catalog, 1 + dim))
+    state, ref = CorrelationState(table), ListCorrelationState(catalog)
+    for epoch in range(epochs):
+        base = rng.uniform(0.1, 0.5, catalog)
+        factors = rng.uniform(0.05, 0.3, (catalog, dim))
+        fill_epoch(table, epoch, base, factors)
+        if epoch:
+            state.next_epoch()
+        ref.start_epoch(base, factors)
+        for _ in range(int(rng.integers(2, 6))):
+            mix = rng.uniform(0.0, 2.0, dim)
+            state.update(mix)
+            ref.update(base + factors @ mix, mix)
+        yield state, ref
 
 
 class TestCorrelationBlockMatchesEpochLists:
@@ -143,25 +180,24 @@ class TestCorrelationBlockMatchesEpochLists:
     @pytest.mark.parametrize("epochs", [1, 2, 15])
     def test_bit_for_bit(self, epochs):
         rng = np.random.default_rng(epochs)
-        catalog, dim = 60, 10
-        table = np.empty((epochs, catalog, 1 + dim))
-        state, ref = CorrelationState(table), ListCorrelationState(catalog)
-        for epoch in range(epochs):
-            base = rng.uniform(0.1, 0.5, catalog)
-            factors = rng.uniform(0.05, 0.3, (catalog, dim))
-            fill_epoch(table, epoch, base, factors)
-            if epoch:
-                state.next_epoch()
-            ref.start_epoch(base, factors)
-            for _ in range(int(rng.integers(2, 6))):
-                mix = rng.uniform(0.0, 2.0, dim)
-                lam = base + factors @ mix
-                state.update(lam, mix)
-                ref.update(lam, mix)
+        for state, ref in epoch_histories(epochs, rng):
             for k in (1, 4, 12):
-                videos = rng.choice(catalog, k, replace=False)
+                videos = rng.choice(60, k, replace=False)
                 block = cdp.correlation_block(state, videos)
                 assert block.tobytes() == correlation_block_from_lists(ref, videos).tobytes()
+
+    @pytest.mark.parametrize("epochs", [1, 2, 15])
+    def test_derived_sums_match_running_sums(self, epochs):
+        # The sums and squares that the moments imply read as the running
+        # sums of every sweep, and so does the block built from them.
+        rng = np.random.default_rng(100 + epochs)
+        for _ in range(10):
+            for state, ref in epoch_histories(epochs, rng):
+                videos = rng.choice(60, 12, replace=False)
+                block = cdp.correlation_block(state, videos)
+                assert block == pytest.approx(correlation_block_from_running_sums(ref, videos), rel=0, abs=1e-9)
+            assert np.allclose(state.sums, ref.sums, rtol=1e-12, atol=0)
+            assert np.allclose(state.sq_sums, ref.sq_sums, rtol=1e-12, atol=0)
 
     def test_next_epoch_stops_at_table_end(self):
         state = CorrelationState(np.ones((2, 3, 3)))

@@ -554,34 +554,62 @@ class TestBarrierSwitch:
         assert digest.hexdigest() == self.EXPECTED[policy]
 
     def test_requests_fold_under_their_stamps_epoch(self, monkeypatch):
-        # Each stamp, the last included and in order, takes exactly one left
-        # limit and then one fold of its requests, both under the parameters
-        # of the epoch the stamp falls in; each edge's correlation state ends
-        # in the epoch of its last request: barriers after it, or in a gap,
-        # are all counted.
+        # Each stamp, the last included and in order, takes exactly one fold
+        # of its requests under the parameters of the epoch the stamp falls
+        # in. Only a stamp that sweeps takes a left limit, under the same
+        # parameters and just before its sweep, and every sweep reads a
+        # kernel at its own stamp. Each edge's correlation state ends in the
+        # epoch of its last request: barriers after it, or in a gap, are all
+        # counted.
         cfg = self._cfg("ppvf")
         barriers = sim.barrier_times(cfg, cfg.test_horizon)
         params_list = [ModelParams.constant(12, 2, 1.0 + 0.1 * e, cfg.decay) for e in range(len(barriers) + 1)]
         calls = []
-        real_advance = sim.advance_state
+        real_advance, real_sweep = sim.advance_state, sim.intensity_sweep
 
-        def spy(params, state, to_time, *args, **kwargs):
+        def advance_spy(params, state, to_time, *args, **kwargs):
             # A call that passes videos folds them; one without is a left limit.
             calls.append(("fold" if args or kwargs else "limit", params, to_time))
             return real_advance(params, state, to_time, *args, **kwargs)
 
-        monkeypatch.setattr(sim, "advance_state", spy)
+        def sweep_spy(params, state):
+            calls.append(("sweep", params, state.last_update))
+            return real_sweep(params, state)
+
+        monkeypatch.setattr(sim, "advance_state", advance_spy)
+        monkeypatch.setattr(sim, "intensity_sweep", sweep_spy)
+        skipped = 0
         for edge_id, edge_log in enumerate(trace.partition_by_edge(barrier_crossing_log())):
             calls.clear()
             rt = sim._EdgeRuntime(edge_id, edge_log, cfg, cdp.epoch_table(params_list), 3)
             rt.run(barriers, params_list)
-            assert [(kind, id(params), stamp) for kind, params, stamp in calls] == [
-                (kind, id(params_list[bisect.bisect_right(barriers, stamp)]), stamp)
-                for stamp in sorted(set(edge_log.timestamps.tolist()))
-                for kind in ("limit", "fold")
-            ]
+            swept = {stamp for kind, _, stamp in calls if kind == "sweep"}
+            expected = []
+            for stamp in sorted(set(edge_log.timestamps.tolist())):
+                params = id(params_list[bisect.bisect_right(barriers, stamp)])
+                if stamp in swept:
+                    expected += [("limit", params, stamp), ("sweep", params, stamp)]
+                expected.append(("fold", params, stamp))
+                skipped += stamp not in swept
+            assert [(kind, id(params), stamp) for kind, params, stamp in calls] == expected
             last = edge_log.timestamps[-1] if len(edge_log) else 0.0
             assert len(rt.corr.epochs) == 1 + bisect.bisect_right(barriers, last)
+        assert skipped  # some stamps only hit, and take no left limit
+
+
+def test_non_finite_sweep_refused_at_first_miss():
+    # A sweep that overflows is refused once per stamp, where the stamp's
+    # first miss takes it, before any of its requests fold in.
+    cfg = SimConfig(init_horizon=6.0, test_horizon=73.0, latent_dim=2)
+    edge_log = trace.partition_by_edge(barrier_crossing_log())[0]
+    params = ModelParams(np.ones(12), np.full((12, 2), 1e300), np.ones((12, 2)), cfg.decay)
+    rt = sim._EdgeRuntime(0, edge_log, cfg, cdp.epoch_table([params]), 3)
+    first = float(edge_log.timestamps[0])
+    rt.kernel = predictor.KernelState(np.zeros(12), np.full(2, 1e300), first)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        rt.run([], [params])
+    assert rt.kernel.last_update == first
+    assert rt.corr.steps == 0
 
 
 def test_eps_steps_stop_at_the_catalog():

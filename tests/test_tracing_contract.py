@@ -42,7 +42,7 @@ def test_tracer_counts_six_policies_and_restores_every_target():
         tracer.uninstall()
     counts = tracer.counts
     assert counts["sim.events"] == len(sim.POLICIES) * len(log)
-    for name in ("scheduler.admitted", "cdp.em.draws", "cache.lookups"):
+    for name in ("scheduler.admitted", "cdp.em.draws", "cache.lookups", "cdp.corr_state_bytes"):
         assert counts[name] > 0, name
     assert patched
     for owner, attr, original in patched:
