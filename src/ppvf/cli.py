@@ -186,7 +186,7 @@ def _version() -> str:
         )
         if out.returncode == 0 and out.stdout.strip():
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):  # no git, or one past its timeout
         pass
     return f"v{__version__}"
 
@@ -439,9 +439,13 @@ def cmd_report(args) -> int:
             bad.append(name)
         print(f"  {name}: {status}")
         if name.endswith(".csv") and status == "ok":
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh.read().splitlines()[:12]:
-                    print(f"    {line}")
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    lines = fh.read().splitlines()[:12]
+            except UnicodeDecodeError as exc:
+                raise TraceFormatError(f"{name} is not UTF-8 text: {exc}") from None
+            for line in lines:
+                print(f"    {line}")
     if bad:
         raise TraceFormatError(f"manifest hash mismatch for: {', '.join(bad)}")
     return EXIT_OK

@@ -7,7 +7,8 @@ gradients with every parameter reduction redone, per-draw ``rng.choice``
 sampling, Ogata thinning with per-video counts, per-event trace writing,
 per-epoch correlation lists, out-of-place coordinator steps, a cache
 that scans its residents for each eviction, an offline optimum that walks
-every bit mask) and deliberately avoids the machinery under test. The
+every bit mask, and a whole-run replay that composes these and serves one
+request at a time) and deliberately avoids the machinery under test. The
 exponential-mechanism weights, the DP ratio check and the LP relaxation of
 the offline allocation live here too: only tests read them. The test-only
 helpers that follow the oracles hold the ``RequestEvent`` rows tests build
@@ -15,6 +16,7 @@ logs from, cut a log's prefix, and wrap production code for single-value
 queries.
 """
 
+import bisect
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -23,6 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linprog
 
+from ppvf.cache import LfuCache, LruCache, MavState
 from ppvf.cdp import CorrelationState, candidate_sensitivities, correlation_block
 from ppvf.federation import FitResult, TrainConfig, aggregate_and_step, global_loss
 from ppvf.predictor import (
@@ -33,11 +36,13 @@ from ppvf.predictor import (
     ModelParams,
     TrainWindow,
     advance_state,
+    intensity_sweep,
     window_gradients,
     window_log_likelihood,
     window_stats,
 )
-from ppvf.scheduler import CandidateSet, PrivacyLedger, threshold
+from ppvf.scheduler import CandidateSet, PrivacyLedger, ThresholdConfig, threshold
+from ppvf.sim import FITTED_POLICIES, SimConfig, SimReport
 from ppvf.trace import EventLog
 
 
@@ -573,6 +578,127 @@ def correlation_block_from_running_sums(state: ListCorrelationState, videos) -> 
     return _pearson_block(state.steps, cross, state.sums[c], state.sq_sums[c])
 
 
+class ReferenceReplay(NamedTuple):
+    """:func:`replay_reference`'s result. ``fetches`` holds each request's
+    upstream fetch, edge by edge in log order, empty for a hit, and
+    ``sensitivities`` the sensitivity of each test miss's prefetch draw;
+    ``ties`` counts the decisions an exact tie of utilities settled: equal
+    utilities at the cap of bestfit's order, or at an eviction."""
+
+    report: SimReport
+    fetches: list[tuple[int, ...]]
+    sensitivities: list[float]
+    ties: int
+
+
+def replay_reference(cfg: SimConfig, log: EventLog, schedule) -> ReferenceReplay:
+    """``run_simulation`` of a fitted policy under ``schedule``, or of any
+    other policy (``schedule`` unread), served one request at a time.
+
+    Each edge in turn serves its requests in log order, with nothing shared
+    between requests of one stamp. lru and lfu access their own caches. For
+    the other policies a request is a hit if its video is resident, and a
+    miss recomputes its utilities: a fitted policy rebuilds the kernel from
+    the edge's requests stamped strictly before the miss under the
+    parameters of the epoch its stamp falls in (``schedule.params[e]`` from
+    ``schedule.barriers[e - 1]`` on) and sweeps it; mav reads a
+    ``MavState`` fed each request once it is served. The miss re-scores
+    the residents, and a fitted one adds its utilities and mix to a
+    correlation state of per-epoch lists. A warm-up miss fetches the viewed
+    video alone. A test miss also picks candidates on a ``FractionLedger``:
+    by the threshold rule for ppvf and mav (bounds fixed, or the positive
+    utility/cost ratios of the warm-up misses, else of this miss, else 1),
+    at random for sage, by utility for bestfit. It then draws prefetches one
+    at a time by the exponential mechanism at the candidates' worst
+    sensitivity. The fetch, viewed video first, is offered to a scanned
+    cache. Picks draw from stream ``(edge, 0)`` and prefetches from
+    ``(edge, 1)`` of ``cfg.seed``.
+    """
+    fitted = cfg.policy in FITTED_POLICIES
+    report = SimReport(cfg.policy, fl_losses=list(schedule.losses) if fitted else [])
+    capacity = max(1, round(cfg.cache_fraction * log.catalog_size))
+    fetches, sensitivities, ties = [], [], 0
+    for edge in range(log.edge_count):
+        mine = log.edge_ids == edge
+        times, videos, users = log.timestamps[mine], log.video_ids[mine], log.user_ids[mine].tolist()
+        rng_pick, rng_em = (np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(edge, key))) for key in (0, 1))
+        ledger = FractionLedger(log.catalog_size, cfg.total_budget, cfg.unit_cost, cfg.prefetch_cap)
+        baseline = {"lru": LruCache, "lfu": LfuCache}[cfg.policy](capacity) if cfg.policy in ("lru", "lfu") else None
+        mav = MavState(log.catalog_size, cfg.slot_hours) if cfg.policy == "mav" else None
+        corr = ListCorrelationState(log.catalog_size)
+        scores: dict[int, float] = {}
+        bounds, warm_ratios = cfg.bounds, []
+        exposed: set[int] = set()
+        for t, video in zip(times.tolist(), videos.tolist()):
+            in_test = t >= cfg.init_horizon
+            if baseline is not None:
+                fetched = () if baseline.access(video)[0] else (video,)
+            elif video in scores:
+                fetched = ()
+            else:
+                if fitted:
+                    epoch = bisect.bisect_right(schedule.barriers, t)
+                    params = schedule.params[epoch]
+                    state = rebuild_state(params, times[times < t], videos[times < t], t)
+                    lam = intensity_sweep(params, state)
+                    while len(corr.bases) <= epoch:
+                        reached = schedule.params[len(corr.bases)]
+                        corr.start_epoch(reached.base_rate, reached.target_factors)
+                    corr.update(lam, state.source_mix)
+                else:
+                    lam = mav.scores(t)
+                for v in scores:
+                    scores[v] = float(lam[v])
+                ratios = [r for r in (lam / cfg.unit_cost).tolist() if r > 0]
+                fetched = [video]
+                if not in_test:
+                    warm_ratios += ratios
+                else:
+                    if cfg.policy == "sage":
+                        picks = walk_random(ledger, rng_pick)
+                    elif cfg.policy == "bestfit":
+                        chargeable = [v for v in range(log.catalog_size) if ledger.can_charge(v)]
+                        picks = walk_best_utility(lam, ledger)
+                        ties += len(picks) == cfg.prefetch_cap and any(
+                            lam[v] == lam[picks[-1]] for v in chargeable if v not in picks
+                        )
+                    else:
+                        if bounds is None:
+                            seen = warm_ratios or ratios or [1.0]
+                            bounds = (min(seen), max(seen))
+                        picks = walk_threshold(lam, ledger, ThresholdConfig(lower=bounds[0], upper=bounds[1]), rng_pick)
+                    worst = 0.0
+                    if fitted and picks and corr.steps >= 2:
+                        c = list(picks)
+                        deletion = (params.target_factors[c] @ params.source_factors[c].T) * state.decayed_counts[c]
+                        worst = float((np.abs(correlation_block_from_running_sums(corr, c)) * deletion).sum(axis=1).max())
+                    sensitivities.append(worst)
+                    eps_step = float(len(picks) * ledger.unit_cost[0] / cfg.prefetch_cap)
+                    drawn = em_sample_per_draw(picks, lam[list(picks)], eps_step, worst, cfg.prefetch_cap, rng_em)
+                    fetched += [v for v in drawn if v != video]
+                for v in fetched:
+                    if v not in scores and len(scores) == capacity:
+                        weakest = min(scores.values())
+                        ties += bool(lam[v] == weakest or (lam[v] > weakest and list(scores.values()).count(weakest) > 1))
+                    admit_by_scan(scores, capacity, [(v, lam[v])])
+                fetched = tuple(fetched)
+            fetches.append(fetched)
+            if mav is not None:
+                mav.record([video], t)
+            if in_test:
+                report.hits += not fetched
+                report.requests += 1
+                exposed.update(fetched)
+        profiles: dict[int, set[int]] = {}
+        for user, video, t in zip(users, videos.tolist(), times.tolist()):
+            if t >= cfg.init_horizon:
+                profiles.setdefault(user, set()).add(video)
+        for user, profile in profiles.items():
+            report.per_user_js[(edge, user)] = len(profile & exposed) / len(profile | exposed)
+        report.residual_fractions += [float(1 - ledger.consumed_fraction(v)) for v in range(log.catalog_size)]
+    return ReferenceReplay(report, fetches, sensitivities, ties)
+
+
 # -- test-only helpers -------------------------------------------------------
 
 
@@ -626,7 +752,11 @@ def gradients(params: ModelParams, log, window: TrainWindow) -> GradientBundle:
 
 
 def rebuild_state(params: ModelParams, event_times, event_videos, at_time: float) -> KernelState:
-    """Recompute the state from raw events (consistency oracle for advance_state)."""
+    """Recompute the state from raw events (consistency oracle for advance_state).
+
+    Events stamped at ``at_time`` are kept, at zero lag and kernel weight 1,
+    so a left limit at ``at_time`` must pass the events strictly before it.
+    """
     times = np.asarray(event_times, dtype=np.float64)
     vids = np.asarray(event_videos, dtype=np.int64)
     keep = times <= at_time

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ppvf
 from ppvf import cli, sim, trace
 from ppvf.predictor import ModelParams
 
@@ -127,6 +128,16 @@ class TestSimulate:
         assert set(manifest["outputs"]) >= {"chr.csv", "js.csv", "budget_cdf.csv", "fl_loss.csv"}
         for name, digest in manifest["outputs"].items():
             assert sha(os.path.join(out, name)) == digest
+
+    def test_manifest_written_when_git_describe_times_out(self, tiny_trace, tmp_path, monkeypatch):
+        def run(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+        monkeypatch.setattr(subprocess, "run", run)
+        cfg, tr = tiny_trace
+        out = str(tmp_path / "out_manifest")
+        assert cli.main(["simulate", "--config", cfg, "--trace", tr, "--policy", "lru", "--out", out]) == 0
+        assert json.loads(Path(out, "manifest.json").read_text())["version"] == f"v{ppvf.__version__}"
 
     def test_sweep_over_fitted_policies_fits_each_barrier_once(self, tiny_trace, tmp_path, monkeypatch):
         # No fit reads the policy, f, xi or c, so the nine runs of a
@@ -712,6 +723,14 @@ class TestFitAndReport:
         assert cli.main(["report", "--out", str(tmp_path)]) == cli.EXIT_DATA
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:")
+
+    def test_report_non_utf8_csv_data_error(self, tmp_path, capsys):
+        # The bytes match the manifest's hash, but the listing cannot decode them.
+        (tmp_path / "chr.csv").write_bytes(b"policy,capacity,chr\ncaf\xff,0.1,0.5\n")
+        (tmp_path / "manifest.json").write_text(json.dumps({"outputs": {"chr.csv": sha(tmp_path / "chr.csv")}}))
+        assert cli.main(["report", "--out", str(tmp_path)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and "chr.csv" in err[0]
 
     def test_report_verifies_hashes(self, tiny_trace, tmp_path, capsys):
         cfg, tr = tiny_trace

@@ -1,12 +1,13 @@
-import bisect
 import dataclasses
 import hashlib
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import RequestEvent, event_log_from_events, log_before, rebuild_state
+from oracles import RequestEvent, event_log_from_events, log_before, replay_reference
 from ppvf import cache as cache_mod
 from ppvf import cdp, predictor, sim, trace
 from ppvf.federation import TrainConfig, run_fit_round
@@ -36,33 +37,68 @@ def synthetic_log(catalog=20, edges=2, horizon=120.0, seed=3):
     )
 
 
-def spy_lookups(mp) -> list[bool]:
-    """Patch ``EdgeCache.lookup`` through ``mp`` to record every lookup's hit, in call order."""
-    hits = []
-    real_lookup = cache_mod.EdgeCache.lookup
+def record_decisions(mp) -> tuple[list[tuple[int, ...]], list[float]]:
+    """Patch the caches' entry points and ``cdp.em_sample`` through ``mp`` to
+    record each request's upstream fetch, empty for a hit, in serving order,
+    and the sensitivity of each test miss's prefetch draw."""
+    fetches, sensitivities = [], []
+    real_lookup, real_admit, real_step = cache_mod.EdgeCache.lookup, cache_mod.EdgeCache.admit, cache_mod.baseline_step
+    real_em_sample = cdp.em_sample
 
     def lookup(self, video):
-        hit = real_lookup(self, video)
-        hits.append(hit)
-        return hit
+        fetches.append(())
+        return real_lookup(self, video)
+
+    def admit(self, incoming):  # a scored miss offers the cache its whole fetch
+        fetches[-1] = tuple(v for v, _ in incoming)
+        return real_admit(self, incoming)
+
+    def step(cache, video):
+        result = real_step(cache, video)
+        fetches.append(result.fetched)
+        return result
+
+    def em_sample(candidates, utilities, eps_step, sensitivity, *args):
+        sensitivities.append(sensitivity)
+        return real_em_sample(candidates, utilities, eps_step, sensitivity, *args)
 
     mp.setattr(cache_mod.EdgeCache, "lookup", lookup)
-    return hits
+    mp.setattr(cache_mod.EdgeCache, "admit", admit)
+    mp.setattr(cache_mod, "baseline_step", step)
+    mp.setattr(cdp, "em_sample", em_sample)
+    return fetches, sensitivities
 
 
-def in_test_period(hits: list[bool], cfg: SimConfig, log) -> list[bool]:
-    """The test-period entries of ``hits``, one lookup per request of each edge in turn."""
-    stamps = np.concatenate([part.timestamps for part in trace.partition_by_edge(log)]).tolist()
-    assert len(hits) == len(stamps)
-    return [hit for hit, t in zip(hits, stamps) if t >= cfg.init_horizon]
-
-
-def run_recording_hits(cfg: SimConfig, log):
-    """``run_simulation``'s report and its test-period hits, event for event."""
+def run_recording(cfg: SimConfig, log, schedule=None):
+    """``run_simulation``'s report, each request's fetch, edge by edge in log
+    order, and each test miss's draw sensitivity."""
     with pytest.MonkeyPatch.context() as mp:
-        hits = spy_lookups(mp)
-        report = run_simulation(cfg, log)
-    return report, in_test_period(hits, cfg, log)
+        fetches, sensitivities = record_decisions(mp)
+        report = run_simulation(cfg, log, schedule)
+    return report, fetches, sensitivities
+
+
+def assert_replays_as_reference(cfg: SimConfig, log, schedule=None):
+    """Require ``run_simulation`` to make ``oracles.replay_reference``'s fetch
+    at every request and to write its report; return the reference's replay."""
+    reference = replay_reference(cfg, log, schedule)
+    report, fetches, sensitivities = run_recording(cfg, log, schedule)
+    assert (report, fetches) == (reference.report, reference.fetches), cfg.policy
+    # A draw takes every candidate, so its sensitivity sets only their
+    # order. The two sides sum in other orders, and Pearson sums cancel.
+    np.testing.assert_allclose(sensitivities, reference.sensitivities, rtol=1e-6, atol=1e-12)
+    return reference
+
+
+def random_schedule(cfg: SimConfig, catalog: int, rng) -> sim.FitSchedule:
+    """A schedule on ``cfg``'s barriers whose epochs hold random parameters,
+    so that no two epochs, and no two utilities, are alike."""
+    barriers = sim.barrier_times(cfg, cfg.test_horizon)
+    params = [
+        ModelParams(rng.uniform(0.05, 0.5, catalog), *rng.uniform(0.002, 0.05, (2, catalog, 2)), cfg.decay)
+        for _ in range(len(barriers) + 1)
+    ]
+    return sim.FitSchedule(sim.fit_settings(cfg, catalog, cfg.test_horizon), barriers, params, [])
 
 
 class TestJaccard:
@@ -218,10 +254,10 @@ class TestRunSimulation:
         assert all(r == 1.0 for r in report.residual_fractions)
 
     def test_zero_budget_equals_eviction_only_reference(self):
-        # With the prefetch path disabled the run must reproduce, event for
-        # event, a plain utility-scored cache fed only by viewed videos.
-        # Flooring the stamps to the hour makes requests simultaneous; a
-        # sweep must not see the requests that share its stamp.
+        # With the prefetch path disabled the run is the reference's cache
+        # fed only viewed videos, event for event. Flooring the stamps to the
+        # hour makes requests simultaneous; a sweep must not see the requests
+        # that share its stamp.
         log = synthetic_log(catalog=15, edges=2, horizon=90.0, seed=7)
         same_hour = trace.EventLog(
             log.edge_ids, log.user_ids, log.video_ids, np.floor(log.timestamps),
@@ -235,39 +271,13 @@ class TestRunSimulation:
             train=TrainConfig(update_interval_hours=1000.0),  # no fitting rounds
         )
         for log in (log, same_hour):
-            _, hit_sequence = run_recording_hits(cfg, log)
-
-            params = ModelParams.constant(log.catalog_size, cfg.latent_dim, 1.0, cfg.decay)
-            capacity = max(1, round(cfg.cache_fraction * log.catalog_size))
-            reference_hits = []
-            for e in range(log.edge_count):
-                mask = log.edge_ids == e
-                times, vids = log.timestamps[mask], log.video_ids[mask]
-                from ppvf.cache import EdgeCache
-
-                cache = EdgeCache(capacity)
-                for idx, (t, v) in enumerate(zip(times, vids)):
-                    hit = cache.lookup(int(v))
-                    if t >= cfg.init_horizon:
-                        reference_hits.append(hit)
-                    if not hit:
-                        past = times < t  # brute-force left-limit sweep
-                        state = rebuild_state(params, times[past], vids[past], t)
-                        lam = predictor.intensity_sweep(params, state)
-                        cache.refresh_scores(lam)
-                        cache.admit([(int(v), lam[int(v)])])
-            assert hit_sequence == reference_hits
+            reference = assert_replays_as_reference(cfg, log, sim.fit_schedule(cfg, log, cfg.test_horizon))
+            assert {len(fetched) for fetched in reference.fetches} == {0, 1}  # hits, and the viewed video alone
 
     def test_deterministic_across_worker_counts(self):
         log = synthetic_log(catalog=25, edges=3, horizon=120.0, seed=5)
-        (a, a_hits), (b, b_hits) = [
-            run_recording_hits(self._cfg("ppvf", workers=w), log) for w in (None, 3)
-        ]
-        assert a.hits == b.hits and a.requests == b.requests
-        assert a.per_user_js == b.per_user_js
-        assert a.residual_fractions == b.residual_fractions
-        assert a.fl_losses == b.fl_losses
-        assert a_hits == b_hits
+        a, b = [run_recording(self._cfg("ppvf", workers=w), log) for w in (None, 3)]
+        assert a == b
 
     def test_deterministic_across_repeat_runs(self):
         log = synthetic_log(catalog=25, edges=2, horizon=120.0, seed=6)
@@ -442,63 +452,98 @@ class TestFitSchedule:
             run_simulation(self.CFG, log, last)
 
 
-class TestSharedStampSweep:
-    """Misses at one edge, stamp and parameter epoch share one utility sweep
-    (mav: one read of its average) and one re-scoring of the residents."""
+@st.composite
+def replay_cases(draw):
+    """Run settings, an hourly trace of repeated videos, and a hand-built
+    schedule whose epochs hold different random parameters. Edge 0 has a
+    request at every barrier, if any, and at the warm-up boundary; the last
+    edge may fall silent for up to 30 h, across barriers."""
+    catalog, edges, n = draw(st.integers(2, 60)), draw(st.integers(1, 3)), draw(st.integers(20, 150))
+    interval, horizon = draw(st.sampled_from([12.0, 24.0, 96.0])), draw(st.integers(30, 72))
+    init, quiet, span = draw(st.integers(0, horizon - 1)), draw(st.integers(0, horizon)), draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stamps = np.floor(rng.uniform(0, horizon, n))
+    edge_ids = rng.integers(0, edges, n)
+    keep = (edge_ids < edges - 1) | (stamps < quiet) | (stamps >= quiet + span)
+    pinned = np.concatenate((np.arange(interval, horizon, interval), [init]))
+    stamps = np.concatenate((stamps[keep], pinned))
+    edge_ids = np.concatenate((edge_ids[keep], np.zeros(len(pinned), dtype=np.int64)))
+    weights = 1.0 / np.arange(1, catalog + 1)
+    videos = rng.choice(catalog, len(stamps), p=weights / weights.sum())
+    users = edge_ids * 4 + rng.integers(0, 4, len(stamps))
+    order = np.argsort(stamps, kind="stable")
+    log = trace.EventLog(edge_ids[order], users[order], videos[order], stamps[order], catalog, edges, float(horizon))
+    lower = draw(st.sampled_from([None, 0.05, 0.3, 1.0]))
+    cfg = SimConfig(
+        init_horizon=float(init), test_horizon=horizon + 1.0, total_budget=draw(st.sampled_from([0.0, 2.0, 5.0])),
+        prefetch_cap=draw(st.integers(1, 4)), cache_fraction=draw(st.sampled_from([0.05, 0.1, 0.25])),
+        bounds=lower and (lower, lower * draw(st.sampled_from([1.0, 3.0, 10.0]))), latent_dim=2,
+        seed=draw(st.integers(0, 99)), train=TrainConfig(learning_rate=1e-3, max_iters=3, update_interval_hours=interval),
+    )
+    return cfg, log, random_schedule(cfg, catalog, rng)
 
-    @staticmethod
-    def _run(policy, share=True):
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(replay_cases())
+def test_every_policy_replays_as_the_reference(case):
+    # Each fitted policy replays the trace's own fit, which starts from
+    # constant parameters and keeps many utilities exactly tied, and the
+    # hand-built schedule, whose random epochs tie none and differ widely.
+    cfg, log, hand_built = case
+    fitted = sim.fit_schedule(cfg, log, cfg.test_horizon)
+    for policy in sim.POLICIES:
+        for schedule in (fitted, hand_built) if policy in sim.FITTED_POLICIES else (None,):
+            reference = assert_replays_as_reference(dataclasses.replace(cfg, policy=policy), log, schedule)
+            # Random epochs leave no exact tie, so their equality rests on no tie-break.
+            assert schedule is not hand_built or reference.ties == 0
+
+
+class TestSharedStampSweep:
+    """Misses at one edge and stamp share one utility sweep (mav: one read of
+    its averages) and one re-scoring of the residents. The reference replay
+    shares nothing and decides alike, so its misses give the expected counts."""
+
+    @pytest.mark.parametrize("policy", ["ppvf", "sage", "bestfit", "mav"])
+    def test_one_sweep_per_miss_stamp(self, policy):
         log = synthetic_log(catalog=30, edges=2, horizon=120.0, seed=4)
         hourly = trace.EventLog(
             log.edge_ids, log.user_ids, log.video_ids, np.floor(log.timestamps),
             log.catalog_size, log.edge_count, log.horizon,
         )
-        calls = []
-        sweeps, refreshes, misses = Counter(), Counter(), Counter()
-        real_on_miss = sim._EdgeRuntime._on_miss
+        cfg = SimConfig(
+            policy=policy, init_horizon=24.0, test_horizon=121.0, cache_fraction=0.3, latent_dim=2, seed=9,
+            train=TrainConfig(max_iters=3, update_interval_hours=48.0),
+        )
+        schedule = sim.fit_schedule(cfg, hourly, cfg.test_horizon) if policy in sim.FITTED_POLICIES else None
+        order = np.argsort(hourly.edge_ids, kind="stable")
+        requests = list(zip(hourly.edge_ids[order].tolist(), hourly.timestamps[order].tolist()))
+        fetches = replay_reference(cfg, hourly, schedule).fetches
+        stamps, miss_stamps = len(set(requests)), len({r for r, fetched in zip(requests, fetches) if fetched})
+        misses = sum(map(bool, fetches))
+        assert stamps > miss_stamps and misses > miss_stamps  # some stamps only hit, some misses share one
+        calls = Counter()
 
-        def spy(name, fn):
-            def wrapped(*args):
-                calls.append(name)
-                return fn(*args)
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
 
             return wrapped
 
-        def on_miss_spy(self, params, video, ts, in_test):
-            if not share:
-                self.stamp_utilities = None  # forget the stamp's utilities
-            before = len(calls)
-            fetched = real_on_miss(self, params, video, ts, in_test)
-            key = (self.edge_id, ts, id(params))
-            for name in calls[before:]:
-                (sweeps if name == "sweep" else refreshes)[key] += 1
-            misses[key] += 1
-            return fetched
-
-        cfg = SimConfig(
-            policy=policy, init_horizon=24.0, test_horizon=121.0, cache_fraction=0.1, latent_dim=2, seed=9,
-            train=TrainConfig(max_iters=3, update_interval_hours=48.0),
-        )
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim, "intensity_sweep", spy("sweep", sim.intensity_sweep))
-            mp.setattr(cache_mod.MavState, "scores", spy("sweep", cache_mod.MavState.scores))
-            mp.setattr(cache_mod.EdgeCache, "refresh_scores", spy("refresh", cache_mod.EdgeCache.refresh_scores))
-            mp.setattr(sim._EdgeRuntime, "_on_miss", on_miss_spy)
-            hits = spy_lookups(mp)
-            report = run_simulation(cfg, hourly)
-        return report, in_test_period(hits, cfg, hourly), sweeps, refreshes, misses
-
-    @pytest.mark.parametrize("policy", ["ppvf", "sage", "bestfit", "mav"])
-    def test_one_sweep_per_miss_stamp(self, policy):
-        report, hits, sweeps, refreshes, misses = self._run(policy)
-        assert sweeps == refreshes == Counter(dict.fromkeys(misses, 1))
-        assert sum(misses.values()) > len(misses)  # some misses share a stamp
-        # Sweeping every miss afresh, and refreshing every score, changes nothing.
-        fresh, fresh_hits, fresh_sweeps, fresh_refreshes, _ = self._run(policy, share=False)
-        assert sum(fresh_sweeps.values()) == sum(fresh_refreshes.values()) == sum(misses.values())
-        assert hits == fresh_hits
-        assert report.per_user_js == fresh.per_user_js
-        assert report.residual_fractions == fresh.residual_fractions
+            for owner, name in (
+                (sim, "intensity_sweep"), (sim, "advance_state"), (cdp.CorrelationState, "update"),
+                (cache_mod.MavState, "scores"), (cache_mod.EdgeCache, "refresh_scores"),
+            ):
+                mp.setattr(owner, name, counted(name, getattr(owner, name)))
+            run_simulation(cfg, hourly, schedule)
+        if policy == "mav":
+            expected = {"scores": miss_stamps, "refresh_scores": miss_stamps}
+        else:
+            # Every stamp folds its requests; a stamp with a miss also takes a left limit.
+            expected = {"intensity_sweep": miss_stamps, "refresh_scores": miss_stamps,
+                        "advance_state": stamps + miss_stamps, "update": misses}
+        assert calls == Counter(expected)
 
 
 def barrier_crossing_log():
@@ -553,48 +598,17 @@ class TestBarrierSwitch:
             digest.update(name.encode() + (tmp_path / name).read_bytes())
         assert digest.hexdigest() == self.EXPECTED[policy]
 
-    def test_requests_fold_under_their_stamps_epoch(self, monkeypatch):
-        # Each stamp, the last included and in order, takes exactly one fold
-        # of its requests under the parameters of the epoch the stamp falls
-        # in. Only a stamp that sweeps takes a left limit, under the same
-        # parameters and just before its sweep, and every sweep reads a
-        # kernel at its own stamp. Each edge's correlation state ends in the
-        # epoch of its last request: barriers after it, or in a gap, are all
-        # counted.
+    def test_requests_fold_under_their_stamps_epoch(self):
+        # Epochs of random parameters differ widely, so a fold under the
+        # wrong epoch, a left limit that sees its own stamp, or a correlation
+        # state that miscounts the barriers an edge crossed in a gap changes
+        # the run. It must replay as the reference, which rebuilds each
+        # miss's kernel from the strict past under its stamp's epoch.
         cfg = self._cfg("ppvf")
-        barriers = sim.barrier_times(cfg, cfg.test_horizon)
-        params_list = [ModelParams.constant(12, 2, 1.0 + 0.1 * e, cfg.decay) for e in range(len(barriers) + 1)]
-        calls = []
-        real_advance, real_sweep = sim.advance_state, sim.intensity_sweep
-
-        def advance_spy(params, state, to_time, *args, **kwargs):
-            # A call that passes videos folds them; one without is a left limit.
-            calls.append(("fold" if args or kwargs else "limit", params, to_time))
-            return real_advance(params, state, to_time, *args, **kwargs)
-
-        def sweep_spy(params, state):
-            calls.append(("sweep", params, state.last_update))
-            return real_sweep(params, state)
-
-        monkeypatch.setattr(sim, "advance_state", advance_spy)
-        monkeypatch.setattr(sim, "intensity_sweep", sweep_spy)
-        skipped = 0
-        for edge_id, edge_log in enumerate(trace.partition_by_edge(barrier_crossing_log())):
-            calls.clear()
-            rt = sim._EdgeRuntime(edge_id, edge_log, cfg, cdp.epoch_table(params_list), 3)
-            rt.run(barriers, params_list)
-            swept = {stamp for kind, _, stamp in calls if kind == "sweep"}
-            expected = []
-            for stamp in sorted(set(edge_log.timestamps.tolist())):
-                params = id(params_list[bisect.bisect_right(barriers, stamp)])
-                if stamp in swept:
-                    expected += [("limit", params, stamp), ("sweep", params, stamp)]
-                expected.append(("fold", params, stamp))
-                skipped += stamp not in swept
-            assert [(kind, id(params), stamp) for kind, params, stamp in calls] == expected
-            last = edge_log.timestamps[-1] if len(edge_log) else 0.0
-            assert len(rt.corr.epochs) == 1 + bisect.bisect_right(barriers, last)
-        assert skipped  # some stamps only hit, and take no left limit
+        schedule = random_schedule(cfg, 12, np.random.default_rng(5))
+        for policy in sorted(sim.FITTED_POLICIES):
+            run_cfg = dataclasses.replace(cfg, policy=policy)
+            assert assert_replays_as_reference(run_cfg, barrier_crossing_log(), schedule).ties == 0
 
 
 def test_non_finite_sweep_refused_at_first_miss():
