@@ -9,3 +9,8 @@ the privacy/efficiency trade-off against classic caching baselines.
 """
 
 __version__ = "0.1.0"
+
+
+class DataError(ValueError):
+    """An input that cannot be read or used: a malformed trace, checkpoint or
+    manifest, or data that drives a fit to non-finite values."""

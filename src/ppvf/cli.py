@@ -5,12 +5,18 @@ fitting with checkpoints), ``simulate`` (policy runs and metric CSVs),
 ``eval-cr`` (empirical competitive-ratio check), ``report`` (summarize an
 output directory). Configuration is a flat ``key = value`` file overridden
 by flags; every command is deterministic under a fixed seed and prints its
-effective configuration. Exit codes: 0 success, 1 usage, 2 data error,
-3 property violation. A data error is an input that cannot be read or used:
-a missing or malformed file, a trace longer than the configured horizon or
-with no request after ``init_horizon``, a trace whose fit would need no
-refit or more than ``sim.MAX_BARRIERS``, a fit whose likelihood or
-aggregated gradients are not finite, or a manifest naming a file elsewhere.
+effective configuration.
+
+Exit codes: 0 success, 1 usage error (:class:`UsageError`), 2 data error
+(:class:`ppvf.DataError` or ``OSError``), 3 property violation
+(:class:`scheduler.CompetitiveRatioViolation`). A failure that the
+settings alone cause is a usage error, even when only a run finds it, such
+as an explosive ``branching`` or an exact-oracle instance past its guard.
+A data error is an input that cannot be read or used: a missing or
+malformed file, a trace longer than the configured horizon or with no
+request after ``init_horizon``, a trace whose fit would need no refit or
+more than ``sim.MAX_BARRIERS``, a fit whose likelihood, gradients or
+parameters are not finite, or a manifest naming a file elsewhere.
 """
 
 from __future__ import annotations
@@ -26,11 +32,10 @@ import time
 
 import numpy as np
 
-from . import __version__, scheduler, trace
-from .federation import AggregationError, TrainConfig
-from .predictor import LikelihoodError, ModelParams
+from . import DataError, __version__, scheduler, trace
+from .federation import TrainConfig
+from .predictor import ModelParams
 from .sim import FITTED_POLICIES, POLICIES, SimConfig, barrier_times, fit_schedule, run_simulation, write_reports
-from .trace import StabilityError, TraceFormatError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -239,9 +244,9 @@ def cmd_gen_trace(args) -> int:
             rng_seed=seed,
             users_per_edge=int(cfg["users_per_edge"]),
         )
+        log = trace.generate_synthetic(spec)
     except ValueError as exc:
         raise UsageError(f"invalid configuration: {exc}") from None
-    log = trace.generate_synthetic(spec)
     out = args.out or "trace.csv"
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     trace.write_trace(log, out)
@@ -262,16 +267,16 @@ def cmd_fit(args) -> int:
         try:
             start = ModelParams.load(args.init_params)
         except (KeyError, TypeError, ValueError) as exc:
-            raise TraceFormatError(f"bad checkpoint {args.init_params}: {type(exc).__name__}: {exc}") from None
+            raise DataError(f"bad checkpoint {args.init_params}: {type(exc).__name__}: {exc}") from None
         # The trace's catalog is 1 + its largest video id, so only a smaller
         # checkpoint is certain to miss videos the trace requests.
         if start.catalog_size < log.catalog_size:
-            raise TraceFormatError(
+            raise DataError(
                 f"checkpoint {args.init_params} covers {start.catalog_size} videos; "
                 f"the trace requests video {log.catalog_size - 1}"
             )
         if (start.dim, start.decay) != (settings.latent_dim, settings.decay):
-            raise TraceFormatError(
+            raise DataError(
                 f"checkpoint {args.init_params} has latent_dim {start.dim} and delta {start.decay}, "
                 f"not the config's {settings.latent_dim} and {settings.decay}"
             )
@@ -280,9 +285,9 @@ def cmd_fit(args) -> int:
     try:
         barriers = barrier_times(settings, log.horizon)
     except ValueError as exc:
-        raise TraceFormatError(f"trace spans {log.horizon} h: {exc}") from None
+        raise DataError(f"trace spans {log.horizon} h: {exc}") from None
     if not barriers:
-        raise TraceFormatError(f"trace spans {log.horizon} h, too short for a refit barrier at {cfg['t_theta']} h")
+        raise DataError(f"trace spans {log.horizon} h, too short for a refit barrier at {cfg['t_theta']} h")
     out_dir = args.out or "fit_out"
     os.makedirs(out_dir, exist_ok=True)
     started = time.perf_counter()
@@ -356,10 +361,10 @@ def cmd_simulate(args) -> int:
 
     log = trace.load_trace(args.trace, quantize_hours=float(cfg["quantize"]))
     if log.horizon > float(cfg["horizon"]):
-        raise TraceFormatError(f"trace spans {log.horizon} h, past the configured horizon {cfg['horizon']} h")
+        raise DataError(f"trace spans {log.horizon} h, past the configured horizon {cfg['horizon']} h")
     last, init = float(log.timestamps[-1]), float(cfg["init_horizon"])
     if last < init:
-        raise TraceFormatError(f"no request to score: the last stamp {last} h is before init_horizon {init} h")
+        raise DataError(f"no request to score: the last stamp {last} h is before init_horizon {init} h")
     out_dir = args.out or "sim_out"
     os.makedirs(out_dir, exist_ok=True)
 
@@ -396,9 +401,7 @@ def cmd_eval_cr(args) -> int:
             raise UsageError(f"{key} must be at least 1, got {cfg[key]}")
     n_videos, steps = int(cfg["cr_videos"]), int(cfg["cr_steps"])
     if n_videos * steps > 24:
-        raise scheduler.InstanceTooLarge(
-            f"cr_videos * cr_steps = {n_videos * steps} exceeds the exact-oracle guard of 24"
-        )
+        raise UsageError(f"cr_videos * cr_steps = {n_videos * steps} exceeds the exact-oracle guard of 24")
     try:
         if upper == lower:
             # Strict ratio bounds leave no admissible utilities when the interval
@@ -423,12 +426,12 @@ def cmd_report(args) -> int:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise TraceFormatError(f"cannot read manifest: {exc}") from None
+        raise DataError(f"cannot read manifest: {exc}") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("outputs", {}), dict):
-        raise TraceFormatError(f"{manifest_path} is not a manifest object")
+        raise DataError(f"{manifest_path} is not a manifest object")
     for name in manifest.get("outputs", {}):
         if name in ("", ".", "..") or os.path.basename(name) != name:
-            raise TraceFormatError(f"manifest output {name!r} is not a file name inside {out_dir}")
+            raise DataError(f"manifest output {name!r} is not a file name inside {out_dir}")
     print(f"command: {manifest.get('command')}  version: {manifest.get('version')}")
     bad = []
     for name, digest in sorted(manifest.get("outputs", {}).items()):
@@ -443,11 +446,11 @@ def cmd_report(args) -> int:
                 with open(path, "r", encoding="utf-8") as fh:
                     lines = fh.read().splitlines()[:12]
             except UnicodeDecodeError as exc:
-                raise TraceFormatError(f"{name} is not UTF-8 text: {exc}") from None
+                raise DataError(f"{name} is not UTF-8 text: {exc}") from None
             for line in lines:
                 print(f"    {line}")
     if bad:
-        raise TraceFormatError(f"manifest hash mismatch for: {', '.join(bad)}")
+        raise DataError(f"manifest hash mismatch for: {', '.join(bad)}")
     return EXIT_OK
 
 
@@ -503,14 +506,7 @@ def main(argv=None) -> int:
     except scheduler.CompetitiveRatioViolation as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
-    except (
-        TraceFormatError,
-        StabilityError,
-        scheduler.InstanceTooLarge,
-        AggregationError,
-        LikelihoodError,
-        OSError,
-    ) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

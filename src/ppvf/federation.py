@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import DataError
 from .predictor import (
     PARAM_FLOOR,
     GradientBundle,
@@ -30,10 +31,6 @@ from .predictor import (
     window_log_likelihood,
     window_stats,
 )
-
-
-class AggregationError(ValueError):
-    """Raised when a contribution is unusable; names the offending edge."""
 
 
 def require_finite(config) -> None:
@@ -116,7 +113,7 @@ def global_loss(params: ModelParams, lls: list[float], cfg: TrainConfig) -> floa
     """Negated sum of the edges' window log-likelihoods plus L2 penalties."""
     for idx, ll in enumerate(lls):
         if not math.isfinite(ll):
-            raise AggregationError(f"non-finite likelihood from edge index {idx}")
+            raise DataError(f"non-finite likelihood from edge index {idx}")
     ll_sum = math.fsum(lls)
     reg = (
         0.5 * cfg.rho_base * float(params.base_rate @ params.base_rate)
@@ -138,24 +135,25 @@ def sum_gradients(params: ModelParams, stats: list[WindowStats], rows: np.ndarra
     result views ``rows``. A NaN or infinite addend always makes its entry's
     sum non-finite, so only a non-finite sum needs the edges scanned: their
     gradients are taken again until the first edge holding a non-finite
-    entry is named in an :class:`AggregationError`. When every addend is
+    entry is named in an :class:`~ppvf.DataError`. When every addend is
     finite, an overflowed sum is returned as it is.
     """
     if not stats:
-        raise AggregationError("no gradients to sum")
+        raise ValueError("no gradients to sum")
     for st, row in zip(stats, rows):
         window_gradients(params, st, out=row)
     summed = GradientBundle.of_row(_sorted_sum(rows), params.catalog_size, params.dim)
     if not summed.is_finite():
         for idx, st in enumerate(stats):
             if not window_gradients(params, st).is_finite():
-                raise AggregationError(f"non-finite gradients from edge index {idx}")
+                raise DataError(f"non-finite gradients from edge index {idx}")
     return summed
 
 
 def aggregate_and_step(params: ModelParams, summed: GradientBundle, cfg: TrainConfig, eta: float) -> ModelParams:
     """One coordinator update from the summed gradients: regularize with
-    ``cfg``'s weights, descend by step size ``eta``, clamp."""
+    ``cfg``'s weights, descend by step size ``eta``, clamp. A step that
+    overflows a parameter is a :class:`~ppvf.DataError`."""
 
     # d(loss)/d(theta) = rho * theta - sum of likelihood gradients; the
     # descent step projects back onto the positive orthant, in one buffer.
@@ -166,12 +164,15 @@ def aggregate_and_step(params: ModelParams, summed: GradientBundle, cfg: TrainCo
         np.subtract(theta, out, out=out)
         return np.maximum(out, PARAM_FLOOR, out=out)
 
-    return ModelParams(
-        base_rate=step(params.base_rate, cfg.rho_base, summed.base_rate),
-        target_factors=step(params.target_factors, cfg.rho_target, summed.target_factors),
-        source_factors=step(params.source_factors, cfg.rho_source, summed.source_factors),
-        decay=params.decay,
-    )
+    try:
+        return ModelParams(
+            base_rate=step(params.base_rate, cfg.rho_base, summed.base_rate),
+            target_factors=step(params.target_factors, cfg.rho_target, summed.target_factors),
+            source_factors=step(params.source_factors, cfg.rho_source, summed.source_factors),
+            decay=params.decay,
+        )
+    except ValueError:  # only non-finite entries: the step keeps the shapes and the decay
+        raise DataError(f"a descent step of size {eta} makes the parameters non-finite") from None
 
 
 @dataclass
@@ -180,9 +181,9 @@ class FitResult:
     losses: list[float] = field(default_factory=list)
 
 
-# A diverging fit overflows to infinities or NaNs; global_loss and
-# sum_gradients report those as an AggregationError, so numpy's warnings
-# would only repeat it.
+# A diverging fit overflows to infinities or NaNs; global_loss,
+# sum_gradients and aggregate_and_step report those as a DataError, so
+# numpy's warnings would only repeat it.
 @np.errstate(over="ignore", invalid="ignore")
 def run_fit_round(edge_logs, params: ModelParams, window: TrainWindow, cfg: TrainConfig) -> FitResult:
     """Iterate coordinator steps with backtracking until convergence.

@@ -23,11 +23,9 @@ from functools import cached_property
 
 import numpy as np
 
+from . import DataError
+
 PARAM_FLOOR = 1e-8
-
-
-class LikelihoodError(ValueError):
-    """Raised when an event intensity is non-positive (corrupted state)."""
 
 
 @dataclass(frozen=True)
@@ -220,8 +218,6 @@ class WindowStats:
 
     def __init__(self, log, catalog_size: int, decay: float, window: TrainWindow):
         times, vids = log.timestamps, log.video_ids
-        self.catalog_size = catalog_size
-        self.decay = decay
         self.window = window
 
         start, end = window.start, window.end
@@ -289,7 +285,7 @@ def window_log_likelihood(params: ModelParams, stats: WindowStats) -> float:
     """
     _, _, lam, source_total = stats._event_terms(params)
     if (lam <= 0).any():
-        raise LikelihoodError("non-positive intensity at an event; parameters or state corrupted")
+        raise DataError("non-positive intensity at an event; parameters or state corrupted")
     event_term = math.fsum(np.log(lam).tolist())
     integral = stats.window.length * params.base_total + float(params.target_sums @ source_total)
     return event_term - integral
@@ -334,7 +330,7 @@ def window_gradients(params: ModelParams, stats: WindowStats, out: np.ndarray | 
     I, D = params.catalog_size, params.dim
     mix_ev, tgt_ev, lam, source_total = stats._event_terms(params)
     if (lam <= 0).any():
-        raise LikelihoodError("non-positive intensity at an event; parameters or state corrupted")
+        raise DataError("non-positive intensity at an event; parameters or state corrupted")
     g = GradientBundle.of_row(np.empty(GradientBundle.row_size(I, D)) if out is None else out, I, D)
     g.base_rate.fill(-stats.window.length)
     g.target_factors.fill(0.0)

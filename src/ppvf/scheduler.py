@@ -25,24 +25,24 @@ import numpy as np
 CR_SLACK = 0.15
 
 
-class InstanceTooLarge(ValueError):
-    """An instance past :func:`offline_optimum`'s exact-search guard."""
-
-
 class CompetitiveRatioViolation(AssertionError):
     """Empirical worst ratio exceeded the theoretical bound plus slack."""
 
 
 @dataclass(frozen=True)
 class ThresholdConfig:
-    """Ratio bounds: every utility/cost ratio is assumed inside (lower, upper)."""
+    """Ratio bounds: every utility/cost ratio is assumed inside (lower, upper).
+
+    :func:`threshold` raises its bar towards ``upper * e / lower``, so that
+    ratio must be finite; otherwise the knee falls to 0 and the bar to inf.
+    """
 
     upper: float
     lower: float
 
     def __post_init__(self):
-        if not (0 < self.lower <= self.upper):
-            raise ValueError("need 0 < lower <= upper")
+        if not (0 < self.lower <= self.upper and self.upper * math.e / self.lower < math.inf):
+            raise ValueError(f"need 0 < lower <= upper with upper * e / lower finite, got ({self.lower}, {self.upper})")
 
     @property
     def knee(self) -> float:
@@ -241,9 +241,7 @@ def offline_optimum(utilities_per_step: np.ndarray, ledger_template: PrivacyLedg
     if n_videos != ledger_template.catalog_size:
         raise ValueError("utility matrix width must match the ledger catalog")
     if steps * n_videos > 24:
-        raise InstanceTooLarge(
-            f"{steps * n_videos} binary variables exceed the exact-search guard of 24"
-        )
+        raise ValueError(f"{steps * n_videos} binary variables exceed the exact-search guard of 24")
     if np.any(util < 0):
         raise ValueError("utilities must be non-negative")
     cap = ledger_template.prefetch_cap

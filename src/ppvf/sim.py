@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cache as cache_mod
-from . import cdp, scheduler
+from . import DataError, cdp, scheduler
 from .federation import TrainConfig, require_finite, run_fit_round
 from .predictor import KernelState, ModelParams, TrainWindow, advance_state, intensity_sweep
 from .trace import EventLog, partition_by_edge
@@ -78,8 +78,8 @@ class SimConfig:
             raise ValueError("prefetch_cap must be >= 1")
         if not 0 < self.cache_fraction <= 1:
             raise ValueError("cache_fraction must lie in (0, 1]")
-        if self.bounds is not None and not 0 < self.bounds[0] <= self.bounds[1] < math.inf:
-            raise ValueError("bounds need 0 < lower <= upper, both finite")
+        if self.bounds is not None:
+            scheduler.ThresholdConfig(lower=self.bounds[0], upper=self.bounds[1])
         if self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
         if not 0 < self.truncation < 1:
@@ -145,13 +145,18 @@ class _BoundTracker:
             self.hi = max(self.hi, float(positive.max()))
 
     def frozen(self, fallback_utilities: np.ndarray) -> scheduler.ThresholdConfig:
-        """The bounds seen in warmup, else those of ``fallback_utilities``, else (1, 1)."""
+        """The bounds seen in warmup, else those of ``fallback_utilities``, else (1, 1).
+        Ratios too far apart for :class:`scheduler.ThresholdConfig` are a
+        :class:`~ppvf.DataError`: the trace made them."""
         if self.cfg is None:
             if self.hi <= 0.0:
                 self.observe(fallback_utilities)
             if self.hi <= 0.0:
                 self.lo = self.hi = 1.0
-            self.cfg = scheduler.ThresholdConfig(lower=self.lo, upper=self.hi)
+            try:
+                self.cfg = scheduler.ThresholdConfig(lower=self.lo, upper=self.hi)
+            except ValueError as exc:
+                raise DataError(f"estimated ratio bounds: {exc}") from None
         return self.cfg
 
 

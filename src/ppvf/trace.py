@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import DataError
 from .predictor import ModelParams
 
 
@@ -27,20 +28,6 @@ _INT64 = np.iinfo(np.int64)
 # 500-video catalog; 2**18 videos take about 64 MiB per edge and per epoch.
 MAX_EDGE_ID = 2**10 - 1
 MAX_VIDEO_ID = 2**18 - 1
-
-
-class TraceFormatError(ValueError):
-    """Raised when a trace file cannot be parsed; carries the 1-based line number."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
-
-
-class StabilityError(ValueError):
-    """Raised when the ground-truth excitation is explosive (branching ratio >= 1)."""
 
 
 @dataclass(frozen=True)
@@ -126,31 +113,29 @@ def load_trace(path, quantize_hours: float = 1.0) -> EventLog:
                     continue
                 parts = line.split(",")
                 if len(parts) != 4:
-                    raise TraceFormatError(
-                        f"expected 4 comma-separated fields, got {len(parts)}", line_no
-                    )
+                    raise DataError(f"line {line_no}: expected 4 comma-separated fields, got {len(parts)}")
                 try:
                     e, u, v = int(parts[0]), int(parts[1]), int(parts[2])
                     t = float(parts[3])
                 except ValueError as exc:
-                    raise TraceFormatError(str(exc), line_no) from None
+                    raise DataError(f"line {line_no}: {exc}") from None
                 if not 0 <= t < math.inf:
-                    raise TraceFormatError("timestamp must be finite and non-negative", line_no)
+                    raise DataError(f"line {line_no}: timestamp must be finite and non-negative")
                 if not 0 <= e <= MAX_EDGE_ID:
-                    raise TraceFormatError(f"edge id {e} outside 0..{MAX_EDGE_ID}", line_no)
+                    raise DataError(f"line {line_no}: edge id {e} outside 0..{MAX_EDGE_ID}")
                 if not 0 <= v <= MAX_VIDEO_ID:
-                    raise TraceFormatError(f"video id {v} outside 0..{MAX_VIDEO_ID}", line_no)
+                    raise DataError(f"line {line_no}: video id {v} outside 0..{MAX_VIDEO_ID}")
                 if not _INT64.min <= u <= _INT64.max:
-                    raise TraceFormatError("user id does not fit in a 64-bit integer", line_no)
+                    raise DataError(f"line {line_no}: user id does not fit in a 64-bit integer")
                 edges.append(e)
                 users.append(u)
                 vids.append(v)
                 tss.append(t)
                 line_nos.append(line_no)
         except UnicodeDecodeError:
-            raise TraceFormatError("trace file is not valid UTF-8") from None
+            raise DataError("trace file is not valid UTF-8") from None
     if not edges:
-        raise TraceFormatError("trace file contains no records")
+        raise DataError("trace file contains no records")
 
     edge_arr, user_arr, vid_arr = (np.array(ids, dtype=np.int64) for ids in (edges, users, vids))
     ts = np.array(tss, dtype=np.float64)
@@ -165,8 +150,8 @@ def load_trace(path, quantize_hours: float = 1.0) -> EventLog:
     last = int(ts.argmax())
     horizon = float(ts[last]) + quantize_hours
     if not ts[last] < horizon < math.inf:
-        raise TraceFormatError(
-            f"timestamp {tss[last]!r} has no finite {quantize_hours} h slot after it", line_nos[last]
+        raise DataError(
+            f"line {line_nos[last]}: timestamp {tss[last]!r} has no finite {quantize_hours} h slot after it"
         )
     return EventLog(
         edge_ids=edge_arr[order],
@@ -201,9 +186,7 @@ def generate_synthetic(spec: SyntheticSpec) -> EventLog:
     """
     ratio = excitation_branching_ratio(spec.ground_truth)
     if ratio >= 1.0:
-        raise StabilityError(
-            f"excitation branching ratio {ratio:.4f} >= 1; the process is explosive"
-        )
+        raise ValueError(f"excitation branching ratio {ratio:.4f} >= 1; the process is explosive")
     per_edge = [_thin_one_edge(spec, e, _edge_rng(spec, e)) for e in range(spec.edge_count)]
     edges = np.concatenate([p[0] for p in per_edge])
     users = np.concatenate([p[1] for p in per_edge])

@@ -25,6 +25,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import linprog
 
+from ppvf import DataError
 from ppvf.cache import LfuCache, LruCache, MavState
 from ppvf.cdp import CorrelationState, candidate_sensitivities, correlation_block
 from ppvf.federation import FitResult, TrainConfig, aggregate_and_step, global_loss
@@ -32,7 +33,6 @@ from ppvf.predictor import (
     PARAM_FLOOR,
     GradientBundle,
     KernelState,
-    LikelihoodError,
     ModelParams,
     TrainWindow,
     advance_state,
@@ -303,7 +303,7 @@ def window_log_likelihood_reference(params: ModelParams, window: TrainWindow, st
     tgt_ev = params.target_factors[stats.event_videos]
     lam = params.base_rate[stats.event_videos] + np.einsum("nd,nd->n", tgt_ev, mix_ev)
     if np.any(lam <= 0):
-        raise LikelihoodError("non-positive intensity at an event; parameters or state corrupted")
+        raise DataError("non-positive intensity at an event; parameters or state corrupted")
     event_term = math.fsum(np.log(lam).tolist())
     source_total = params.source_factors.T @ stats.integral_weights  # (D,)
     integral = window.length * float(np.sum(params.base_rate)) + float(
@@ -325,7 +325,7 @@ def window_gradients_reference(params: ModelParams, window: TrainWindow, stats) 
         tgt_ev = params.target_factors[stats.event_videos]
         lam = params.base_rate[stats.event_videos] + np.einsum("nd,nd->n", tgt_ev, mix_ev)
         if np.any(lam <= 0):
-            raise LikelihoodError("non-positive intensity at an event; parameters or state corrupted")
+            raise DataError("non-positive intensity at an event; parameters or state corrupted")
         inv = 1.0 / lam
         np.add.at(g_base, stats.event_videos, inv)
         np.add.at(g_tgt, stats.event_videos, mix_ev * inv[:, None])

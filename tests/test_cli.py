@@ -226,9 +226,13 @@ class TestEvalCr:
         assert out.splitlines()[-1] == f"worst OPT/ALG over {last}"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_oversized_instance_clean_error(self, tmp_path):
+    def test_oversized_instance_clean_error(self, tmp_path, capsys):
+        # The settings alone make the instance too large for the exact oracle.
         cfg = write_config(tmp_path, cr_videos=6, cr_steps=8)
-        assert cli.main(["eval-cr", "--config", cfg]) == cli.EXIT_DATA
+        capsys.readouterr()
+        assert cli.main(["eval-cr", "--config", cfg]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:") and "guard of 24" in err[0]
 
     @pytest.mark.parametrize(
         "setting",
@@ -242,10 +246,14 @@ class TestEvalCr:
             {"cr_videos": 0},
             {"cr_steps": 0},
             {"cr_cap": 0},
+            {"cr_videos": 25},
+            {"cr_videos": 25, "cr_steps": 1},
+            {"lower": "1e-300", "upper": "1e300"},
         ],
         ids=[
             "lower-nan", "lower-above-upper", "budget-negative", "budget-below-small-cost",
             "no-instances", "negative-instances", "no-videos", "no-steps", "no-slots",
+            "videos-past-oracle-guard", "one-step-past-oracle-guard", "bounds-ratio-overflows",
         ],
     )
     def test_bad_setting_usage_error(self, tmp_path, capsys, setting):
@@ -374,12 +382,14 @@ class TestUsage:
             ("fit", {"seed": -1}),
             ("eval-cr", {"lower": 5}),
             ("eval-cr", {"upper": 0.5}),
+            ("gen-trace", {"branching": 1.5}),
+            ("simulate", {"lower": "1e-300", "upper": "1e300"}),
         ],
         ids=[
             "phi_th", "delta", "quantize", "edges", "latent_dim",
             "horizon-inf", "gen-trace-horizon-inf", "xi-nan", "epsilon-inf", "lower-above-upper", "eta-inf",
             "lower-alone", "fit-upper-alone", "negative-seed", "fit-negative-seed",
-            "eval-cr-lower-alone", "eval-cr-upper-alone",
+            "eval-cr-lower-alone", "eval-cr-upper-alone", "gen-trace-explosive-branching", "bounds-ratio-overflows",
         ],
     )
     def test_out_of_range_setting_usage_error(self, tiny_trace, tmp_path, capsys, command, setting):
@@ -554,7 +564,10 @@ _TRACE_BYTES = st.one_of(
     ),
 )
 _VALUE = st.sampled_from(
-    ["0", "-1", "1", "2", "3", "0.5", "24", "nan", "inf", "-inf", "1e400", "", "x", "lru", "ppvf,sage,bestfit,mav,lru,lfu"]
+    [
+        "0", "-1", "1", "2", "3", "0.5", "24", "nan", "inf", "-inf", "1e400", "1e300", "1e-300",
+        "", "x", "lru", "ppvf,sage,bestfit,mav,lru,lfu",
+    ]
 )
 _SETTING = st.one_of(
     st.tuples(st.sampled_from(sorted(cli.DEFAULTS)), _VALUE).map(" = ".join),
@@ -688,6 +701,19 @@ class TestFitAndReport:
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:")
+
+    @pytest.mark.parametrize("eta", ["1e300", "1.7e308"])
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_overflowing_step_size_data_error(self, tiny_trace, tmp_path, capsys, command, eta):
+        _, tr = tiny_trace
+        cfg = write_config(tmp_path, eta=eta)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, "--config", cfg, "--trace", tr, "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and "descent step" in err[0]
 
     def test_fit_log_equals_simulated_fit_sequence(self, tiny_trace, tmp_path):
         # ppvf fit and every fitted policy's simulation run the same barrier

@@ -14,9 +14,8 @@ from oracles import (
     sort_then_sum,
 )
 
-from ppvf import federation, predictor, trace
+from ppvf import DataError, federation, predictor, trace
 from ppvf.federation import (
-    AggregationError,
     TrainConfig,
     aggregate_and_step,
     global_loss,
@@ -163,9 +162,9 @@ class TestAggregateAndStep:
     def test_non_finite_contribution_names_edge(self):
         params = random_params(np.random.default_rng(6))
         bad = GradientBundle(np.array([np.nan] * 4), np.zeros((4, 2)), np.zeros((4, 2)))
-        with pytest.raises(AggregationError, match="edge index 1"):
+        with pytest.raises(DataError, match="edge index 1"):
             sum_of([zero_grads(4, 2), bad])
-        with pytest.raises(AggregationError, match="edge index 1"):
+        with pytest.raises(DataError, match="edge index 1"):
             global_loss(params, [-1.0, math.inf], TrainConfig())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -178,7 +177,7 @@ class TestAggregateAndStep:
         getattr(grads[20], block)[(4,) if block == "base_rate" else (4, 1)] = -bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(AggregationError, match="edge index 2$"):
+            with pytest.raises(DataError, match="edge index 2$"):
                 sum_of(grads)
 
     def test_finite_addends_that_overflow_return_the_overflowed_sum(self):
@@ -193,7 +192,7 @@ class TestAggregateAndStep:
         assert summed.target_factors.tobytes() == want.tobytes()
 
     def test_empty_contributions_rejected(self):
-        with pytest.raises(AggregationError):
+        with pytest.raises(ValueError, match="no gradients"):
             sum_gradients(ModelParams.constant(4, 2), [], np.empty((1, GradientBundle.row_size(4, 2))))
 
     def test_positivity_floor_after_step(self):

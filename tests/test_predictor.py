@@ -20,7 +20,7 @@ from oracles import (
     window_gradients_reference,
     window_log_likelihood_reference,
 )
-from ppvf import predictor, trace
+from ppvf import DataError, predictor, trace
 from ppvf.federation import TrainConfig, run_fit_round
 from ppvf.predictor import (
     GradientBundle,
@@ -209,7 +209,7 @@ class TestWindowLikelihood:
         )
         window = TrainWindow(end=10.0, length=5.0)
         log = make_log([7.0], [0], catalog, 10.0)
-        with pytest.raises(predictor.LikelihoodError):
+        with pytest.raises(DataError):
             log_likelihood(params, log, window)
 
     def test_requests_at_or_after_window_end_change_nothing(self):

@@ -19,7 +19,6 @@ from ppvf.cache import select_candidates_best_utility, select_candidates_random
 from ppvf.scheduler import (
     CandidateSet,
     CompetitiveRatioViolation,
-    InstanceTooLarge,
     PrivacyLedger,
     ThresholdConfig,
     admit_picked,
@@ -95,6 +94,17 @@ class TestThreshold:
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
             ThresholdConfig(upper=1.0, lower=2.0)
+
+    @pytest.mark.parametrize("lower, upper", [(1e-300, 1e300), (1.0, 1e308), (5e-324, 1.0), (1.0, math.inf)])
+    def test_bounds_whose_top_bar_overflows_rejected(self, lower, upper):
+        # Past this the knee falls to 0 and one charge lifts the bar to inf.
+        with pytest.raises(ValueError, match="upper \\* e / lower finite"):
+            ThresholdConfig(upper=upper, lower=lower)
+
+    def test_wide_finite_bounds_keep_a_finite_bar(self):
+        cfg = ThresholdConfig(upper=1e300, lower=1e-7)
+        assert 0 < cfg.knee and math.isfinite(cfg.cr_bound)
+        assert threshold(1.0, cfg) == pytest.approx(1e300, rel=1e-9)
 
 
 class TestLedger:
@@ -346,7 +356,7 @@ class TestOfflineOptimum:
 
     def test_guard_rejects_large_instances(self):
         ledger = PrivacyLedger.uniform(5, 10, 1, 2)
-        with pytest.raises(InstanceTooLarge):
+        with pytest.raises(ValueError, match="30 binary variables exceed the exact-search guard of 24"):
             offline_optimum(np.ones((6, 5)), ledger)
 
     def test_lp_bound_dominates_exact(self):

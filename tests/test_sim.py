@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import RequestEvent, event_log_from_events, log_before, replay_reference
 from ppvf import cache as cache_mod
-from ppvf import cdp, predictor, sim, trace
+from ppvf import DataError, cdp, predictor, sim, trace
 from ppvf.federation import TrainConfig, run_fit_round
 from ppvf.predictor import ModelParams, TrainWindow
 from ppvf.sim import (
@@ -183,6 +183,12 @@ class TestSimConfig:
         # A policy that never fits has no schedule to bound.
         assert SimConfig(policy="lru", test_horizon=1e17).test_horizon == 1e17
 
+    def test_fixed_bounds_checked_as_threshold_bounds(self):
+        # A bad setting, so a plain ValueError: the CLI reports it as a usage error.
+        with pytest.raises(ValueError, match="upper \\* e / lower finite") as info:
+            SimConfig(bounds=(1e-300, 1e300))
+        assert not isinstance(info.value, DataError)
+
     @pytest.mark.parametrize("workers", [0, -4])
     def test_thread_count_below_one_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
@@ -247,6 +253,18 @@ class TestRunSimulation:
         assert report.requests == 0
         assert report.chr_value == 0.0
         assert all(r == 1.0 for r in report.residual_fractions)
+
+    def test_estimated_bounds_whose_top_bar_overflows_data_error(self):
+        # Fitted utilities of 1e-300 and 1e300 leave no finite threshold bar.
+        log = synthetic_log()
+        cfg = self._cfg("ppvf")
+        base = np.ones(log.catalog_size)
+        base[:2] = 1e-300, 1e300
+        flat = ModelParams(base, np.zeros((log.catalog_size, 2)), np.zeros((log.catalog_size, 2)), cfg.decay)
+        barriers = sim.barrier_times(cfg, cfg.test_horizon)
+        fit = sim.fit_settings(cfg, log.catalog_size, cfg.test_horizon)
+        with pytest.raises(DataError, match="estimated ratio bounds"):
+            run_simulation(cfg, log, sim.FitSchedule(fit, barriers, [flat] * (len(barriers) + 1), []))
 
     def test_zero_budget_spends_nothing(self):
         log = synthetic_log()

@@ -16,10 +16,14 @@ Stdlib only. Each file is parsed once, and every rule reads names through
   exempt);
 - a parameter of a ``src/ppvf`` function or lambda that its body never
   reads (``self``, ``cls`` and names starting with an underscore are
-  exempt).
+  exempt);
+- an exception class defined in ``src/ppvf`` that no ``except`` clause of
+  ``cli.main`` names, so that it would end a command in a traceback, not
+  in its exit code.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -133,4 +137,25 @@ def test_no_unread_parameters():
                 if arg.arg not in ("self", "cls") and not arg.arg.startswith("_") and arg.arg not in read:
                     name = getattr(fn, "name", "lambda")
                     bad.append(f"{path}:{arg.lineno}: {name} never reads its parameter {arg.arg}")
+    assert not bad, "\n".join(bad)
+
+
+def test_every_exception_class_has_an_exit_code():
+    classes = {
+        node.name: (path, node) for path, tree in SRC.items() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    }
+
+    def is_exception(name):
+        if name in classes:
+            return any(is_exception(getattr(base, "attr", getattr(base, "id", ""))) for base in classes[name][1].bases)
+        builtin = getattr(builtins, name, None)
+        return isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    main = next(n for n in SRC["src/ppvf/cli.py"].body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    caught = read_names([n.type for n in ast.walk(main) if isinstance(n, ast.ExceptHandler) and n.type], attributes=True)
+    bad = [
+        f"{path}:{node.lineno}: {name} is an exception class that no except clause of cli.main names"
+        for name, (path, node) in classes.items()
+        if is_exception(name) and name not in caught
+    ]
     assert not bad, "\n".join(bad)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppvf import predictor, trace
+from ppvf import DataError, predictor, trace
 
 from oracles import RequestEvent, event_log_from_events, events_of, thin_one_edge_with_choice, write_trace_per_event
 
@@ -74,21 +74,21 @@ def test_load_skips_comments_and_blank_lines(tmp_path):
 def test_load_malformed_line_reports_line_number(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("0,1,2,3.0\n0,1,oops,4.0\n")
-    with pytest.raises(trace.TraceFormatError, match="line 2"):
+    with pytest.raises(DataError, match="line 2"):
         trace.load_trace(path)
 
 
 def test_load_wrong_field_count_reports_line_number(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("0,1,2\n")
-    with pytest.raises(trace.TraceFormatError, match="line 1"):
+    with pytest.raises(DataError, match="line 1"):
         trace.load_trace(path)
 
 
 def test_load_empty_file_is_an_error(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("# nothing here\n")
-    with pytest.raises(trace.TraceFormatError):
+    with pytest.raises(DataError):
         trace.load_trace(path)
 
 
@@ -105,7 +105,7 @@ def test_load_empty_file_is_an_error(tmp_path):
 def test_load_rejects_unrepresentable_fields_with_line_number(tmp_path, record):
     path = tmp_path / "t.csv"
     path.write_text(f"0,0,0,0\n{record}\n")
-    with pytest.raises(trace.TraceFormatError, match="line 2"):
+    with pytest.raises(DataError, match="line 2"):
         trace.load_trace(path)
 
 
@@ -119,14 +119,14 @@ def test_load_accepts_ids_up_to_their_limit_only(tmp_path, field):
     log = trace.load_trace(path)
     assert (log.edge_count if field == 0 else log.catalog_size) == limit + 1
     path.write_text("0,0,0,0\n" + ",".join(bad) + "\n")
-    with pytest.raises(trace.TraceFormatError, match=f"line 2: {'edge' if field == 0 else 'video'} id"):
+    with pytest.raises(DataError, match=f"line 2: {'edge' if field == 0 else 'video'} id"):
         trace.load_trace(path)
 
 
 def test_load_rejects_stamp_that_overflows_its_slot(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("0,0,0,1e300\n")
-    with pytest.raises(trace.TraceFormatError, match="line 1"):
+    with pytest.raises(DataError, match="line 1"):
         trace.load_trace(path, quantize_hours=1e-10)
 
 
@@ -183,8 +183,10 @@ class TestSynthetic:
             decay=0.01,
         )
         assert trace.excitation_branching_ratio(gt) >= 1.0
-        with pytest.raises(trace.StabilityError):
+        # Only the settings make the process explosive, so it is no data error.
+        with pytest.raises(ValueError, match="explosive") as info:
             trace.generate_synthetic(trace.SyntheticSpec(catalog, 1, 10.0, gt, rng_seed=0))
+        assert not isinstance(info.value, DataError)
 
     def test_poisson_reduction_mean_within_three_se(self):
         # With zero excitation the thinning sampler is a superposed Poisson
