@@ -28,8 +28,6 @@ class EdgeCache:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.scores: dict[int, float] = {}
         # The weakest resident as (score, video); None once any score changes.
@@ -78,8 +76,6 @@ class LruCache:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.residents: OrderedDict[int, None] = OrderedDict()
 
@@ -103,8 +99,6 @@ class LfuCache:
     eviction."""
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self.clock = 0
         self.counts: dict[int, int] = {}  # lifetime request counts, all videos
@@ -143,8 +137,6 @@ class MavState:
     """
 
     def __init__(self, catalog_size: int, slot_hours: float = 1.0):
-        if slot_hours <= 0:
-            raise ValueError("slot_hours must be positive")
         self.slot_hours = slot_hours
         self.values = np.zeros(catalog_size)
         self.pending = np.zeros(catalog_size)
@@ -192,10 +184,10 @@ def select_candidates_best_utility(
     """Top-utility budget-feasible candidate picks, charging per admission.
 
     The picks are the first ``prefetch_cap`` chargeable videos of the stable
-    descending-utility order (ties by ascending video id, NaN last).
-    ``np.partition`` finds the cap-th largest chargeable utility, and only
-    the chargeable videos at or above it are stably sorted; all of them are
-    when fewer than ``prefetch_cap`` utilities are numbers.
+    descending-utility order (ties by ascending video id); the utilities are
+    finite, as the replay checks each sweep. ``np.partition`` finds the
+    cap-th largest chargeable utility, and only the chargeable videos at or
+    above it are stably sorted.
     """
     chargeable = ledger.chargeable()
     feasible = np.flatnonzero(chargeable)
@@ -204,10 +196,8 @@ def select_candidates_best_utility(
     if 0 < cap < len(neg):
         top = neg.copy()
         top.partition(cap - 1)
-        kth = top[cap - 1]
-        if kth == kth:  # not NaN
-            keep = neg <= kth
-            feasible, neg = feasible[keep], neg[keep]
+        keep = neg <= top[cap - 1]
+        feasible, neg = feasible[keep], neg[keep]
     return admit_picked(feasible[neg.argsort(kind="stable")[:cap]], ledger)
 
 

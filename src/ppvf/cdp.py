@@ -100,11 +100,9 @@ def epoch_table(params_list) -> np.ndarray:
 def correlation_block(state: CorrelationState, videos) -> np.ndarray:
     """Pearson correlations of the videos' full utility histories, in [-1, 1].
 
-    Degenerate (near-constant) series read as uncorrelated; fewer than two
-    incorporated steps is an error.
+    Degenerate (near-constant) series read as uncorrelated. The state holds
+    at least two steps: :func:`candidate_sensitivities` asks for no fewer.
     """
-    if state.steps < 2:
-        raise ValueError("correlation undefined before two incorporated steps")
     c = np.asarray(videos, dtype=np.intp)
     feats = state.epochs.take(c, axis=1)
     # Column 0 of each epoch's product sums the utilities, and the cross

@@ -10,13 +10,14 @@ effective configuration.
 Exit codes: 0 success, 1 usage error (:class:`UsageError`), 2 data error
 (:class:`ppvf.DataError` or ``OSError``), 3 property violation
 (:class:`scheduler.CompetitiveRatioViolation`). A failure that the
-settings alone cause is a usage error, even when only a run finds it, such
-as an explosive ``branching`` or an exact-oracle instance past its guard.
+settings alone cause is a usage error, even when only a run finds it, such as an
+explosive ``branching``, a trace expected past ``trace.MAX_EXPECTED_EVENTS`` events
+or an exact-oracle instance past its guard.
 A data error is an input that cannot be read or used: a missing or
 malformed file, a trace longer than the configured horizon or with no
 request after ``init_horizon``, a trace whose fit would need no refit or
-more than ``sim.MAX_BARRIERS``, a fit whose likelihood, gradients or
-parameters are not finite, or a manifest naming a file elsewhere.
+more than ``sim.MAX_BARRIERS``, a fit whose likelihood (or the edges' sum of
+it), gradients or parameters are not finite, or a manifest naming a file elsewhere.
 """
 
 from __future__ import annotations

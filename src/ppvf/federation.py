@@ -110,11 +110,15 @@ def _sorted_sum(rows: np.ndarray) -> np.ndarray:
 
 
 def global_loss(params: ModelParams, lls: list[float], cfg: TrainConfig) -> float:
-    """Negated sum of the edges' window log-likelihoods plus L2 penalties."""
+    """Negated sum of the edges' window log-likelihoods plus L2 penalties. A non-finite
+    likelihood, or finite ones whose sum overflows, is a :class:`~ppvf.DataError`."""
     for idx, ll in enumerate(lls):
         if not math.isfinite(ll):
             raise DataError(f"non-finite likelihood from edge index {idx}")
-    ll_sum = math.fsum(lls)
+    try:
+        ll_sum = math.fsum(lls)
+    except OverflowError:
+        raise DataError(f"the {len(lls)} edge likelihoods sum past the float range") from None
     reg = (
         0.5 * cfg.rho_base * float(params.base_rate @ params.base_rate)
         + 0.5 * cfg.rho_target * float(np.sum(params.target_factors**2))
@@ -138,8 +142,6 @@ def sum_gradients(params: ModelParams, stats: list[WindowStats], rows: np.ndarra
     entry is named in an :class:`~ppvf.DataError`. When every addend is
     finite, an overflowed sum is returned as it is.
     """
-    if not stats:
-        raise ValueError("no gradients to sum")
     for st, row in zip(stats, rows):
         window_gradients(params, st, out=row)
     summed = GradientBundle.of_row(_sorted_sum(rows), params.catalog_size, params.dim)

@@ -186,10 +186,6 @@ class TrainWindow:
     end: float
     length: float
 
-    def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("window length must be positive")
-
     @property
     def start(self) -> float:
         return self.end - self.length
@@ -197,8 +193,6 @@ class TrainWindow:
     @classmethod
     def from_truncation(cls, end: float, truncation: float, decay: float) -> "TrainWindow":
         """Window whose far edge is where the kernel falls to ``truncation``."""
-        if not 0 < truncation < 1:
-            raise ValueError("truncation must lie in (0, 1)")
         return cls(end=end, length=-math.log(truncation) / decay)
 
 
@@ -254,8 +248,9 @@ class WindowStats:
         self._last_terms: tuple[ModelParams, tuple] | None = None
 
     def _event_terms(self, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per in-window event: latent mix, target factor row, and intensity;
-        then the (D,) source projection of the window integral weights.
+        """Per in-window event: latent mix, target factor row, and intensity, which
+        must be positive (else :class:`~ppvf.DataError`); then the (D,) source
+        projection of the window integral weights.
 
         The terms of the last ``params`` object are kept (parameters are
         immutable), so gradients taken right after the likelihood at the
@@ -266,6 +261,8 @@ class WindowStats:
         mix_ev = (self.counts_at @ params.source_factors)[self.event_group]  # (n, D)
         tgt_ev = params.target_factors[self.event_videos]
         lam = params.base_rate[self.event_videos] + np.einsum("nd,nd->n", tgt_ev, mix_ev)
+        if (lam <= 0).any():
+            raise DataError("non-positive intensity at an event; parameters or state corrupted")
         source_total = params.source_factors.T @ self.integral_weights
         terms = (mix_ev, tgt_ev, lam, source_total)
         self._last_terms = (params, terms)
@@ -284,8 +281,6 @@ def window_log_likelihood(params: ModelParams, stats: WindowStats) -> float:
     over ``stats.window`` (closed form via the exponential kernel).
     """
     _, _, lam, source_total = stats._event_terms(params)
-    if (lam <= 0).any():
-        raise DataError("non-positive intensity at an event; parameters or state corrupted")
     event_term = math.fsum(np.log(lam).tolist())
     integral = stats.window.length * params.base_total + float(params.target_sums @ source_total)
     return event_term - integral
@@ -329,8 +324,6 @@ def window_gradients(params: ModelParams, stats: WindowStats, out: np.ndarray | 
     """
     I, D = params.catalog_size, params.dim
     mix_ev, tgt_ev, lam, source_total = stats._event_terms(params)
-    if (lam <= 0).any():
-        raise DataError("non-positive intensity at an event; parameters or state corrupted")
     g = GradientBundle.of_row(np.empty(GradientBundle.row_size(I, D)) if out is None else out, I, D)
     g.base_rate.fill(-stats.window.length)
     g.target_factors.fill(0.0)

@@ -296,8 +296,6 @@ def random_cr_utilities(count: int, n_videos: int, steps: int, cfg: ThresholdCon
     rng = np.random.default_rng(seed)
     margin = 1e-9 * (cfg.upper - cfg.lower)
     lo, hi = cfg.lower + margin, cfg.upper - margin
-    if hi <= lo:
-        return np.full((count, steps, n_videos), cfg.upper)
     return np.exp(rng.uniform(math.log(lo), math.log(hi), size=(count, steps, n_videos)))
 
 

@@ -98,7 +98,6 @@ class SimConfig:
 
 @dataclass
 class SimReport:
-    policy: str
     hits: int = 0
     requests: int = 0
     per_user_js: dict[tuple[int, int], float] = field(default_factory=dict)
@@ -117,11 +116,8 @@ class SimReport:
 
 
 def jaccard_similarity(profile_a: set, profile_b: set) -> float:
-    """Overlap of two request supports; both empty counts as identical-empty 0."""
-    if not profile_a and not profile_b:
-        return 0.0
-    union = profile_a | profile_b
-    return len(profile_a & profile_b) / len(union)
+    """Overlap of two request supports, at least one of them non-empty."""
+    return len(profile_a & profile_b) / len(profile_a | profile_b)
 
 
 class _BoundTracker:
@@ -374,7 +370,7 @@ def run_simulation(cfg: SimConfig, log: EventLog, schedule: FitSchedule | None =
     if schedule is not None and (schedule.settings != wanted or len(schedule.params) != 1 + len(schedule.barriers)):
         raise ValueError(f"a schedule fitted under {schedule.settings} cannot replay a run under {wanted}")
     capacity = max(1, round(cfg.cache_fraction * log.catalog_size))
-    report = SimReport(policy=cfg.policy, fl_losses=list(schedule.losses) if fitted else [])
+    report = SimReport(fl_losses=list(schedule.losses) if fitted else [])
     barriers, params_list, table = [], [None], None  # unfitted policies read no parameters
     if fitted:
         barriers, params_list, table = schedule.barriers, schedule.params, cdp.epoch_table(schedule.params)

@@ -28,6 +28,10 @@ _INT64 = np.iinfo(np.int64)
 # 500-video catalog; 2**18 videos take about 64 MiB per edge and per epoch.
 MAX_EDGE_ID = 2**10 - 1
 MAX_VIDEO_ID = 2**18 - 1
+# The most events generate_synthetic may expect to draw. Thinning holds each
+# event in Python lists until the log's arrays are built, about 120 bytes per
+# event at the peak, so 10**7 events take about 1.2 GB before any is written.
+MAX_EXPECTED_EVENTS = 10**7
 
 
 @dataclass(frozen=True)
@@ -177,16 +181,31 @@ def excitation_branching_ratio(params: ModelParams) -> float:
     return float(np.max(np.abs(eigs)) / params.decay)
 
 
+def stationary_total_rate(params: ModelParams) -> float:
+    """The stable process's stationary total rate, ``1^T (I - P Q^T / decay)^-1 base_rate``
+    (P, Q the target and source factors), which no process started empty exceeds in
+    expectation. Woodbury makes it one D x D solve: ``1^T base_rate + (1^T P) (decay I -
+    Q^T P)^-1 (Q^T base_rate)`` (Laub, Taimre & Pollett 2015). Overflow reads as inf or nan."""
+    tgt, src, base = params.target_factors, params.source_factors, params.base_rate
+    with np.errstate(over="ignore", invalid="ignore"):
+        excited = np.linalg.solve(params.decay * np.eye(params.dim) - src.T @ tgt, src.T @ base)
+        return float(base.sum() + params.target_sums @ excited)
+
+
 def generate_synthetic(spec: SyntheticSpec) -> EventLog:
     """Draw a trace by Ogata thinning from the mutual-exciting intensity.
 
     Each edge runs an independent process seeded from ``rng_seed`` via
     deterministic spawn keys, so identical specs produce bit-identical logs
-    regardless of generation order.
+    regardless of generation order. An explosive spec, or one expecting more
+    than :data:`MAX_EXPECTED_EVENTS` events, raises ``ValueError``.
     """
     ratio = excitation_branching_ratio(spec.ground_truth)
     if ratio >= 1.0:
         raise ValueError(f"excitation branching ratio {ratio:.4f} >= 1; the process is explosive")
+    expected = spec.edge_count * spec.horizon * stationary_total_rate(spec.ground_truth)
+    if not expected <= MAX_EXPECTED_EVENTS:
+        raise ValueError(f"the spec expects {expected:.4g} events, past the limit of {MAX_EXPECTED_EVENTS}")
     per_edge = [_thin_one_edge(spec, e, _edge_rng(spec, e)) for e in range(spec.edge_count)]
     edges = np.concatenate([p[0] for p in per_edge])
     users = np.concatenate([p[1] for p in per_edge])

@@ -615,7 +615,7 @@ def replay_reference(cfg: SimConfig, log: EventLog, schedule) -> ReferenceReplay
     ``(edge, 1)`` of ``cfg.seed``.
     """
     fitted = cfg.policy in FITTED_POLICIES
-    report = SimReport(cfg.policy, fl_losses=list(schedule.losses) if fitted else [])
+    report = SimReport(fl_losses=list(schedule.losses) if fitted else [])
     capacity = max(1, round(cfg.cache_fraction * log.catalog_size))
     fetches, sensitivities, ties = [], [], 0
     for edge in range(log.edge_count):

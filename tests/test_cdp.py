@@ -126,12 +126,6 @@ class TestCorrelationDegree:
         assert correlation_degree(state, 0, 1) == 0.0
         assert correlation_degree(state, 0, 0) == 0.0
 
-    def test_undefined_before_two_steps(self):
-        state = identity_correlation_state(2)
-        update_correlation(state, np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            correlation_degree(state, 0, 1)
-
     def test_factored_epochs_match_full_history_past_old_limit(self):
         # 5000 videos, past the old 4096-video dense limit: every pair reads
         # its Pearson correlation over the full history, across a refit.
@@ -281,6 +275,16 @@ class TestVideoSensitivity:
 
 
 class TestGlobalSensitivity:
+    def test_zero_before_two_steps(self):
+        # The one guard before correlation_block reads the state.
+        params = random_params(np.random.default_rng(9), catalog=2)
+        state = rebuild_state(params, np.array([0.5, 0.7]), np.array([0, 1]), 1.0)
+        corr = identity_correlation_state(2)
+        cands = CandidateSet(videos=(0, 1), cap=4)
+        for _ in range(2):
+            assert cdp.candidate_sensitivities(params, state, corr, cands).tolist() == [0.0, 0.0]
+            update_correlation(corr, np.array([1.0, 2.0]))
+
     def test_independent_videos_reduce_to_self_terms(self):
         rng = np.random.default_rng(8)
         params = random_params(rng, catalog=2)

@@ -52,6 +52,22 @@ def tiny_trace(tmp_path):
     return cfg, out
 
 
+# The runtime step's run.cfg in the CI workflow.
+_CI_CONFIG = [
+    "catalog_size = 30", "edges = 2", "horizon = 120", "init_horizon = 24",
+    "latent_dim = 2", "max_iters = 2", "c = 0.1", "cr_instances = 10",
+]
+
+
+@pytest.fixture()
+def ci_trace(tmp_path):
+    cfg = tmp_path / "ci.cfg"
+    cfg.write_text("\n".join(_CI_CONFIG) + "\n")
+    out = str(tmp_path / "ci_trace.csv")
+    assert cli.main(["gen-trace", "--config", str(cfg), "--seed", "5", "--out", out]) == 0
+    return str(cfg), out
+
+
 class TestGenTrace:
     def test_same_seed_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -92,6 +108,20 @@ class TestGenTrace:
         assert cli.main(["gen-trace", "--config", cfg, "--seed", "3", "--out", str(out)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("usage error:")
+        assert not out.exists()
+
+    def test_huge_base_rate_refused_before_any_draw(self, tmp_path, capsys):
+        # Thinning at this rate would step time by about 1e-300 h per event.
+        cfg = tmp_path / "ci.cfg"
+        cfg.write_text("\n".join(_CI_CONFIG + ["mean_base = 1e300"]) + "\n")
+        out = tmp_path / "t.csv"
+        capsys.readouterr()
+        started = time.perf_counter()
+        code = cli.main(["gen-trace", "--config", str(cfg), "--seed", "5", "--out", str(out)])
+        assert time.perf_counter() - started < 10.0
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:") and "past the limit" in err[0]
         assert not out.exists()
 
 
@@ -565,7 +595,7 @@ _TRACE_BYTES = st.one_of(
 )
 _VALUE = st.sampled_from(
     [
-        "0", "-1", "1", "2", "3", "0.5", "24", "nan", "inf", "-inf", "1e400", "1e300", "1e-300",
+        "0", "-1", "1", "2", "3", "0.5", "24", "nan", "inf", "-inf", "1e400", "1e300", "1e150", "1e-300",
         "", "x", "lru", "ppvf,sage,bestfit,mav,lru,lfu",
     ]
 )
@@ -714,6 +744,21 @@ class TestFitAndReport:
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:") and "descent step" in err[0]
+
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_step_size_whose_likelihoods_overflow_data_error(self, ci_trace, tmp_path, capsys, command):
+        # At eta = 1e150 each edge's likelihood stays finite and their sum
+        # overflows. The tiny_trace fixture's lower rates never get there.
+        cfg, tr = ci_trace
+        with open(cfg, "a", encoding="utf-8") as fh:
+            fh.write("eta = 1e150\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main([command, "--config", cfg, "--trace", tr, "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and "sum past the float range" in err[0]
 
     def test_fit_log_equals_simulated_fit_sequence(self, tiny_trace, tmp_path):
         # ppvf fit and every fitted policy's simulation run the same barrier

@@ -167,6 +167,11 @@ class TestAggregateAndStep:
         with pytest.raises(DataError, match="edge index 1"):
             global_loss(params, [-1.0, math.inf], TrainConfig())
 
+    def test_finite_likelihoods_whose_sum_overflows(self):
+        params = random_params(np.random.default_rng(7))
+        with pytest.raises(DataError, match="sum past the float range"):
+            global_loss(params, [-1e308, -1e308], TrainConfig())
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("block", ["base_rate", "target_factors", "source_factors"])
     def test_non_finite_entry_names_its_edge_among_many(self, bad, block):
@@ -190,10 +195,6 @@ class TestAggregateAndStep:
             want = sort_then_sum([g.target_factors for g in grads])
         assert summed.target_factors[1, 2] == math.inf
         assert summed.target_factors.tobytes() == want.tobytes()
-
-    def test_empty_contributions_rejected(self):
-        with pytest.raises(ValueError, match="no gradients"):
-            sum_gradients(ModelParams.constant(4, 2), [], np.empty((1, GradientBundle.row_size(4, 2))))
 
     def test_positivity_floor_after_step(self):
         params = ModelParams(np.array([0.01]), np.full((1, 1), 0.01), np.full((1, 1), 0.01), 0.01)
@@ -266,6 +267,13 @@ class TestRunFitRound:
         parts, window = self._setup()
         params = ModelParams.constant(4, 2, 1.0, 0.01)
         result = run_fit_round(parts, params, window, TrainConfig(max_iters=0))
+        assert np.array_equal(result.params.base_rate, params.base_rate)
+        assert result.losses == []
+
+    def test_no_edges_returns_params_before_any_sum(self):
+        _, window = self._setup()
+        params = ModelParams.constant(4, 2, 1.0, 0.01)
+        result = run_fit_round([], params, window, TrainConfig())
         assert np.array_equal(result.params.base_rate, params.base_rate)
         assert result.losses == []
 

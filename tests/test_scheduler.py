@@ -269,17 +269,6 @@ class TestSelectorsMatchSequentialWalk:
             assert spent(ledger) == twin.consumed
 
 
-    def test_best_utility_nan_utilities_sort_last(self):
-        rng = np.random.default_rng(21)
-        for _ in range(300):
-            n, cap = int(rng.integers(2, 12)), int(rng.integers(1, 5))
-            utilities = rng.choice([np.nan, 1.0, 2.0, -0.0, 0.0], n)
-            ledger, twin = PrivacyLedger.uniform(n, 2, 1, cap), FractionLedger(n, 2, 1, cap)
-            for _ in range(2):
-                cands, ledger = select_candidates_best_utility(utilities, ledger)
-                assert cands.videos == walk_best_utility(utilities, twin)
-
-
 class TestThresholdBars:
     """The per-count bar table equals ``threshold`` evaluated per video."""
 

@@ -111,13 +111,10 @@ class TestJaccard:
     def test_partial_overlap(self):
         assert jaccard_similarity({"a", "b"}, {"b", "c"}) == pytest.approx(1 / 3)
 
-    def test_both_empty(self):
-        assert jaccard_similarity(set(), set()) == 0.0
-
 
 class TestChr:
     def _chr(self, hits, requests):
-        return SimReport(policy="lru", hits=hits, requests=requests).chr_value
+        return SimReport(hits=hits, requests=requests).chr_value
 
     def test_all_hits(self):
         assert self._chr(12, 12) == 1.0

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
+import importlib.util
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -187,6 +190,37 @@ class TestSynthetic:
         with pytest.raises(ValueError, match="explosive") as info:
             trace.generate_synthetic(trace.SyntheticSpec(catalog, 1, 10.0, gt, rng_seed=0))
         assert not isinstance(info.value, DataError)
+
+    def test_stationary_rate_equals_dense_solve(self):
+        # The latent D x D solve gives the catalog-sized stationary equation's
+        # total; without excitation that is the base rates' sum.
+        for seed, catalog, dim, branching in ((0, 7, 3, 0.6), (1, 12, 1, 0.9), (2, 5, 4, 0.3), (3, 4, 2, 0.0)):
+            gt = _stable_params(seed, catalog, dim, branching, 0.05)
+            influence = gt.target_factors @ gt.source_factors.T / gt.decay
+            dense = np.linalg.solve(np.eye(catalog) - influence, gt.base_rate).sum()
+            assert trace.stationary_total_rate(gt) == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize("base", [1e6, 1e308])
+    def test_too_many_expected_events_refused(self, base):
+        # Each edge expects base * catalog * horizon events; 1e308 * 3 overflows
+        # to inf, which is refused too. None is drawn.
+        gt = _flat_params(3, base=base, factor=0.01)
+        with pytest.raises(ValueError, match="past the limit") as info:
+            trace.generate_synthetic(trace.SyntheticSpec(3, 2, 10.0, gt, rng_seed=0))
+        assert not isinstance(info.value, DataError)
+
+    def test_every_bench_recipe_far_below_the_event_limit(self, monkeypatch):
+        # The limit must not move any benchmark trace: each recipe's catalog
+        # model, which every seed of it shares, expects a thousandth of it or less.
+        path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        module_spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(module_spec)
+        monkeypatch.setitem(sys.modules, module_spec.name, workloads)  # for its dataclasses
+        module_spec.loader.exec_module(workloads)
+        for workload in workloads.WORKLOADS.values():
+            spec = workload.spec(workload.reference_seed)
+            expected = spec.edge_count * spec.horizon * trace.stationary_total_rate(spec.ground_truth)
+            assert expected <= trace.MAX_EXPECTED_EVENTS / 1000, workload.name
 
     def test_poisson_reduction_mean_within_three_se(self):
         # With zero excitation the thinning sampler is a superposed Poisson
