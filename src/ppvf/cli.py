@@ -248,6 +248,9 @@ def cmd_gen_trace(args) -> int:
         log = trace.generate_synthetic(spec)
     except ValueError as exc:
         raise UsageError(f"invalid configuration: {exc}") from None
+    # fit and simulate reject a trace with no record.
+    if not len(log):
+        raise UsageError(f"seed {seed} draws no event over {cfg['horizon']} h; no trace written")
     out = args.out or "trace.csv"
     os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
     trace.write_trace(log, out)
@@ -258,10 +261,11 @@ def cmd_gen_trace(args) -> int:
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
     _print_config(cfg, {"trace": args.trace})
-    # fit reads no policy, but refuses what simulate would refuse for any listed
-    # policy; the simulator's settings validate every model and trace key fit reads.
-    for policy in _policies(str(cfg["policy"])):
-        settings = _sim_config(cfg, policy, int(cfg["seed"]))
+    # fit reads no policy, but refuses a policy list that simulate would refuse,
+    # and settings under which a fitted policy could not fit: a fitted policy's
+    # settings validate every model and trace key fit reads.
+    _policies(str(cfg["policy"]))
+    settings = _sim_config(cfg, "ppvf", int(cfg["seed"]))
     log = trace.load_trace(args.trace, quantize_hours=settings.slot_hours)
     start = None
     if args.init_params:
@@ -341,8 +345,6 @@ def _policies(raw: str) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
-    if args.threads is not None and args.threads < 1:
-        raise UsageError(f"--threads must be a positive thread count, got {args.threads}")
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else int(cfg["seed"])
     policies = _policies(args.policy or str(cfg["policy"]))
@@ -403,6 +405,10 @@ def cmd_eval_cr(args) -> int:
     n_videos, steps = int(cfg["cr_videos"]), int(cfg["cr_steps"])
     if n_videos * steps > 24:
         raise UsageError(f"cr_videos * cr_steps = {n_videos * steps} exceeds the exact-oracle guard of 24")
+    # Below the normal float range the spacing of floats outgrows the nudge
+    # below, so utilities round onto the bounds and fail the strict bar.
+    if upper == lower < sys.float_info.min:
+        raise UsageError(f"equal lower and upper must be at least {sys.float_info.min}, got {lower}")
     try:
         if upper == lower:
             # Strict ratio bounds leave no admissible utilities when the interval
@@ -471,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed": {"type": int, "help": "master seed (overrides config)"},
         "--trace": {"required": True, "help": "input trace file"},
         "--out": {"help": "output file or directory"},
-        "--threads": {"type": int, "help": "any positive value; runs are sequential"},
         "--init-params": {"help": "resume from a params.json checkpoint"},
         "--policy": {"help": f"comma-separated policies ({', '.join(POLICIES)})"},
         "--sweep": {"help": "sweep one of f, xi, c: e.g. c=0.001,0.01,0.1"},
@@ -484,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
             "simulate",
             cmd_simulate,
             "run policies over a trace and emit CSV reports",
-            "--config --seed --trace --out --threads --policy --sweep",
+            "--config --seed --trace --out --policy --sweep",
         ),
         ("eval-cr", cmd_eval_cr, "verify the competitive-ratio bound empirically", "--config --seed"),
         ("report", cmd_report, "summarize and verify an output directory", "--out"),

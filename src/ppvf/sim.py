@@ -64,7 +64,9 @@ class SimConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     slot_hours: float = 1.0
     seed: int = 0
-    workers: int | None = None  # any positive value, or None; execution is sequential
+    # Read by nothing but the check below: runs are sequential. bench/workloads.py
+    # still passes it; ROADMAP item 1 removes it.
+    workers: int | None = None
 
     def __post_init__(self):
         if self.policy not in POLICIES:
@@ -93,6 +95,8 @@ class SimConfig:
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be a positive thread count")
         if self.policy in FITTED_POLICIES:
+            if -math.log(self.truncation) / self.decay == math.inf:
+                raise ValueError("the likelihood window -ln(truncation) / decay is infinite")
             barrier_times(self, self.test_horizon)
 
 
@@ -134,7 +138,8 @@ class _BoundTracker:
     def observe(self, utilities: np.ndarray) -> None:
         if self.cfg is not None:
             return
-        ratios = utilities / self.unit_cost
+        with np.errstate(over="ignore"):  # frozen reports infinite bounds
+            ratios = utilities / self.unit_cost
         positive = ratios[ratios > 0]
         if positive.size:
             self.lo = min(self.lo, float(positive.min()))

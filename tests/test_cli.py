@@ -124,6 +124,16 @@ class TestGenTrace:
         assert len(err) == 1 and err[0].startswith("usage error:") and "past the limit" in err[0]
         assert not out.exists()
 
+    def test_draw_without_events_usage_error(self, tmp_path, capsys):
+        # fit and simulate reject a trace with no record, so none is written.
+        cfg = write_config(tmp_path, mean_base=0)
+        out = tmp_path / "new" / "t.csv"
+        capsys.readouterr()
+        assert cli.main(["gen-trace", "--config", cfg, "--seed", "5", "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:") and "no event" in err[0], err
+        assert not out.parent.exists()
+
 
 class TestSimulate:
     def test_single_policy_one_row(self, tiny_trace, tmp_path):
@@ -197,21 +207,6 @@ class TestSimulate:
         code = cli.main(["simulate", "--config", cfg, "--trace", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "x")])
         assert code == cli.EXIT_DATA
 
-    def test_thread_count_does_not_change_bytes(self, tiny_trace, tmp_path):
-        cfg, tr = tiny_trace
-        outs = []
-        for threads in ("1", "3"):
-            out = str(tmp_path / f"out_t{threads}")
-            assert cli.main(
-                [
-                    "simulate", "--config", cfg, "--trace", tr,
-                    "--policy", "ppvf,lru", "--threads", threads, "--out", out,
-                ]
-            ) == 0
-            outs.append(out)
-        for name in json.loads(Path(outs[0], "manifest.json").read_text())["outputs"]:
-            assert sha(os.path.join(outs[0], name)) == sha(os.path.join(outs[1], name)), name
-
 
 class TestEvalCr:
     def test_default_suite_passes(self, tmp_path, capsys):
@@ -226,6 +221,12 @@ class TestEvalCr:
         assert cli.main(["eval-cr", "--config", cfg, "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert "bound 1+ln(U/L) = 1.000000" in out
+
+    @pytest.mark.parametrize("bound", ["1e-300", repr(sys.float_info.min)])
+    def test_equal_bounds_down_to_the_normal_range_pass(self, tmp_path, capsys, bound):
+        cfg = write_config(tmp_path, cr_instances=5, lower=bound, upper=bound)
+        assert cli.main(["eval-cr", "--config", cfg, "--seed", "2"]) == 0
+        assert "bound 1+ln(U/L) = 1.000000" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "lines, seed, digest, last",
@@ -279,11 +280,16 @@ class TestEvalCr:
             {"cr_videos": 25},
             {"cr_videos": 25, "cr_steps": 1},
             {"lower": "1e-300", "upper": "1e300"},
+            # At 1e-320 eval-cr's nudge rounds back onto the bound; at 1e-314 it
+            # moves it a few float steps, and utilities still round onto the bounds.
+            {"lower": "1e-320", "upper": "1e-320"},
+            {"lower": "1e-314", "upper": "1e-314"},
         ],
         ids=[
             "lower-nan", "lower-above-upper", "budget-negative", "budget-below-small-cost",
             "no-instances", "negative-instances", "no-videos", "no-steps", "no-slots",
             "videos-past-oracle-guard", "one-step-past-oracle-guard", "bounds-ratio-overflows",
+            "equal-bounds-1e-320", "equal-bounds-1e-314",
         ],
     )
     def test_bad_setting_usage_error(self, tmp_path, capsys, setting):
@@ -350,10 +356,13 @@ class TestUsage:
             ("report", "--config"),
             ("report", "--seed"),
             ("report", "--threads"),
+            ("simulate", "--threads"),
         ],
     )
     def test_flag_the_subcommand_does_not_read_usage_error(self, tmp_path, capsys, command, flag):
-        argv = [command, flag, "3"] + (["--trace", str(tmp_path / "trace.csv")] if command == "fit" else [])
+        argv = [command, flag, "3"]
+        if command in ("fit", "simulate"):
+            argv += ["--trace", str(tmp_path / "trace.csv")]
         assert cli.main(argv) == cli.EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("usage error:") and flag in err[0], err
@@ -365,16 +374,6 @@ class TestUsage:
         assert cli.main(["eval-cr", "--config", str(path)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert err == ["usage error: config line 5: key 'c' is already set on line 2"]
-
-    def test_thread_count_below_one_usage_error(self, tiny_trace, tmp_path, capsys):
-        cfg, tr = tiny_trace
-        out = tmp_path / "x"
-        capsys.readouterr()
-        argv = ["simulate", "--config", cfg, "--trace", tr, "--policy", "lru", "--threads", "-4", "--out", str(out)]
-        assert cli.main(argv) == cli.EXIT_USAGE
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("usage error:") and "--threads" in err[0]
-        assert not out.exists()
 
     def test_out_of_range_cache_fraction_usage_error(self, tiny_trace, tmp_path, capsys):
         _, tr = tiny_trace
@@ -414,12 +413,15 @@ class TestUsage:
             ("eval-cr", {"upper": 0.5}),
             ("gen-trace", {"branching": 1.5}),
             ("simulate", {"lower": "1e-300", "upper": "1e300"}),
+            ("simulate", {"delta": "1e-320"}),
+            ("fit", {"delta": "1e-320", "policy": "lru"}),
         ],
         ids=[
             "phi_th", "delta", "quantize", "edges", "latent_dim",
             "horizon-inf", "gen-trace-horizon-inf", "xi-nan", "epsilon-inf", "lower-above-upper", "eta-inf",
             "lower-alone", "fit-upper-alone", "negative-seed", "fit-negative-seed",
             "eval-cr-lower-alone", "eval-cr-upper-alone", "gen-trace-explosive-branching", "bounds-ratio-overflows",
+            "window-inf", "fit-lru-window-inf",
         ],
     )
     def test_out_of_range_setting_usage_error(self, tiny_trace, tmp_path, capsys, command, setting):
@@ -759,6 +761,37 @@ class TestFitAndReport:
         assert code == cli.EXIT_DATA
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("data error:") and "sum past the float range" in err[0]
+
+    def test_infinite_likelihood_window_leaves_lru_running(self, tiny_trace, tmp_path):
+        # Only a fit reads the window -ln(phi_th) / delta.
+        _, tr = tiny_trace
+        cfg = write_config(tmp_path, delta="1e-320")
+        assert cli.main(["simulate", "--config", cfg, "--trace", tr, "--policy", "lru", "--out", str(tmp_path / "x")]) == 0
+
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_huge_finite_likelihood_window_data_error(self, ci_trace, tmp_path, capsys, command):
+        # The window is finite; only the trace's catalog makes the likelihood overflow.
+        cfg, tr = ci_trace
+        with open(cfg, "a", encoding="utf-8") as fh:
+            fh.write("delta = 2e-308\n")
+        capsys.readouterr()
+        assert cli.main([command, "--config", cfg, "--trace", tr, "--out", str(tmp_path / "out")]) == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:") and "likelihood" in err[0], err
+
+    def test_overflowing_warmup_ratios_one_data_error_line(self, ci_trace, tmp_path, capsys):
+        # utility / epsilon overflows while the warmup bounds form, which the
+        # frozen bounds report; numpy must not warn first.
+        cfg, tr = ci_trace
+        with open(cfg, "a", encoding="utf-8") as fh:
+            fh.write("epsilon = 1e-320\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["simulate", "--config", cfg, "--trace", tr, "--policy", "ppvf", "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error: estimated ratio bounds"), err
 
     def test_fit_log_equals_simulated_fit_sequence(self, tiny_trace, tmp_path):
         # ppvf fit and every fitted policy's simulation run the same barrier
