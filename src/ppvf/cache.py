@@ -1,10 +1,10 @@
 """Edge caches and baseline policies.
 
-The primary cache ranks residents by predicted utility: an incoming video
-displaces the lowest-scored resident only if it scores strictly higher,
-with ties kept by the incumbent. LRU and LFU are eviction-only baselines
-that fetch nothing but the viewed video. SAGE and BESTFIT replace the
-threshold-based candidate selection (random feasible picks, respectively
+The primary cache ranks residents by the stamp's utility sweep: a video
+displaces the lowest-utility resident only if its utility is strictly
+higher, with ties kept by the incumbent. LRU and LFU are eviction-only
+baselines that fetch nothing but the viewed video. SAGE and BESTFIT replace
+the threshold-based candidate selection (random feasible picks, respectively
 top-utility feasible picks) and share the downstream exponential-mechanism
 path; MAV replaces the utility predictor with a per-slot moving average.
 """
@@ -20,52 +20,50 @@ from .scheduler import CandidateSet, PrivacyLedger, admit_in_order, admit_picked
 
 
 class EdgeCache:
-    """Fixed-capacity, utility-scored video cache for one edge.
-
-    ``scores`` is read-only outside the class: :meth:`admit` keeps the
-    weakest resident between calls and only its own writes and
-    :meth:`refresh_scores` reset it.
+    """Fixed-capacity video cache for one edge, ranked by the utility sweep
+    that :meth:`refresh_scores` installs. The cache keeps that array, not a
+    copy, so nothing may write into an installed sweep.
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.scores: dict[int, float] = {}
-        # The weakest resident as (score, video); None once any score changes.
+        self.residents: set[int] = set()
+        self.utilities: np.ndarray | None = None
+        # The weakest resident as (utility, video); None once it may have changed.
         self._weakest: tuple[float, int] | None = None
 
     def lookup(self, video: int) -> bool:
         """Pure membership test; access bookkeeping happens elsewhere."""
-        return video in self.scores
+        return video in self.residents
 
     def refresh_scores(self, utilities: np.ndarray) -> None:
-        """Re-score residents from the latest utility sweep."""
-        for video in self.scores:
-            self.scores[video] = float(utilities[video])
+        """Rank residents by ``utilities``, the latest sweep, from now on."""
+        self.utilities = utilities
         self._weakest = None
 
-    def admit(self, incoming) -> list[int]:
-        """Admit scored videos, evicting the weakest resident when full.
+    def admit(self, videos) -> list[int]:
+        """Admit videos, evicting the weakest resident when full.
 
-        ``incoming`` is an iterable of ``(video, score)``. A video enters if
-        there is room or its score strictly exceeds the current minimum; ties
-        favor the incumbent. Returns the evicted videos.
+        A video enters if there is room or its utility strictly exceeds the
+        weakest resident's (the smallest id among equals); ties favor the
+        incumbent. Returns the evicted videos.
         """
         evicted: list[int] = []
-        scores = self.scores
-        for video, score in incoming:
-            score = float(score)
-            if video in scores or len(scores) < self.capacity:
-                scores[video] = score
-                self._weakest = None
+        residents, utilities = self.residents, self.utilities
+        for video in videos:
+            if video in residents:
                 continue
-            if self._weakest is None:
-                self._weakest = min((s, v) for v, s in scores.items())
-            if score > self._weakest[0]:
-                weakest = self._weakest[1]
-                del scores[weakest]
+            if len(residents) == self.capacity:
+                if self._weakest is None:
+                    order = list(residents)
+                    self._weakest = min(zip(utilities[order].tolist(), order))
+                weakest_utility, weakest = self._weakest
+                if utilities[video] <= weakest_utility:
+                    continue
+                residents.remove(weakest)
                 evicted.append(weakest)
-                scores[video] = score
-                self._weakest = None
+            residents.add(video)
+            self._weakest = None
         return evicted
 
 

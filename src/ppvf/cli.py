@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 usage error (:class:`UsageError`), 2 data error
 (:class:`ppvf.DataError` or ``OSError``), 3 property violation
 (:class:`scheduler.CompetitiveRatioViolation`). A failure that the
 settings alone cause is a usage error, even when only a run finds it, such as an
-explosive ``branching``, a trace expected past ``trace.MAX_EXPECTED_EVENTS`` events
-or an exact-oracle instance past its guard.
+explosive ``branching``, a trace expected past ``trace.MAX_EXPECTED_EVENTS`` events,
+a ``quantize`` under which no trace can pass or an exact-oracle instance past its guard.
 A data error is an input that cannot be read or used: a missing or
 malformed file, a trace longer than the configured horizon or with no
 request after ``init_horizon``, a trace whose fit would need no refit or
@@ -266,6 +266,11 @@ def cmd_fit(args) -> int:
     # settings validate every model and trace key fit reads.
     _policies(str(cfg["policy"]))
     settings = _sim_config(cfg, "ppvf", int(cfg["seed"]))
+    # Every trace spans at least one quantize slot.
+    try:
+        barrier_times(settings, settings.slot_hours)
+    except ValueError as exc:
+        raise UsageError(f"quantize {settings.slot_hours} h: every trace spans a slot, and {exc}") from None
     log = trace.load_trace(args.trace, quantize_hours=settings.slot_hours)
     start = None
     if args.init_params:
@@ -361,6 +366,19 @@ def cmd_simulate(args) -> int:
             if sweep_name:
                 run_cfg[sweep_name] = int(value) if sweep_name == "f" else float(value)
             planned.append((policy, value, _sim_config(run_cfg, policy, seed)))
+    # load_trace floors stamps to multiples of quantize and ends a trace one
+    # slot past its last stamp, which must be at or after init_horizon with a
+    # non-empty slot over by horizon. In its arithmetic, no trace passes if
+    # the first stamp from init_horizon on does not.
+    q, init, horizon = float(cfg["quantize"]), float(cfg["init_horizon"]), float(cfg["horizon"])
+    with np.errstate(over="ignore"):
+        slot = np.floor(np.float64(init) / q + 1e-9)
+        first = float(slot * q if slot * q >= init else (slot + 1) * q)
+    if not (first + q <= horizon and q >= math.ulp(first) / 2):
+        raise UsageError(
+            f"quantize {q} h leaves no request to score: the first slot from init_horizon {init} h "
+            f"spans [{first}, {first + q}) h, which must be non-empty and end by horizon {horizon} h"
+        )
 
     log = trace.load_trace(args.trace, quantize_hours=float(cfg["quantize"]))
     if log.horizon > float(cfg["horizon"]):

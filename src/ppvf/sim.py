@@ -269,12 +269,12 @@ class _EdgeRuntime:
 
         The stamp's first miss moves ``kernel`` to the left limit and sweeps
         it, refusing a non-finite sweep (mav reads its averages), and
-        re-scores the residents; later misses reuse both. Every fitted miss
-        folds the kernel's mix alone into the correlation state. A test miss
-        draws its prefetches from its candidates, maybe none, at their worst
-        sensitivity (mav's, free of excitation, is 0); a warmup miss fetches
-        the viewed video alone and spends no budget. The fetched videos are
-        then offered to the cache.
+        installs it as the cache's ranking; later misses reuse it. Every
+        fitted miss folds the kernel's mix alone into the correlation state.
+        A test miss draws its prefetches from its candidates, maybe none, at
+        their worst sensitivity (mav's, free of excitation, is 0); a warmup
+        miss fetches the viewed video alone and spends no budget. The fetched
+        videos are then offered to the cache.
         """
         if self.stamp_utilities is None:
             if self.mav is None:
@@ -305,7 +305,7 @@ class _EdgeRuntime:
                 self.rng_em,
             )
             fetched += [v for v in prefetched if v != video]
-        self.cache.admit([(v, lam[v]) for v in fetched])
+        self.cache.admit(fetched)
         return fetched
 
 

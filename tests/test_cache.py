@@ -19,25 +19,34 @@ from ppvf.scheduler import PrivacyLedger, admit_picked
 
 @pytest.mark.parametrize("seed", range(12))
 def test_admit_matches_scanning_oracle(seed):
-    # Few distinct scores (ties), few videos (re-admitted residents), and
-    # refreshes between admits, against a cache that scans for each eviction.
+    # Few distinct utilities (ties), few videos (re-admitted residents), and
+    # new sweeps between admits, against a cache that scans for each eviction.
     rng = np.random.default_rng(seed)
     capacity = int(rng.integers(1, 9))
     cached, scores = EdgeCache(capacity), {}
+    lam = rng.integers(0, 4, 12).astype(float)
+    cached.refresh_scores(lam)
     evictions = 0
     for _ in range(80):
         if rng.random() < 0.2:
-            utilities = rng.integers(0, 4, 12).astype(float)
-            cached.refresh_scores(utilities)
-            scores.update((v, float(utilities[v])) for v in scores)
+            lam = rng.integers(0, 4, 12).astype(float)
+            cached.refresh_scores(lam)
+            scores.update((v, float(lam[v])) for v in scores)
             continue
-        size = int(rng.integers(1, 6))
-        incoming = list(zip(rng.integers(0, 12, size).tolist(), rng.integers(0, 4, size).astype(float)))
-        evicted = cached.admit(incoming)
-        assert evicted == admit_by_scan(scores, capacity, incoming)
-        assert list(cached.scores.items()) == list(scores.items())
+        videos = rng.integers(0, 12, int(rng.integers(1, 6))).tolist()
+        evicted = cached.admit(videos)
+        assert evicted == admit_by_scan(scores, capacity, [(v, lam[v]) for v in videos])
+        assert cached.residents == set(scores)
         evictions += len(evicted)
     assert evictions
+
+
+def cache_with(capacity, utilities, videos=()):
+    """An ``EdgeCache`` ranking by ``utilities`` that has admitted ``videos``."""
+    c = EdgeCache(capacity)
+    c.refresh_scores(np.asarray(utilities, dtype=float))
+    c.admit(videos)
+    return c
 
 
 class TestLookup:
@@ -45,62 +54,62 @@ class TestLookup:
         assert not EdgeCache(2).lookup(5)
 
     def test_admitted_video_hits(self):
-        c = EdgeCache(2)
-        c.admit([(5, 1.0)])
+        c = cache_with(2, np.arange(6.0), [5])
         assert c.lookup(5)
 
     def test_evicted_video_misses(self):
-        c = EdgeCache(1)
-        c.admit([(5, 1.0)])
-        c.admit([(6, 2.0)])
+        c = cache_with(1, np.arange(7.0), [5])
+        c.admit([6])
         assert not c.lookup(5)
         assert c.lookup(6)
 
 
 class TestAdmit:
     def test_below_capacity_admits_everything(self):
-        c = EdgeCache(3)
-        evicted = c.admit([(1, 0.5), (2, 0.1)])
+        c = cache_with(3, [0.0, 0.5, 0.1])
+        evicted = c.admit([1, 2])
         assert evicted == []
-        assert set(c.scores) == {1, 2}
+        assert c.residents == {1, 2}
 
     def test_full_cache_rejects_lower_score(self):
-        c = EdgeCache(1)
-        c.admit([(1, 5.0)])
-        evicted = c.admit([(2, 4.0)])
+        c = cache_with(1, [0.0, 5.0, 4.0], [1])
+        evicted = c.admit([2])
         assert evicted == []
-        assert set(c.scores) == {1}
+        assert c.residents == {1}
 
     def test_replaces_minimum_scored_resident(self):
-        c = EdgeCache(2)
-        c.admit([(10, 1.0), (11, 5.0)])
-        evicted = c.admit([(12, 3.0)])
+        c = cache_with(2, [0.0] * 10 + [1.0, 5.0, 3.0], [10, 11])
+        evicted = c.admit([12])
         assert evicted == [10]
-        assert set(c.scores) == {11, 12}
+        assert c.residents == {11, 12}
 
     def test_tie_favors_incumbent(self):
-        c = EdgeCache(1)
-        c.admit([(1, 2.0)])
-        evicted = c.admit([(2, 2.0)])
+        c = cache_with(1, [0.0, 2.0, 2.0], [1])
+        evicted = c.admit([2])
         assert evicted == []
-        assert set(c.scores) == {1}
+        assert c.residents == {1}
+
+    def test_equal_residents_evict_the_smaller_id(self):
+        c = cache_with(2, [0.0, 0.0, 1.0, 1.0, 3.0], [3, 2])
+        assert c.admit([4]) == [2]
+        assert c.residents == {3, 4}
 
     def test_refresh_scores_changes_victim(self):
-        c = EdgeCache(2)
-        c.admit([(1, 10.0), (2, 1.0)])
+        c = cache_with(2, [0.0, 10.0, 1.0, 0.0], [1, 2])
         sweep = np.array([0.0, 0.5, 9.0, 4.0])  # video 1 collapses, video 2 rises
         c.refresh_scores(sweep)
-        evicted = c.admit([(3, 4.0)])
+        evicted = c.admit([3])
         assert evicted == [1]
-        assert set(c.scores) == {2, 3}
+        assert c.residents == {2, 3}
 
     def test_capacity_never_exceeded(self):
         rng = np.random.default_rng(0)
-        c = EdgeCache(4)
+        c = cache_with(4, rng.uniform(0, 10, 30))
         for _ in range(500):
-            video = int(rng.integers(0, 30))
-            c.admit([(video, float(rng.uniform(0, 10)))])
-            assert len(c.scores) <= 4
+            if rng.random() < 0.1:
+                c.refresh_scores(rng.uniform(0, 10, 30))
+            c.admit([int(rng.integers(0, 30))])
+            assert len(c.residents) <= 4
 
 
 class ReferenceLru:

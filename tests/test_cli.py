@@ -12,7 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ppvf
@@ -492,6 +492,51 @@ class TestUsage:
         assert len(err) == 1 and err[0].startswith("data error:") and "stamp 23.0 h" in err[0] and "24.0" in err[0]
         assert not os.path.exists(tmp_path / "x")
 
+    @pytest.mark.parametrize("quantize", [200, 120, 100, 61])
+    def test_quantize_no_trace_can_score_usage_error(self, ci_trace, tmp_path, capsys, quantize):
+        # A scored stamp is a multiple of quantize at or after init_horizon
+        # (24 h), and the trace ends one slot past it, by horizon (120 h).
+        cfg, tr = ci_trace
+        with open(cfg, "a", encoding="utf-8") as fh:
+            fh.write(f"quantize = {quantize}\n")
+        capsys.readouterr()
+        code = cli.main(["simulate", "--config", cfg, "--trace", tr, "--policy", "lru", "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"usage error: quantize {float(quantize)} h"), err
+        assert not os.path.exists(tmp_path / "x")
+        # fit compares no trace with horizon.
+        assert cli.main(["fit", "--config", cfg, "--trace", tr, "--out", str(tmp_path / "fit")]) == cli.EXIT_OK
+
+    def test_quantize_whose_first_scored_slot_ends_at_horizon_runs(self, ci_trace, tmp_path):
+        cfg, tr = ci_trace
+        with open(cfg, "a", encoding="utf-8") as fh:
+            fh.write("quantize = 60\n")
+        assert cli.main(["simulate", "--config", cfg, "--trace", tr, "--policy", "lru", "--out", str(tmp_path / "x")]) == 0
+
+    @pytest.mark.parametrize("quantize", ["1e-300", "2e-308"])
+    def test_quantize_whose_slots_vanish_past_init_horizon_usage_error(self, ci_trace, tmp_path, capsys, quantize):
+        # Past init_horizon a stamp plus one slot rounds back to the stamp, or
+        # the stamp overflows, so no trace has a slot to end.
+        cfg, tr = ci_trace
+        with open(cfg, "a", encoding="utf-8") as fh:
+            fh.write(f"quantize = {quantize}\n")
+        capsys.readouterr()
+        code = cli.main(["simulate", "--config", cfg, "--trace", tr, "--policy", "lru", "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: quantize"), err
+
+    def test_fit_quantize_past_barrier_limit_usage_error(self, ci_trace, tmp_path, capsys):
+        # Every trace spans at least one slot, here past sim.MAX_BARRIERS refits.
+        cfg, tr = ci_trace
+        with open(cfg, "a", encoding="utf-8") as fh:
+            fh.write("quantize = 1e300\n")
+        capsys.readouterr()
+        assert cli.main(["fit", "--config", cfg, "--trace", tr, "--out", str(tmp_path / "fit")]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error: quantize") and "fitting barriers" in err[0], err
+
     def test_horizon_past_barrier_limit_usage_error(self, tiny_trace, tmp_path, capsys):
         _, tr = tiny_trace
         cfg = write_config(tmp_path, horizon=1e17)
@@ -629,6 +674,54 @@ def test_arbitrary_trace_and_config_end_in_a_documented_exit(trace_bytes, config
     assert "Traceback" not in err
     if code != cli.EXIT_OK:
         assert len(err.splitlines()) == 1
+
+
+# Two valid traces that differ in catalog (30 and 12 videos), edges (2 and 3)
+# and span (24 h and 18 h); both request videos before and after _SMALL_RUN's
+# init_horizon.
+_TRACES = (
+    "".join(f"{i % 2},{i % 5},{7 * i % 30},{0.59 * i}\n" for i in range(41)),
+    "".join(f"{i % 3},{i % 4},{5 * i % 12},{0.44 * i}\n" for i in range(41)),
+)
+# The data errors that both traces may end in with one message. Each is
+# decided by the trace, not by the settings alone, for the reason given.
+_SAME_DATA_ERRORS = {
+    "estimated ratio bounds: ": "the bounds are the warmup utilities over epsilon, and the trace sets the "
+    "utilities; a trace whose test requests all hit never estimates them",
+    "non-finite likelihood from edge index 0": "a tiny delta leaves the likelihood window finite, and only "
+    "the edge's requests over its catalog overflow the likelihood",
+}
+_RUN_SETTINGS = st.dictionaries(st.sampled_from(sorted(cli.DEFAULTS)), _VALUE, max_size=2)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(drawn={"quantize": "24"})
+@example(drawn={"quantize": "1e300"})
+@given(drawn=_RUN_SETTINGS)
+def test_usage_errors_do_not_depend_on_the_trace(drawn):
+    # A usage error is the settings' alone: it ends both traces' runs with
+    # one message. A data error that does the same is allowlisted above.
+    small_run = dict(line.split(" = ") for line in _SMALL_RUN.splitlines())
+    config_text = "".join(f"{key} = {value}\n" for key, value in {**small_run, **drawn}.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        Path(cfg).write_text(config_text, encoding="utf-8")
+        paths = [os.path.join(tmp, f"trace{i}.csv") for i in range(2)]
+        for path, text in zip(paths, _TRACES):
+            Path(path).write_text(text, encoding="utf-8")
+        for command in ("simulate", "fit"):
+            ends = []
+            for i, path in enumerate(paths):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = cli.main([command, "--config", cfg, "--trace", path, "--out", os.path.join(tmp, f"{command}{i}")])
+                ends.append((code, err.getvalue()))
+            (code, err), other = ends
+            assert (code == cli.EXIT_USAGE) == (other[0] == cli.EXIT_USAGE), (command, ends)
+            if code == cli.EXIT_USAGE:
+                assert err == other[1], (command, ends)
+            elif (code, err) == other and code == cli.EXIT_DATA:
+                assert any(err.startswith("data error: " + message) for message in _SAME_DATA_ERRORS), (command, err)
 
 
 class TestFitAndReport:
@@ -781,17 +874,23 @@ class TestFitAndReport:
 
     def test_overflowing_warmup_ratios_one_data_error_line(self, ci_trace, tmp_path, capsys):
         # utility / epsilon overflows while the warmup bounds form, which the
-        # frozen bounds report; numpy must not warn first.
+        # frozen bounds report; numpy must not warn first. It is a data error
+        # even when every warmup ratio overflows: a trace whose test requests
+        # all hit never estimates the bounds and runs.
         cfg, tr = ci_trace
-        with open(cfg, "a", encoding="utf-8") as fh:
-            fh.write("epsilon = 1e-320\n")
-        capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = cli.main(["simulate", "--config", cfg, "--trace", tr, "--policy", "ppvf", "--out", str(tmp_path / "out")])
-        assert code == cli.EXIT_DATA
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("data error: estimated ratio bounds"), err
+        hits = tmp_path / "hits.csv"
+        hits.write_text("0,0,1,0.5\n0,0,1,30.5\n1,0,2,3.5\n1,0,2,60.5\n")
+        for epsilon in ("2e-308", "1e-320"):
+            Path(cfg).write_text("\n".join(_CI_CONFIG + [f"epsilon = {epsilon}"]) + "\n")
+            argv = ["simulate", "--config", cfg, "--policy", "ppvf,mav", "--out", str(tmp_path / "out")]
+            assert cli.main([*argv, "--trace", str(hits)]) == cli.EXIT_OK
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main([*argv, "--trace", tr])
+            assert code == cli.EXIT_DATA
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("data error: estimated ratio bounds"), err
 
     def test_fit_log_equals_simulated_fit_sequence(self, tiny_trace, tmp_path):
         # ppvf fit and every fitted policy's simulation run the same barrier

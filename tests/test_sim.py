@@ -49,9 +49,9 @@ def record_decisions(mp) -> tuple[list[tuple[int, ...]], list[float]]:
         fetches.append(())
         return real_lookup(self, video)
 
-    def admit(self, incoming):  # a scored miss offers the cache its whole fetch
-        fetches[-1] = tuple(v for v, _ in incoming)
-        return real_admit(self, incoming)
+    def admit(self, videos):  # a scored miss offers the cache its whole fetch
+        fetches[-1] = tuple(videos)
+        return real_admit(self, videos)
 
     def step(cache, video):
         result = real_step(cache, video)
