@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scheduler import CandidateSet, PrivacyLedger, admit_in_order, admit_picked
+from .trace import slot_index
 
 
 class EdgeCache:
@@ -140,12 +141,9 @@ class MavState:
         self.pending = np.zeros(catalog_size)
         self.current_slot = 0
 
-    def _slot_of(self, time: float) -> int:
-        return int(np.floor(time / self.slot_hours + 1e-9))
-
     def fold_until(self, time: float) -> None:
         """Complete every slot strictly before ``time``'s slot."""
-        slot = self._slot_of(time)
+        slot = int(slot_index(time, self.slot_hours))
         if slot <= self.current_slot:
             return
         self.values = MAV_SMOOTHING * self.values + (1 - MAV_SMOOTHING) * self.pending

@@ -3,10 +3,10 @@
 Each fitted cache miss adds one utility sweep to a Pearson state. Between
 refits every sweep is affine in the edge's latent mix, ``utilities =
 base_rate + target_factors @ mix``, so the state keeps only the moments of
-the mix per parameter epoch, next to one (epoch, video, 1+D) table of every
-epoch's parameters, built once from the fitted sequence and shared
-read-only by all edges; a miss costs O(D^2), and any video's sums and any
-pair's cross sum follow in O(E * D^2), for every catalog size. Sensitivity
+the mix per parameter epoch, next to the (epoch, video, 1+D) table of every
+epoch's parameters, which the fit writes once and all edges share
+read-only; a miss costs O(D^2), and any video's sums and any pair's cross
+sum follow in O(E * D^2), for every catalog size. Sensitivity
 of a candidate video is the correlation-weighted sum of how much deleting
 each co-candidate's history would move its utility; with the exponential
 kernel that deletion difference has the closed form
@@ -33,9 +33,9 @@ _VARIANCE_EPS = 1e-12
 class CorrelationState:
     """The epoch moments behind the per-pair Pearson correlation of utilities.
 
-    ``table`` is the read-only (E, I, 1+D) table of :func:`epoch_table`:
-    row ``table[e, i]`` is ``(base_rate[i], *target_factors[i])`` under
-    epoch ``e``'s parameters, built once per run and shared by every edge.
+    ``table`` is the read-only (E, I, 1+D) table of a fit schedule
+    (:class:`ppvf.sim.FitSchedule`): row ``table[e, i]`` is ``(base_rate[i],
+    *target_factors[i])`` under epoch ``e``'s parameters, shared by every edge.
     The state starts in epoch 0 and :meth:`next_epoch` moves it on;
     ``epochs`` and ``moments`` cover the epochs reached so far. ``moments[e]``
     sums ``outer(z, z)`` over epoch ``e``'s sweeps, ``epochs[e] @ z`` with
@@ -84,17 +84,6 @@ class CorrelationState:
             raise ValueError("the mix must be finite")
         self.moments[-1] += z[:, None] * z
         self.steps += 1
-
-
-def epoch_table(params_list) -> np.ndarray:
-    """The (E, I, 1+D) table whose row ``[e, i]`` is ``(base_rate[i], *target_factors[i])``
-    under ``params_list[e]``."""
-    first = params_list[0]
-    table = np.empty((len(params_list), first.catalog_size, 1 + first.dim))
-    for rows, params in zip(table, params_list):
-        rows[:, 0] = params.base_rate
-        rows[:, 1:] = params.target_factors
-    return table
 
 
 def correlation_block(state: CorrelationState, videos) -> np.ndarray:

@@ -372,7 +372,7 @@ def cmd_simulate(args) -> int:
     # the first stamp from init_horizon on does not.
     q, init, horizon = float(cfg["quantize"]), float(cfg["init_horizon"]), float(cfg["horizon"])
     with np.errstate(over="ignore"):
-        slot = np.floor(np.float64(init) / q + 1e-9)
+        slot = trace.slot_index(np.float64(init), q)
         first = float(slot * q if slot * q >= init else (slot + 1) * q)
     if not (first + q <= horizon and q >= math.ulp(first) / 2):
         raise UsageError(

@@ -48,12 +48,9 @@ class ModelParams:
     decay: float
 
     def __post_init__(self):
-        base = np.asarray(self.base_rate, dtype=np.float64)
-        tgt = np.asarray(self.target_factors, dtype=np.float64)
-        src = np.asarray(self.source_factors, dtype=np.float64)
-        object.__setattr__(self, "base_rate", base)
-        object.__setattr__(self, "target_factors", tgt)
-        object.__setattr__(self, "source_factors", src)
+        for name in ("base_rate", "target_factors", "source_factors"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        base, tgt, src = self.base_rate, self.target_factors, self.source_factors
         if base.ndim != 1 or tgt.ndim != 2 or src.ndim != 2:
             raise ValueError("base_rate must be 1-D; factor matrices 2-D")
         if tgt.shape != src.shape or tgt.shape[0] != base.shape[0]:

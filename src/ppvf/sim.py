@@ -42,9 +42,9 @@ from .trace import EventLog, partition_by_edge
 POLICIES = ("ppvf", "sage", "bestfit", "mav", "lru", "lfu")
 FITTED_POLICIES = {"ppvf", "sage", "bestfit"}
 # The most fitting barriers one schedule may hold: 55 years at the default
-# 48 h interval. Each barrier is a federated fit, one more kept parameter
-# set (catalog x (1 + 2 * latent_dim) floats) and one more epoch in the
-# simulator's parameter table (catalog x (1 + latent_dim) floats).
+# 48 h interval. Each barrier is a federated fit and one more kept parameter
+# set, catalog x (1 + 2 * latent_dim) floats: a row of the schedule's table,
+# which the correlation states read, and the source factors.
 MAX_BARRIERS = 10_000
 
 
@@ -311,12 +311,21 @@ class _EdgeRuntime:
 
 @dataclass(frozen=True)
 class FitSchedule:
-    """One trace's fit: ``params[e]`` holds from ``barriers[e - 1]`` on, ``params[0]`` is the start."""
+    """One trace's fit: ``params[e]`` holds from ``barriers[e - 1]`` on, ``params[0]`` is the start.
+    Its base rates and target factors view ``table[e]``, row ``i`` ``(base_rate[i], *target_factors[i])``,
+    which every replay's correlation states read; its source factors are an array of their own."""
 
     settings: tuple  # the fit's fit_settings
     barriers: list[float]
-    params: list[ModelParams]
+    table: np.ndarray  # (epochs, catalog, 1 + latent_dim)
     losses: list[tuple[float, int, float]]  # (barrier, iteration, loss) rows
+    params: list[ModelParams] = field(default_factory=list, init=False)
+
+    def store(self, e: int, params: ModelParams) -> None:
+        """Copy ``params``' rows into ``table[e]``; ``self.params[e]``, now the last, views them."""
+        rows = self.table[e]
+        rows[:, 0], rows[:, 1:] = params.base_rate, params.target_factors
+        self.params[e:] = [ModelParams(rows[:, 0], rows[:, 1:], params.source_factors, params.decay)]
 
 
 def fit_settings(cfg: SimConfig, catalog_size: int, horizon: float) -> tuple:
@@ -327,18 +336,21 @@ def fit_settings(cfg: SimConfig, catalog_size: int, horizon: float) -> tuple:
 def fit_schedule(cfg: SimConfig, log: EventLog, horizon: float, start=None, keep_all=True) -> FitSchedule:
     """Fit ``log`` at every barrier before ``horizon``, first from ``start`` (else every
     parameter at 1.0), then each fit from the last. Each fit reads the whole edge logs;
-    its window keeps what precedes the barrier. Unless ``keep_all``, ``params`` keeps
-    the last fit alone."""
-    params = [ModelParams.constant(log.catalog_size, cfg.latent_dim, 1.0, cfg.decay) if start is None else start]
-    schedule = FitSchedule(fit_settings(cfg, params[0].catalog_size, horizon), barrier_times(cfg, horizon), params, [])
+    its window keeps what precedes the barrier. Unless ``keep_all``, the table holds one
+    row and ``params`` the last fit alone."""
+    start = ModelParams.constant(log.catalog_size, cfg.latent_dim, 1.0, cfg.decay) if start is None else start
+    barriers = barrier_times(cfg, horizon)
+    table = np.empty((1 + len(barriers) if keep_all else 1, start.catalog_size, 1 + start.dim))
+    schedule = FitSchedule(fit_settings(cfg, start.catalog_size, horizon), barriers, table, [])
+    schedule.store(0, start)
+    del start  # only the table keeps its base rates and target factors
     edge_logs = partition_by_edge(log)
-    for barrier in schedule.barriers:
+    for e, barrier in enumerate(barriers, 1):
         window = TrainWindow.from_truncation(barrier, cfg.truncation, cfg.decay)
-        result = run_fit_round(edge_logs, params[-1], window, cfg.train)
-        params.append(result.params)
-        if not keep_all:
-            del params[0]
+        result = run_fit_round(edge_logs, schedule.params[-1], window, cfg.train)
+        schedule.store(e if keep_all else 0, result.params)
         schedule.losses.extend((barrier, idx, loss) for idx, loss in enumerate(result.losses))
+        del result  # likewise: the next fit runs without this one's arrays
     return schedule
 
 
@@ -378,7 +390,7 @@ def run_simulation(cfg: SimConfig, log: EventLog, schedule: FitSchedule | None =
     report = SimReport(fl_losses=list(schedule.losses) if fitted else [])
     barriers, params_list, table = [], [None], None  # unfitted policies read no parameters
     if fitted:
-        barriers, params_list, table = schedule.barriers, schedule.params, cdp.epoch_table(schedule.params)
+        barriers, params_list, table = schedule.barriers, schedule.params, schedule.table
     for edge_id, edge_log in enumerate(partition_by_edge(log)):
         rt = _EdgeRuntime(edge_id, edge_log, cfg, table, capacity)
         rt.run(barriers, params_list)

@@ -21,11 +21,11 @@ _INT64 = np.iinfo(np.int64)
 # The largest ids load_trace accepts. A run allocates catalog-sized state
 # for every edge id up to the largest one and for every fitting epoch, so an
 # id is an index into that state, not a label: remap sparse or hashed ids to
-# 0, 1, ... first. The fit holds about 250 bytes per video for each edge
-# (its window statistics and gradient upload, at latent_dim 10), and each
-# epoch keeps its parameters and correlation rows, 8 * (2 + 3 * latent_dim)
-# bytes per video. 1024 edges then take about 120 MiB of fit state at a
-# 500-video catalog; 2**18 videos take about 64 MiB per edge and per epoch.
+# 0, 1, ... first. At latent_dim 10 the fit holds about 540 bytes per video for
+# each edge, 8 per in-window stamp (an hourly window holds up to 48) and its
+# gradient row's 8 * (1 + 2 * latent_dim), and each epoch keeps its parameters
+# in 8 * (1 + 2 * latent_dim). 1024 edges then take about 270 MiB of fit state
+# at a 500-video catalog; 2**18 videos, 140 MiB per edge and 42 MiB per epoch.
 MAX_EDGE_ID = 2**10 - 1
 MAX_VIDEO_ID = 2**18 - 1
 # The most events generate_synthetic may expect to draw. Thinning holds each
@@ -98,6 +98,12 @@ class SyntheticSpec:
             raise ValueError("ground_truth catalog size mismatch")
 
 
+def slot_index(t, slot_hours: float):
+    """``floor(t / slot_hours)`` of stamp(s) ``t``, as float64; a tiny bias floors a quantized
+    stamp's quotient, 2.9999999 say, to its own slot, which keeps quantizing idempotent."""
+    return np.floor(t / slot_hours + 1e-9)
+
+
 def load_trace(path, quantize_hours: float = 1.0) -> EventLog:
     """Parse a line-delimited ``edge_id,user_id,video_id,timestamp`` file.
 
@@ -143,10 +149,8 @@ def load_trace(path, quantize_hours: float = 1.0) -> EventLog:
 
     edge_arr, user_arr, vid_arr = (np.array(ids, dtype=np.int64) for ids in (edges, users, vids))
     ts = np.array(tss, dtype=np.float64)
-    # The tiny bias guards against 2.9999999 from float division of an
-    # already-quantized stamp; it keeps quantization idempotent.
     with np.errstate(over="ignore"):  # an overflowing stamp is reported below
-        ts = np.floor(ts / quantize_hours + 1e-9) * quantize_hours
+        ts = slot_index(ts, quantize_hours) * quantize_hours
     order = np.argsort(ts, kind="stable")
 
     # The horizon is one slot past the last stamp, so that stamp needs a

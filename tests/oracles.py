@@ -42,7 +42,7 @@ from ppvf.predictor import (
     window_stats,
 )
 from ppvf.scheduler import CandidateSet, PrivacyLedger, ThresholdConfig, threshold
-from ppvf.sim import FITTED_POLICIES, SimConfig, SimReport
+from ppvf.sim import FITTED_POLICIES, FitSchedule, SimConfig, SimReport
 from ppvf.trace import EventLog
 
 
@@ -700,6 +700,16 @@ def replay_reference(cfg: SimConfig, log: EventLog, schedule) -> ReferenceReplay
 
 
 # -- test-only helpers -------------------------------------------------------
+
+
+def schedule_of(params_list, settings=(), barriers=()) -> FitSchedule:
+    """A hand-built schedule whose epochs hold ``params_list``, stored as a fit
+    stores its own: its ``table`` is what a replay's correlation states read."""
+    first = params_list[0]
+    schedule = FitSchedule(settings, list(barriers), np.empty((len(params_list), first.catalog_size, 1 + first.dim)), [])
+    for e, params in enumerate(params_list):
+        schedule.store(e, params)
+    return schedule
 
 
 class RequestEvent(NamedTuple):

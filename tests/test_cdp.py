@@ -17,6 +17,7 @@ from oracles import (
     identity_correlation_state,
     intensity,
     rebuild_state,
+    schedule_of,
     update_correlation,
     video_sensitivity,
 )
@@ -201,9 +202,10 @@ class TestCorrelationBlockMatchesEpochLists:
             state.next_epoch()
 
     def test_epoch_table_rows_hold_base_then_target_factors(self):
+        # A fit schedule stores the table that its replays' states read.
         rng = np.random.default_rng(14)
         params_list = [random_params(rng) for _ in range(3)]
-        table = cdp.epoch_table(params_list)
+        table = schedule_of(params_list).table
         assert table.shape == (3, 6, 3)
         for rows, params in zip(table, params_list):
             assert rows[:, 0].tobytes() == params.base_rate.tobytes()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import RequestEvent, event_log_from_events, log_before, replay_reference
+from oracles import RequestEvent, event_log_from_events, log_before, replay_reference, schedule_of
 from ppvf import cache as cache_mod
 from ppvf import DataError, cdp, predictor, sim, trace
 from ppvf.federation import TrainConfig, run_fit_round
@@ -98,7 +98,7 @@ def random_schedule(cfg: SimConfig, catalog: int, rng) -> sim.FitSchedule:
         ModelParams(rng.uniform(0.05, 0.5, catalog), *rng.uniform(0.002, 0.05, (2, catalog, 2)), cfg.decay)
         for _ in range(len(barriers) + 1)
     ]
-    return sim.FitSchedule(sim.fit_settings(cfg, catalog, cfg.test_horizon), barriers, params, [])
+    return schedule_of(params, sim.fit_settings(cfg, catalog, cfg.test_horizon), barriers)
 
 
 class TestJaccard:
@@ -261,7 +261,7 @@ class TestRunSimulation:
         barriers = sim.barrier_times(cfg, cfg.test_horizon)
         fit = sim.fit_settings(cfg, log.catalog_size, cfg.test_horizon)
         with pytest.raises(DataError, match="estimated ratio bounds"):
-            run_simulation(cfg, log, sim.FitSchedule(fit, barriers, [flat] * (len(barriers) + 1), []))
+            run_simulation(cfg, log, schedule_of([flat] * (len(barriers) + 1), fit, barriers))
 
     def test_zero_budget_spends_nothing(self):
         log = synthetic_log()
@@ -356,24 +356,26 @@ class TestPolicyShapedRuntime:
         real_corr_init = cdp.CorrelationState.__init__
         real_observe = sim._BoundTracker.observe
         real_seed_sequence = np.random.SeedSequence
-        real_epoch_table = cdp.epoch_table
+        real_fit_schedule = sim.fit_schedule
+        schedules, tables = [], []
         real_constant = ModelParams.constant.__func__
 
         def empty(cls, *args, **kwargs):
             built["kernel"] += 1
             return real_empty(cls, *args, **kwargs)
 
-        def corr_init(self, *args):
+        def corr_init(self, table):
             built["corr"] += 1
-            real_corr_init(self, *args)
+            tables.append(table)
+            real_corr_init(self, table)
 
         def observe(self, *args):
             built["observe"] += 1
             real_observe(self, *args)
 
-        def epoch_table(*args):
-            built["epoch_table"] += 1
-            return real_epoch_table(*args)
+        def fit_schedule(*args, **kwargs):
+            schedules.append(real_fit_schedule(*args, **kwargs))
+            return schedules[-1]
 
         def constant(cls, *args, **kwargs):
             built["constant"] += 1
@@ -392,14 +394,16 @@ class TestPolicyShapedRuntime:
             mp.setattr(cdp.CorrelationState, "__init__", corr_init)
             mp.setattr(sim._BoundTracker, "observe", observe)
             mp.setattr(np.random, "SeedSequence", seed_sequence)
-            mp.setattr(cdp, "epoch_table", epoch_table)
+            mp.setattr(sim, "fit_schedule", fit_schedule)
             mp.setattr(ModelParams, "constant", classmethod(constant))
             report = run_simulation(cfg, log)
         fitted, observes, keys = self.SHAPES[policy]
         assert report.requests > 0
         assert built["kernel"] == built["corr"] == (log.edge_count if fitted else 0)
-        # Only a fit starts from constant parameters and only fitted runs read an epoch table.
-        assert built["constant"] == built["epoch_table"] == (1 if fitted else 0)
+        # Only a fit starts from constant parameters, and no run builds an epoch
+        # table: every correlation state reads the fitted schedule's own.
+        assert built["constant"] == len(schedules) == (1 if fitted else 0)
+        assert all(table is schedules[0].table for table in tables)
         assert (built["observe"] > 0) == observes
         assert sorted(streams) == sorted((edge, key) for edge in range(log.edge_count) for key in keys)
 
@@ -455,6 +459,35 @@ class TestFitSchedule:
             for name in ("base_rate", "target_factors", "source_factors"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
             assert got.decay == want.decay
+
+    def test_each_epoch_is_stored_once(self):
+        # The fit writes each epoch's base rates and target factors into the
+        # schedule's table and keeps its parameters as views of that row; the
+        # source factors stay an array of their own. Every fitted runtime's
+        # correlation state reads the table itself: no run copies it.
+        log = synthetic_log(catalog=20)
+        schedule = sim.fit_schedule(self.CFG, log, self.CFG.test_horizon)
+        assert schedule.table.shape == (3, 20, 1 + self.CFG.latent_dim)
+        for rows, params in zip(schedule.table, schedule.params, strict=True):
+            assert np.shares_memory(params.base_rate, rows) and np.shares_memory(params.target_factors, rows)
+            assert params.source_factors.flags.c_contiguous
+            assert not np.shares_memory(params.source_factors, schedule.table)
+        runtimes = []
+        real_fold = sim._fold_edge
+
+        def fold_edge(report, rt):
+            runtimes.append(rt)
+            real_fold(report, rt)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_fold_edge", fold_edge)
+            for policy in sorted(sim.FITTED_POLICIES):
+                run_simulation(dataclasses.replace(self.CFG, policy=policy), log, schedule)
+        assert len(runtimes) == len(sim.FITTED_POLICIES) * log.edge_count
+        assert all(rt.corr.table is schedule.table for rt in runtimes)
+        last = sim.fit_schedule(self.CFG, log, self.CFG.test_horizon, keep_all=False)
+        assert len(last.table) == len(last.params) == 1
+        assert np.shares_memory(last.params[0].base_rate, last.table)
 
     def test_replay_rejects_a_schedule_that_kept_only_its_last_fit(self):
         log = synthetic_log(catalog=20)
@@ -632,7 +665,7 @@ def test_non_finite_sweep_refused_at_first_miss():
     cfg = SimConfig(init_horizon=6.0, test_horizon=73.0, latent_dim=2)
     edge_log = trace.partition_by_edge(barrier_crossing_log())[0]
     params = ModelParams(np.ones(12), np.full((12, 2), 1e300), np.ones((12, 2)), cfg.decay)
-    rt = sim._EdgeRuntime(0, edge_log, cfg, cdp.epoch_table([params]), 3)
+    rt = sim._EdgeRuntime(0, edge_log, cfg, schedule_of([params]).table, 3)
     first = float(edge_log.timestamps[0])
     rt.kernel = predictor.KernelState(np.zeros(12), np.full(2, 1e300), first)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
@@ -646,6 +679,6 @@ def test_eps_steps_stop_at_the_catalog():
     # cap past it adds no reachable candidate count to the per-draw budgets.
     cfg = SimConfig(prefetch_cap=10**5, init_horizon=6.0, test_horizon=73.0, latent_dim=2)
     edge_log = trace.partition_by_edge(barrier_crossing_log())[0]
-    rt = sim._EdgeRuntime(0, edge_log, cfg, cdp.epoch_table([ModelParams.constant(12, 2)]), 3)
+    rt = sim._EdgeRuntime(0, edge_log, cfg, schedule_of([ModelParams.constant(12, 2)]).table, 3)
     assert len(rt.eps_steps) == 13
     assert rt.eps_steps == [float(k * rt.ledger.cost / cfg.prefetch_cap) for k in range(13)]

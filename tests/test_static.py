@@ -9,11 +9,12 @@ Stdlib only. Each file is parsed once, and every rule reads names through
   assigned name starting with one underscore) that no module in
   ``src/ppvf`` reads, by name, attribute or import;
 - a name defined in ``src/ppvf`` (but ``__init__.py``) that only tests
-  read: a module-level function, class or public assigned name, or a
-  method, class-level annotated field or attribute a method assigns as
-  ``self.<name> = ...``, that nothing in ``src/ppvf`` or ``bench`` reads
-  by name, attribute, import or keyword argument (dunder names are
-  exempt);
+  read: a module-level function, class or public assigned name that
+  nothing in ``src/ppvf`` or ``bench`` reads by name, attribute, import or
+  keyword argument, or a method, class-level annotated field or attribute
+  a method assigns as ``self.<name> = ...`` that they read by attribute,
+  import or keyword argument alone (a bare name that matches a member is a
+  local or a global, not the member; dunder names are exempt);
 - a parameter of a ``src/ppvf`` function or lambda that its body never
   reads (``self``, ``cls`` and names starting with an underscore are
   exempt);
@@ -35,14 +36,14 @@ TREES = {
 SRC = {path: tree for path, tree in TREES.items() if path.startswith("src/")}
 
 
-def read_names(nodes, attributes=False, keywords=False) -> set[str]:
-    """Every name loaded under ``nodes``; with ``attributes``, also every
-    attribute loaded and every imported name; with ``keywords``, also every
-    keyword argument's name."""
+def read_names(nodes, attributes=False, keywords=False, names=True) -> set[str]:
+    """Every name loaded under ``nodes`` (unless not ``names``); with
+    ``attributes``, also every attribute loaded and every imported name;
+    with ``keywords``, also every keyword argument's name."""
     read = set()
     for node in nodes:
         for n in ast.walk(node):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            if names and isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 read.add(n.id)
             elif attributes and isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
                 read.add(n.attr)
@@ -106,9 +107,9 @@ def _defined(body, in_class):
 
 
 def test_no_names_only_tests_read():
-    read = read_names(
-        [tree for path, tree in TREES.items() if not path.startswith("tests/")], attributes=True, keywords=True
-    )
+    readers = [tree for path, tree in TREES.items() if not path.startswith("tests/")]
+    members = read_names(readers, attributes=True, keywords=True, names=False)
+    read = members | read_names(readers)
     bad = []
     for path, tree in SRC.items():
         if path.endswith("__init__.py"):
@@ -119,7 +120,7 @@ def test_no_names_only_tests_read():
                 found += [(node, f"{cls.name}.{name}") for node, name in _defined(cls.body, True)]
         for node, qual in found:
             name = qual.rsplit(".", 1)[-1]
-            if not (name.startswith("__") and name.endswith("__")) and name not in read:
+            if not (name.startswith("__") and name.endswith("__")) and name not in (members if "." in qual else read):
                 bad.append(f"{path}:{node.lineno}: {qual} is defined but only tests read it")
     assert not bad, "\n".join(bad)
 
