@@ -167,11 +167,9 @@ class MavState:
 
 def select_candidates_random(ledger: PrivacyLedger, rng) -> tuple[CandidateSet, PrivacyLedger]:
     """Random budget-feasible candidate picks (no utility filter), charging
-    the ledger per admission until the cap or the feasible pool runs out.
-
-    Feasibility is tested beyond the permutation's head only when
-    :func:`admit_in_order` reads further."""
-    return admit_in_order(rng.permutation(ledger.catalog_size), ledger.chargeable, ledger)
+    the ledger per admission until the cap or the feasible pool runs out, in
+    the random order that :func:`admit_in_order` draws."""
+    return admit_in_order(ledger.chargeable, ledger, rng)
 
 
 def select_candidates_best_utility(

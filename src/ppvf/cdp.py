@@ -36,14 +36,15 @@ class CorrelationState:
     ``table`` is the read-only (E, I, 1+D) table of a fit schedule
     (:class:`ppvf.sim.FitSchedule`): row ``table[e, i]`` is ``(base_rate[i],
     *target_factors[i])`` under epoch ``e``'s parameters, shared by every edge.
-    The state starts in epoch 0 and :meth:`next_epoch` moves it on;
-    ``epochs`` and ``moments`` cover the epochs reached so far. ``moments[e]``
-    sums ``outer(z, z)`` over epoch ``e``'s sweeps, ``epochs[e] @ z`` with
-    ``z = (1, mix)``; only ``moments[-1]`` changes. So the full-history cross
-    sum of videos ``i`` and ``j`` is ``sum_e epochs[e, i] @ moments[e] @
-    epochs[e, j]`` (squares at ``j = i``) and video ``i``'s utility sum is
-    ``sum_e epochs[e, i] @ moments[e][:, 0]``, exact for every catalog size;
-    besides views of the table, the state keeps nothing catalog-sized.
+    The state starts in epoch 0 and :meth:`reach` moves it to a later one;
+    ``epochs`` and ``moments`` cover the epochs up to the current one.
+    ``moments[e]`` sums ``outer(z, z)`` over epoch ``e``'s sweeps,
+    ``epochs[e] @ z`` with ``z = (1, mix)``; only ``moments[-1]`` changes. So
+    the full-history cross sum of videos ``i`` and ``j`` is ``sum_e epochs[e,
+    i] @ moments[e] @ epochs[e, j]`` (squares at ``j = i``) and video ``i``'s
+    utility sum is ``sum_e epochs[e, i] @ moments[e][:, 0]``, exact for every
+    catalog size; besides views of the table, the state keeps nothing
+    catalog-sized.
     """
 
     # bench/tracing.py sizes the state as the derived sums + sq_sums + cross when set.
@@ -55,12 +56,11 @@ class CorrelationState:
         self._moments = np.zeros((len(table),) + (table.shape[2],) * 2)
         self.epochs, self.moments = table[:1], self._moments[:1]
 
-    def next_epoch(self) -> None:
-        """Fold later sweeps as ``table[e + 1] @ (1, mix)``."""
-        reached = len(self.epochs) + 1
-        if reached > len(self.table):
-            raise ValueError("the epoch table holds no later epoch")
-        self.epochs, self.moments = self.table[:reached], self._moments[:reached]
+    def reach(self, epoch: int) -> None:
+        """Fold later sweeps as ``table[epoch] @ (1, mix)``, from the current epoch or a later one."""
+        if not len(self.epochs) <= epoch + 1 <= len(self.table):
+            raise ValueError(f"epoch {epoch} is before the current one or past the table's last")
+        self.epochs, self.moments = self.table[: epoch + 1], self._moments[: epoch + 1]
 
     @property
     def cross(self) -> np.ndarray:

@@ -138,18 +138,20 @@ def sum_gradients(params: ModelParams, stats: list[WindowStats], rows: np.ndarra
     is spare, and one :func:`_sorted_sum` pass sums them in place; the
     result views ``rows``. A NaN or infinite addend always makes its entry's
     sum non-finite, so only a non-finite sum needs the edges scanned: their
-    gradients are taken again until the first edge holding a non-finite
-    entry is named in an :class:`~ppvf.DataError`. When every addend is
-    finite, an overflowed sum is returned as it is.
+    gradients are taken again, into a fresh row, until the first edge
+    holding a non-finite entry is named in an :class:`~ppvf.DataError`.
+    When every addend is finite, an overflowed sum is returned as it is.
     """
     for st, row in zip(stats, rows):
         window_gradients(params, st, out=row)
-    summed = GradientBundle.of_row(_sorted_sum(rows), params.catalog_size, params.dim)
-    if not summed.is_finite():
+    summed = _sorted_sum(rows)
+    if not np.isfinite(summed).all():
+        fresh = np.empty_like(summed)
         for idx, st in enumerate(stats):
-            if not window_gradients(params, st).is_finite():
+            window_gradients(params, st, out=fresh)
+            if not np.isfinite(fresh).all():
                 raise DataError(f"non-finite gradients from edge index {idx}")
-    return summed
+    return GradientBundle.of_row(summed, params.catalog_size, params.dim)
 
 
 def aggregate_and_step(params: ModelParams, summed: GradientBundle, cfg: TrainConfig, eta: float) -> ModelParams:

@@ -211,23 +211,23 @@ class WindowStats:
         times, vids = log.timestamps, log.video_ids
         self.window = window
 
+        # The log is time-sorted, so history and in-window events are two slices.
         start, end = window.start, window.end
-        pre = times < start
-        ins = (times >= start) & (times < end)
-        pre_t, pre_v = times[pre], vids[pre]
-        in_t, in_v = times[ins], vids[ins]
+        lo, hi = np.searchsorted(times, (start, end))
+        pre_t, pre_v = times[:lo], vids[:lo]
+        in_t, in_v = times[lo:hi], vids[lo:hi]
+        pre_w = np.exp(-decay * (start - pre_t))
 
         counts0 = np.zeros(catalog_size)
-        np.add.at(counts0, pre_v, np.exp(-decay * (start - pre_t)))
+        np.add.at(counts0, pre_v, pre_w)
 
-        uniq, inverse = np.unique(in_t, return_inverse=True)
+        uniq, firsts, inverse = np.unique(in_t, return_index=True, return_inverse=True)
         counts_at = np.empty((len(uniq), catalog_size))
         running = counts0
         prev = start
-        for k, t in enumerate(uniq):
+        for k, (t, group) in enumerate(zip(uniq.tolist(), np.split(in_v, firsts[1:]))):
             running = running * math.exp(-decay * (t - prev))
             counts_at[k] = running
-            group = in_v[inverse == k]
             np.add.at(running, group, 1.0)  # zero-lag kernel weight
             prev = t
 
@@ -235,7 +235,7 @@ class WindowStats:
         # the window contribute over [start - tau, end - tau], in-window
         # events over [0, end - tau].
         integral_w = np.zeros(catalog_size)
-        np.add.at(integral_w, pre_v, (np.exp(-decay * (start - pre_t)) - np.exp(-decay * (end - pre_t))) / decay)
+        np.add.at(integral_w, pre_v, (pre_w - np.exp(-decay * (end - pre_t))) / decay)
         np.add.at(integral_w, in_v, (1.0 - np.exp(-decay * (end - in_t))) / decay)
 
         self.event_videos = in_v
@@ -301,13 +301,6 @@ class GradientBundle:
         """The three blocks as views of ``row``."""
         I, D = catalog_size, dim
         return cls(row[:I], row[I : I * (1 + D)].reshape(I, D), row[I * (1 + D) :].reshape(I, D))
-
-    def is_finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.base_rate))
-            and np.all(np.isfinite(self.target_factors))
-            and np.all(np.isfinite(self.source_factors))
-        )
 
 
 def window_gradients(params: ModelParams, stats: WindowStats, out: np.ndarray | None = None) -> GradientBundle:

@@ -182,16 +182,19 @@ def admit_picked(picked: np.ndarray, ledger: PrivacyLedger) -> tuple[CandidateSe
     return chosen, ledger
 
 
-def admit_in_order(order: np.ndarray, eligible, ledger: PrivacyLedger) -> tuple[CandidateSet, PrivacyLedger]:
-    """Admit and charge the first ``prefetch_cap`` eligible videos of ``order``.
+def admit_in_order(eligible, ledger: PrivacyLedger, rng) -> tuple[CandidateSet, PrivacyLedger]:
+    """Admit and charge the first ``prefetch_cap`` eligible videos of a uniformly random order.
 
-    ``eligible(videos)`` gives the eligibility mask of an array of videos.
-    ``order`` visits each video at most once, so eligibility taken before
+    The order is one ``rng.permutation(ledger.catalog_size)``, drawn here and
+    drawn whole, so every selector that walks a random order advances ``rng``
+    alike. ``eligible(videos)`` gives the eligibility mask of an array of
+    videos. The order visits each video once, so eligibility taken before
     any charge equals eligibility checked during a sequential walk. The walk
     usually ends within the first ``2 * prefetch_cap`` videos, so only those
-    are tested first; the whole of ``order`` is tested only when they leave
-    the cap unfilled.
+    are tested first; the whole order is tested only when they leave the cap
+    unfilled.
     """
+    order = rng.permutation(ledger.catalog_size)
     cap = ledger.prefetch_cap
     head = order[: 2 * cap]
     picked = head[eligible(head)]
@@ -211,9 +214,8 @@ def select_candidates(
     A drawn video is admitted iff its utility/cost ratio strictly clears the
     threshold at its current consumed fraction and one more charge fits in
     its remaining budget; admissions charge the ledger immediately. The
-    ledger is updated in place and returned. The whole permutation is drawn
-    (it fixes the random stream), but eligibility is tested beyond its head
-    only when :func:`admit_in_order` reads further.
+    ledger is updated in place and returned. :func:`admit_in_order` draws
+    the order and tests eligibility only as far as it reads.
     """
     utilities = np.asarray(utilities, dtype=np.float64)
     if utilities.shape[0] != ledger.catalog_size:
@@ -223,7 +225,7 @@ def select_candidates(
     def eligible(videos: np.ndarray) -> np.ndarray:
         return (utilities[videos] / cost > ledger.threshold_bars(cfg, videos)) & ledger.chargeable(videos)
 
-    return admit_in_order(rng.permutation(ledger.catalog_size), eligible, ledger)
+    return admit_in_order(eligible, ledger, rng)
 
 
 def offline_optimum(utilities_per_step: np.ndarray, ledger_template: PrivacyLedger) -> float:

@@ -241,9 +241,8 @@ class _EdgeRuntime:
         for ts, stamp_epoch, videos in zip(stamps.tolist(), epochs, groups):
             params = params_list[stamp_epoch]
             if stamp_epoch > epoch:
-                for _ in range(stamp_epoch - epoch):
-                    self.corr.next_epoch()
                 epoch = stamp_epoch
+                self.corr.reach(epoch)
                 self.kernel.rebuild_mix(params)
             self.stamp_utilities = None
             in_test = ts >= self.cfg.init_horizon

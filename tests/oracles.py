@@ -5,10 +5,11 @@ numeric quadrature, finite differences, sequential budget walks over exact
 fractions, an evaluate-everything fitting loop, the window likelihood and
 gradients with every parameter reduction redone, per-draw ``rng.choice``
 sampling, Ogata thinning with per-video counts, per-event trace writing,
-per-epoch correlation lists, out-of-place coordinator steps, a cache
-that scans its residents for each eviction, an offline optimum that walks
-every bit mask, and a whole-run replay that composes these and serves one
-request at a time) and deliberately avoids the machinery under test. The
+per-edge and per-window masks over a whole log, per-epoch correlation
+lists, out-of-place coordinator steps, a cache that scans its residents
+for each eviction, an offline optimum that walks every bit mask, and a
+whole-run replay that composes these and serves one request at a time)
+and deliberately avoids the machinery under test. The
 exponential-mechanism weights, the DP ratio check and the LP relaxation of
 the offline allocation live here too: only tests read them. The test-only
 helpers that follow the oracles hold the ``RequestEvent`` rows tests build
@@ -514,6 +515,55 @@ def write_trace_per_event(log, path) -> None:
         fh.write("# edge_id,user_id,video_id,timestamp\n")
         for e, u, v, t in zip(log.edge_ids, log.user_ids, log.video_ids, log.timestamps):
             fh.write(f"{int(e)},{int(u)},{int(v)},{float(t)!r}\n")
+
+
+def partition_by_edge_masks(log: EventLog) -> list[EventLog]:
+    """Per-edge logs, each cut from the whole log by its own edge mask."""
+    parts = []
+    for e in range(log.edge_count):
+        mask = log.edge_ids == e
+        columns = (log.edge_ids, log.user_ids, log.video_ids, log.timestamps)
+        parts.append(EventLog(*(c[mask] for c in columns), log.catalog_size, log.edge_count, log.horizon))
+    return parts
+
+
+class MaskedWindowStats(NamedTuple):
+    """The ``WindowStats`` arrays a likelihood and its gradients read."""
+
+    event_videos: np.ndarray
+    event_group: np.ndarray
+    counts_at: np.ndarray
+    integral_weights: np.ndarray
+
+
+def window_stats_by_masks(log, catalog_size: int, decay: float, window: TrainWindow) -> MaskedWindowStats:
+    """``WindowStats`` cut by three boolean masks over the whole log, each
+    history weight taken twice, and each stamp's requests found by an
+    ``inverse == k`` scan."""
+    times, vids = log.timestamps, log.video_ids
+    start, end = window.start, window.end
+    pre = times < start
+    ins = (times >= start) & (times < end)
+    pre_t, pre_v = times[pre], vids[pre]
+    in_t, in_v = times[ins], vids[ins]
+
+    counts0 = np.zeros(catalog_size)
+    np.add.at(counts0, pre_v, np.exp(-decay * (start - pre_t)))
+
+    uniq, inverse = np.unique(in_t, return_inverse=True)
+    counts_at = np.empty((len(uniq), catalog_size))
+    running = counts0
+    prev = start
+    for k, t in enumerate(uniq):
+        running = running * math.exp(-decay * (t - prev))
+        counts_at[k] = running
+        np.add.at(running, in_v[inverse == k], 1.0)
+        prev = t
+
+    integral_w = np.zeros(catalog_size)
+    np.add.at(integral_w, pre_v, (np.exp(-decay * (start - pre_t)) - np.exp(-decay * (end - pre_t))) / decay)
+    np.add.at(integral_w, in_v, (1.0 - np.exp(-decay * (end - in_t))) / decay)
+    return MaskedWindowStats(in_v, inverse, counts_at, integral_w)
 
 
 class ListCorrelationState:

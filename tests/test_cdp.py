@@ -39,7 +39,7 @@ def random_params(rng, catalog=6, dim=2):
 def fill_epoch(table, epoch, base, factors):
     """Write one epoch's rows of a correlation table. A state reads only the
     epochs it has reached, so a test may fill each one just before
-    ``next_epoch`` moves the state to it."""
+    ``reach`` moves the state to it."""
     table[epoch, :, 0] = base
     table[epoch, :, 1:] = factors
 
@@ -98,7 +98,7 @@ class TestCorrelationState:
         state = CorrelationState(table)
         for epoch in range(epochs):
             if epoch:
-                state.next_epoch()
+                state.reach(epoch)
             for _ in range(4):
                 state.update(rng.uniform(0.0, 2.0, dim))
         held = [v for v in vars(state).values() if isinstance(v, np.ndarray) and catalog in v.shape]
@@ -140,7 +140,7 @@ class TestCorrelationDegree:
             factors = rng.uniform(0.05, 0.3, (catalog, dim))
             fill_epoch(table, epoch, base, factors)
             if epoch:
-                state.next_epoch()
+                state.reach(epoch)
             for _ in range(15):
                 mix = rng.uniform(0.0, 2.0, dim)
                 lam = base + factors @ mix
@@ -160,7 +160,7 @@ def epoch_histories(epochs, rng, catalog=60, dim=10):
         factors = rng.uniform(0.05, 0.3, (catalog, dim))
         fill_epoch(table, epoch, base, factors)
         if epoch:
-            state.next_epoch()
+            state.reach(epoch)
         ref.start_epoch(base, factors)
         for _ in range(int(rng.integers(2, 6))):
             mix = rng.uniform(0.0, 2.0, dim)
@@ -194,12 +194,18 @@ class TestCorrelationBlockMatchesEpochLists:
             assert np.allclose(state.sums, ref.sums, rtol=1e-12, atol=0)
             assert np.allclose(state.sq_sums, ref.sq_sums, rtol=1e-12, atol=0)
 
-    def test_next_epoch_stops_at_table_end(self):
-        state = CorrelationState(np.ones((2, 3, 3)))
-        state.next_epoch()
-        assert len(state.epochs) == len(state.moments) == 2
+    def test_reach_stops_at_table_end(self):
+        state = CorrelationState(np.ones((3, 3, 3)))
         with pytest.raises(ValueError):
-            state.next_epoch()
+            state.reach(3)
+        state.reach(2)  # one call may cross several barriers
+        assert len(state.epochs) == len(state.moments) == 3
+        with pytest.raises(ValueError):
+            state.reach(3)
+        with pytest.raises(ValueError):
+            state.reach(1)  # an earlier epoch would hide the moments folded since
+        state.reach(2)
+        assert len(state.epochs) == 3
 
     def test_epoch_table_rows_hold_base_then_target_factors(self):
         # A fit schedule stores the table that its replays' states read.

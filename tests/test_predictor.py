@@ -19,6 +19,7 @@ from oracles import (
     rebuild_state,
     window_gradients_reference,
     window_log_likelihood_reference,
+    window_stats_by_masks,
 )
 from ppvf import DataError, predictor, trace
 from ppvf.federation import TrainConfig, run_fit_round
@@ -392,3 +393,33 @@ class TestSerialization:
     def test_clamped_floor(self):
         p = ModelParams(np.array([0.0]), np.zeros((1, 1)), np.zeros((1, 1)), 0.01).clamped()
         assert p.base_rate[0] == predictor.PARAM_FLOOR
+
+
+class TestWindowStatsMatchesMasks:
+    """The sliced construction equals the whole-log mask construction, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["mixed", "empty-window", "history-only", "empty-log", "at-window-end"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bitwise(self, case, seed):
+        rng = np.random.default_rng(seed)
+        catalog, decay, window = 12, 0.03, TrainWindow(end=80.0, length=30.0)
+        n = int(rng.integers(1, 60))
+        # Quarter-hour stamps repeat, and some fall on the window's ends.
+        times = np.sort(rng.integers(0, 4 * 100, size=n) / 4.0)
+        if case == "empty-window":
+            times = np.where((times >= window.start) & (times < window.end), window.end, times)
+        elif case == "history-only":
+            times = times * (window.start / 100.0)
+        elif case == "empty-log":
+            times = times[:0]
+        elif case == "at-window-end":
+            times = np.sort(np.concatenate([times, [window.start, window.end, window.end]]))
+        log = make_log(times, rng.integers(0, catalog, size=len(times)), catalog, 100.0)
+        got = predictor.WindowStats(log, catalog, decay, window)
+        want = window_stats_by_masks(log, catalog, decay, window)
+        for name in want._fields:
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+        in_window = np.count_nonzero((times >= window.start) & (times < window.end))
+        assert (in_window == 0) == (case in ("empty-window", "history-only", "empty-log"))
+

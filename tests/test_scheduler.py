@@ -21,6 +21,7 @@ from ppvf.scheduler import (
     CompetitiveRatioViolation,
     PrivacyLedger,
     ThresholdConfig,
+    admit_in_order,
     admit_picked,
     empirical_cr,
     offline_optimum,
@@ -147,6 +148,18 @@ class TestSelectCandidates:
         cands, ledger = select_candidates(utilities, ledger, cfg, rng)
         assert list(cands) == expected_order
         assert sum(spent(ledger)) == Fraction(3)
+
+    @pytest.mark.parametrize("catalog, cap", [(1, 1), (6, 3), (40, 4), (40, 30)])
+    def test_admit_in_order_draws_one_permutation(self, catalog, cap):
+        # Whether the walk stops in the head or reads the whole order, the
+        # random stream moves as one rng.permutation(catalog_size) moves it.
+        for everything in (True, False):
+            rng, twin = np.random.default_rng(catalog + cap), np.random.default_rng(catalog + cap)
+            ledger = PrivacyLedger.uniform(catalog, 15, 1, cap)
+            order = twin.permutation(catalog)
+            cands, _ = admit_in_order(lambda v: np.full(len(v), everything), ledger, rng)
+            assert list(cands) == (order[:cap].tolist() if everything else [])
+            assert rng.random(4).tobytes() == twin.random(4).tobytes()
 
     def test_budget_guard_blocks_high_utility(self):
         cfg = ThresholdConfig(upper=1000.0, lower=0.001)

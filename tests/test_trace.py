@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from ppvf import DataError, predictor, trace
 
-from oracles import RequestEvent, event_log_from_events, events_of, thin_one_edge_with_choice, write_trace_per_event
+from oracles import (
+    RequestEvent,
+    event_log_from_events,
+    events_of,
+    partition_by_edge_masks,
+    thin_one_edge_with_choice,
+    write_trace_per_event,
+)
 
 
 def _flat_params(catalog, base=0.0, factor=0.0, dim=2, decay=0.01):
@@ -360,6 +367,26 @@ class TestPartition:
         log = event_log_from_events(events, catalog_size=1, edge_count=3, horizon=t + 1)
         sizes = [len(p) for p in trace.partition_by_edge(log)]
         assert sizes == [3, 5, 2]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_edge_masks(self, seed):
+        # Random logs whose edge ids skip some edges, and a last edge that
+        # holds no request: the stable sort keeps each part in log order.
+        rng = np.random.default_rng(seed)
+        n, edges = int(rng.integers(0, 200)), int(rng.integers(1, 12))
+        used = rng.choice(edges, size=max(1, edges // 2), replace=False)
+        edge_ids = rng.choice(used, size=n)
+        times = np.sort(rng.integers(0, 30, size=n).astype(np.float64))  # repeated stamps
+        log = trace.EventLog(
+            edge_ids, rng.integers(0, 9, size=n), rng.integers(0, 5, size=n), times, 5, edges + 1, 30.0
+        )
+        got, want = trace.partition_by_edge(log), partition_by_edge_masks(log)
+        assert len(got) == len(want) == edges + 1 and len(got[-1]) == 0
+        for a, b in zip(got, want):
+            for name in ("edge_ids", "user_ids", "video_ids", "timestamps"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+            assert (a.catalog_size, a.edge_count, a.horizon) == (b.catalog_size, b.edge_count, b.horizon)
 
     @settings(max_examples=40, deadline=None)
     @given(
